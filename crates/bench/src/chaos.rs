@@ -1,5 +1,6 @@
 //! Named chaos profiles: preset fault-injection configurations shared by
-//! the figure binaries (`--chaos NAME`) and the `chaos_stress` harness.
+//! `fig2_lemming` / `hashtable_bench` (`--chaos NAME`) and the
+//! `chaos_stress` and `sanitize_all` harnesses.
 //!
 //! A profile names *what* is injected (scheduler preemption, clock
 //! jitter, HTM abort storms, capacity squeezes, a hot conflict line, or

@@ -8,10 +8,10 @@
 //! (fine-grained). Elision transforms the coarse-grained version but
 //! barely moves the fine-grained one, which was already concurrent.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
+use super::Run;
+use crate::metrics::Json;
+use crate::report::{f2, Table};
+use crate::sweep::Cell;
 use elision_core::{make_lock, LockKind, Scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, MemoryBuilder, VarId};
 use std::sync::Arc;
@@ -20,7 +20,7 @@ const SHARDS: usize = 16;
 
 /// Each operation picks a shard, locks it (or the single global lock) and
 /// updates that shard's counter.
-fn run(scheme_kind: SchemeKind, fine_grained: bool, threads: usize, ops: u64, window: u64) -> f64 {
+fn run_sharded(scheme_kind: SchemeKind, fine_grained: bool, threads: usize, ops: u64) -> f64 {
     let mut b = MemoryBuilder::new();
     let counters: Vec<VarId> = (0..SHARDS).map(|_| b.alloc_isolated(0)).collect();
     let n_locks = if fine_grained { SHARDS } else { 1 };
@@ -35,26 +35,25 @@ fn run(scheme_kind: SchemeKind, fine_grained: bool, threads: usize, ops: u64, wi
         .collect();
     let mem = b.freeze(threads);
     let counters2 = counters.clone();
-    let (_, mem, makespan) =
-        harness::run(threads, window, HtmConfig::haswell(), 21, mem, move |s| {
-            for _ in 0..ops {
-                let shard = s.rng.below(SHARDS as u64) as usize;
-                let scheme = &schemes[shard % schemes.len()];
-                let target = counters2[shard];
-                scheme.execute(s, |s| {
-                    let v = s.load(target)?;
-                    s.work(25)?;
-                    s.store(target, v + 1)
-                });
-            }
-        });
+    let (_, mem, makespan) = harness::run(threads, 0, HtmConfig::haswell(), 21, mem, move |s| {
+        for _ in 0..ops {
+            let shard = s.rng.below(SHARDS as u64) as usize;
+            let scheme = &schemes[shard % schemes.len()];
+            let target = counters2[shard];
+            scheme.execute(s, |s| {
+                let v = s.load(target)?;
+                s.work(25)?;
+                s.store(target, v + 1)
+            });
+        }
+    });
     let total: u64 = counters.iter().map(|&c| mem.read_direct(c)).sum();
     assert_eq!(total, threads as u64 * ops, "lost updates");
     ops as f64 * threads as f64 * 1000.0 / makespan.max(1) as f64
 }
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let ops = if args.quick { 150 } else { 400 };
 
     println!("== Ablation: coarse- vs fine-grained locking under elision ==");
@@ -63,22 +62,17 @@ fn main() {
     let mut cells = Vec::new();
     for fine in [false, true] {
         for scheme in [SchemeKind::Standard, SchemeKind::Hle] {
-            let args = &args;
             let grain = if fine { "fine" } else { "coarse" };
             cells.push(Cell::new(format!("{grain}/{}", scheme.label()), args.threads, move || {
-                run(scheme, fine, args.threads, ops, args.window)
+                run_sharded(scheme, fine, args.threads, ops)
             }));
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("ablation_finegrained", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     let mut table =
         Table::new(&["granularity", "standard (ops/kcycle)", "HLE (ops/kcycle)", "HLE speedup"]);
-    let mut report = MetricsReport::new("ablation_finegrained", &args);
-    let mut pairs = outcome.results.chunks_exact(2);
+    let mut pairs = results.chunks_exact(2);
     for fine in [false, true] {
         let pair = pairs.next().expect("one standard/HLE pair per granularity");
         let (std, hle) = (pair[0], pair[1]);
@@ -88,7 +82,7 @@ fn main() {
             f2(hle),
             f2(hle / std),
         ]);
-        report.push_row(Json::obj(vec![
+        run.report.push_row(Json::obj(vec![
             ("granularity", Json::Str(if fine { "fine" } else { "coarse" }.to_string())),
             ("locks", Json::Uint(if fine { SHARDS as u64 } else { 1 })),
             ("standard_throughput", Json::Float(std)),
@@ -96,14 +90,7 @@ fn main() {
             ("hle_speedup", Json::Float(hle / std)),
         ]));
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "ablation_finegrained");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    run.table(&table, Some("ablation_finegrained"));
     println!(
         "\nShape check: elision multiplies coarse-grained throughput but adds \
          little beyond the already-concurrent fine-grained version — the paper's \

@@ -12,14 +12,14 @@
 //! of classic SCM then usefully throttles wasted speculation, which is
 //! exactly the trade-off the paper's remark anticipates.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
+use super::Run;
+use crate::metrics::Json;
+use crate::report::{f2, Table};
+use crate::sweep::Cell;
 use elision_core::{make_grouped_scm, make_scheme, LockKind, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, MemoryBuilder, VarId};
 
-fn run(grouped: bool, hot_words: usize, threads: usize, work: u64, ops: u64) -> u64 {
+fn run_hot_words(grouped: bool, hot_words: usize, threads: usize, work: u64, ops: u64) -> u64 {
     let mut b = MemoryBuilder::new();
     let hot: Vec<VarId> = (0..hot_words).map(|_| b.alloc_isolated(0)).collect();
     let scheme = if grouped {
@@ -45,9 +45,8 @@ fn run(grouped: bool, hot_words: usize, threads: usize, work: u64, ops: u64) -> 
     makespan
 }
 
-fn main() {
-    let args = CliArgs::parse();
-    let ops = if args.quick { 60 } else { 150 };
+pub(super) fn run(run: &mut Run) {
+    let ops = if run.args.quick { 60 } else { 150 };
 
     println!("== Ablation: grouped SCM (conflict-line-aware auxiliary locks) ==");
     println!("speedup of grouped over single-aux SCM; >1 means grouping wins\n");
@@ -59,19 +58,15 @@ fn main() {
         for grouped in [false, true] {
             let kind = if grouped { "grouped" } else { "single" };
             cells.push(Cell::new(format!("{hw}w/{thr}t/{work}c/{kind}"), thr, move || {
-                run(grouped, hw, thr, work, ops)
+                run_hot_words(grouped, hw, thr, work, ops)
             }));
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("ablation_grouped", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     let mut table =
         Table::new(&["hot words", "threads", "cs work", "single-aux", "grouped", "speedup"]);
-    let mut report = MetricsReport::new("ablation_grouped", &args);
-    let mut pairs = outcome.results.chunks_exact(2);
+    let mut pairs = results.chunks_exact(2);
     for (hw, thr, work) in CONFIGS {
         let pair = pairs.next().expect("one single/grouped pair per config");
         let (s, g) = (pair[0], pair[1]);
@@ -83,7 +78,7 @@ fn main() {
             g.to_string(),
             f2(s as f64 / g as f64),
         ]);
-        report.push_row(Json::obj(vec![
+        run.report.push_row(Json::obj(vec![
             ("hot_words", Json::Uint(hw as u64)),
             ("threads", Json::Uint(thr as u64)),
             ("cs_work", Json::Uint(work)),
@@ -92,14 +87,7 @@ fn main() {
             ("speedup", Json::Float(s as f64 / g as f64)),
         ]));
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "ablation_grouped");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    run.table(&table, Some("ablation_grouped"));
     println!(
         "\nShape check: speedup > 1 with many active groups and long critical \
          sections; <= 1 when conflicts collapse into one or two groups."

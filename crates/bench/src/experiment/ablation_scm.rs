@@ -11,25 +11,25 @@
 //!   inside RTM, forcing the read-and-check workaround. The simulator can
 //!   do both, quantifying what the workaround costs.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
+use super::Run;
+use crate::metrics::Json;
+use crate::report::{f2, Table};
+use crate::sweep::Cell;
 use elision_core::{make_scheme_with_aux, LockKind, Scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, MemoryBuilder};
 use elision_structures::{key_domain, OpMix, RbTree, TreeOp};
 use std::sync::Arc;
 
-/// Run a moderate-contention tree workload under an explicitly built
-/// scheme; returns (throughput, per-thread end-time spread ratio).
-fn run_custom(
-    args: &CliArgs,
+/// Run a moderate-contention 128-node tree workload under an explicitly
+/// built scheme; returns (throughput, per-thread end-time spread ratio).
+/// Shared with the `MAX_RETRIES` ablation.
+pub(super) fn run_custom(
+    threads: usize,
     build: impl Fn(&mut MemoryBuilder, usize) -> Arc<Scheme>,
     ops: u64,
 ) -> (f64, f64) {
     let size = 128;
     let domain = key_domain(size);
-    let threads = args.threads;
     let mut b = MemoryBuilder::new();
     let tree = RbTree::new(&mut b, domain as usize + threads * 4 + 16, threads);
     let scheme = build(&mut b, threads);
@@ -49,13 +49,8 @@ fn run_custom(
     }
     tree.rebalance_freelists(&mem);
     let tree2 = tree.clone();
-    let (ends, makespan) = harness::run_arc(
-        threads,
-        args.window,
-        HtmConfig::haswell(),
-        42,
-        Arc::clone(&mem),
-        move |s| {
+    let (ends, makespan) =
+        harness::run_arc(threads, 0, HtmConfig::haswell(), 42, Arc::clone(&mem), move |s| {
             for _ in 0..ops {
                 let op = OpMix::MODERATE.draw(&mut s.rng);
                 let key = s.rng.below(domain);
@@ -66,17 +61,16 @@ fn run_custom(
                 });
             }
             s.now()
-        },
-    );
+        });
     let throughput = ops as f64 * threads as f64 * 1000.0 / makespan.max(1) as f64;
     let min = *ends.iter().min().expect("nonempty") as f64;
     let max = *ends.iter().max().expect("nonempty") as f64;
     (throughput, max / min.max(1.0))
 }
 
-fn main() {
-    let args = CliArgs::parse();
-    let ops = if args.quick { 300 } else { 1000 };
+pub(super) fn run(run: &mut Run) {
+    let threads = run.args.threads;
+    let ops = if run.args.quick { 300 } else { 1000 };
 
     println!("== Ablation: SCM design choices (128-node tree, moderate contention) ==\n");
 
@@ -89,10 +83,9 @@ fn main() {
     ];
     let mut cells = Vec::new();
     for aux in AUX_LOCKS {
-        let args = &args;
-        cells.push(Cell::new(format!("aux/{}", aux.label()), args.threads, move || {
+        cells.push(Cell::new(format!("aux/{}", aux.label()), threads, move || {
             run_custom(
-                args,
+                threads,
                 |b, t| {
                     make_scheme_with_aux(
                         SchemeKind::HleScm,
@@ -108,10 +101,9 @@ fn main() {
         }));
     }
     for (label, kind, nesting) in VARIANTS {
-        let args = &args;
-        cells.push(Cell::new(format!("subscription/{label}"), args.threads, move || {
+        cells.push(Cell::new(format!("subscription/{label}"), threads, move || {
             run_custom(
-                args,
+                threads,
                 |b, t| {
                     let cfg = SchemeConfig { scm_true_nesting: nesting, ..SchemeConfig::paper() };
                     make_scheme_with_aux(kind, LockKind::Mcs, LockKind::Mcs, cfg, b, t)
@@ -120,48 +112,34 @@ fn main() {
             )
         }));
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("ablation_scm", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     println!("--- auxiliary-lock fairness (HLE-SCM over MCS main lock) ---");
-    let mut report = MetricsReport::new("ablation_scm", &args);
     let mut table = Table::new(&["aux lock", "throughput (ops/kcycle)", "finish-time spread"]);
-    for (aux, (thr, spread)) in AUX_LOCKS.iter().zip(&outcome.results) {
+    for (aux, (thr, spread)) in AUX_LOCKS.iter().zip(&results) {
         let (thr, spread) = (*thr, *spread);
         table.row(vec![aux.label().to_string(), f2(thr), f2(spread)]);
-        report.push_row(Json::obj(vec![
+        run.report.push_row(Json::obj(vec![
             ("section", Json::Str("aux_fairness".to_string())),
             ("aux_lock", Json::Str(aux.label().to_string())),
             ("throughput", Json::Float(thr)),
             ("finish_time_spread", Json::Float(spread)),
         ]));
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "ablation_scm_aux");
-    }
+    run.table(&table, Some("ablation_scm_aux"));
 
     println!("\n--- subscription policy (SCM over MCS main lock) ---");
     let mut table = Table::new(&["variant", "throughput (ops/kcycle)"]);
-    for ((label, _, _), (thr, _)) in VARIANTS.iter().zip(&outcome.results[AUX_LOCKS.len()..]) {
+    for ((label, _, _), (thr, _)) in VARIANTS.iter().zip(&results[AUX_LOCKS.len()..]) {
         let thr = *thr;
         table.row(vec![label.to_string(), f2(thr)]);
-        report.push_row(Json::obj(vec![
+        run.report.push_row(Json::obj(vec![
             ("section", Json::Str("subscription".to_string())),
             ("variant", Json::Str(label.to_string())),
             ("throughput", Json::Float(thr)),
         ]));
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "ablation_scm_subscription");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    run.table(&table, Some("ablation_scm_subscription"));
     println!(
         "\nShape check: fair aux locks keep the finish-time spread tight; the \
          workaround and true nesting should perform comparably (the paper argues \

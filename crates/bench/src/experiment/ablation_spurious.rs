@@ -7,16 +7,16 @@
 //! HLE-SCM over the MCS lock. With zero spurious aborts a read-only
 //! workload never aborts; even a tiny rate collapses plain HLE-MCS.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, f3, ratio, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{CliArgs, TreeBenchSpec};
+use super::{tree_spec, Run};
+use crate::metrics::Json;
+use crate::report::{f2, f3, ratio, Table};
+use crate::sweep::Cell;
 use elision_core::{LockKind, SchemeKind};
 use elision_htm::HtmConfig;
 use elision_structures::OpMix;
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let ops = if args.quick { 300 } else { 1000 };
     let rates = [0.0, 0.0005, 0.002, 0.01, 0.05];
     let schemes = [SchemeKind::Hle, SchemeKind::HleScm, SchemeKind::Standard];
@@ -27,26 +27,15 @@ fn main() {
     let mut cells = Vec::new();
     for &rate in &rates {
         for scheme in schemes {
-            let args = &args;
             cells.push(Cell::new(format!("{rate}/{}", scheme.label()), args.threads, move || {
-                let mut spec = TreeBenchSpec::new(
-                    scheme,
-                    LockKind::Mcs,
-                    args.threads,
-                    512,
-                    OpMix::LOOKUP_ONLY,
-                );
-                spec.ops_per_thread = ops;
-                spec.window = args.window;
+                let mut spec =
+                    tree_spec(scheme, LockKind::Mcs, args.threads, 512, OpMix::LOOKUP_ONLY, ops);
                 spec.htm = HtmConfig::haswell().with_spurious(rate, 0.0);
-                elision_bench::run_tree_bench_avg(&spec, args.seeds)
+                crate::run_tree_bench_avg(&spec, args.seeds)
             }));
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("ablation_spurious", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     let mut table = Table::new(&[
         "spurious/txn",
@@ -55,8 +44,7 @@ fn main() {
         "HLE speedup-vs-std",
         "HLE-SCM speedup-vs-std",
     ]);
-    let mut report = MetricsReport::new("ablation_spurious", &args);
-    let mut chunks = outcome.results.chunks_exact(schemes.len());
+    let mut chunks = results.chunks_exact(schemes.len());
     for &rate in &rates {
         let chunk = chunks.next().expect("one chunk per rate");
         let (hle, scm, std) = (&chunk[0], &chunk[1], &chunk[2]);
@@ -68,7 +56,7 @@ fn main() {
             f2(ratio(scm.throughput, std.throughput)),
         ]);
         for (scheme, r) in [("HLE", hle), ("HLE-SCM", scm)] {
-            report.push_result(
+            run.report.push_result(
                 vec![
                     ("spurious_rate", Json::Float(rate)),
                     ("scheme", Json::Str(scheme.to_string())),
@@ -78,14 +66,7 @@ fn main() {
             );
         }
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "ablation_spurious");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    run.table(&table, Some("ablation_spurious"));
     println!(
         "\nShape check: HLE-MCS frac-nonspec jumps toward 1 as soon as the rate is \
          nonzero; HLE-SCM stays near 0 and keeps its speedup."

@@ -3,7 +3,7 @@
 //!
 //! For every chaos profile the harness runs the red-black-tree benchmark
 //! at increasing fault intensity and checks three robustness properties
-//! that the figure binaries take for granted:
+//! that the figure experiments take for granted:
 //!
 //! 1. **Liveness**: every operation completes, and no single operation
 //!    needs an unbounded number of attempts (starvation watchdog).
@@ -17,10 +17,11 @@
 //! The degradation curves (throughput and p99 completion cycles vs
 //! intensity) are printed as tables and optionally written as CSV.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{chaos::MAX_INTENSITY, run_tree_bench, ChaosProfile, CliArgs, TreeBenchSpec};
+use super::{tree_spec, Run};
+use crate::metrics::Json;
+use crate::report::{f2, Table};
+use crate::sweep::Cell;
+use crate::{chaos::MAX_INTENSITY, run_tree_bench, ChaosProfile, TreeBenchResult, TreeBenchSpec};
 use elision_core::{BreakerConfig, LockKind, SchemeConfig, SchemeKind};
 use elision_htm::HtmConfig;
 use elision_structures::OpMix;
@@ -39,11 +40,9 @@ fn spec_for(
     ops: u64,
 ) -> TreeBenchSpec {
     let (plan, htm_faults) = profile.at_intensity(level, 0xC4A0_5EED);
-    let mut spec = TreeBenchSpec::new(scheme, lock, threads, 64, OpMix::MODERATE);
-    spec.ops_per_thread = ops;
     // window == 0 makes the run (including the fault schedule) a pure
     // function of the seeds, which the determinism check relies on.
-    spec.window = 0;
+    let mut spec = tree_spec(scheme, lock, threads, 64, OpMix::MODERATE, ops);
     spec.htm = HtmConfig::deterministic().with_faults(htm_faults);
     spec.scheme_cfg = SchemeConfig::hardened();
     spec.faults = plan;
@@ -51,7 +50,7 @@ fn spec_for(
 }
 
 /// Liveness + determinism for one cell; returns the (first) result.
-fn run_checked(spec: &TreeBenchSpec, what: &str) -> elision_bench::TreeBenchResult {
+fn run_checked(spec: &TreeBenchSpec, what: &str) -> TreeBenchResult {
     let r = run_tree_bench(spec);
     let total_ops = spec.ops_per_thread * spec.threads as u64;
     assert_eq!(
@@ -122,8 +121,8 @@ fn assert_breaker_pays_off(threads: usize, ops: u64) -> (f64, f64, u64) {
     (r_on.throughput, r_off.throughput, r_on.breaker_trips)
 }
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let ops: u64 = if args.quick { 120 } else { 400 };
     let threads = args.threads.min(if args.quick { 4 } else { 8 });
     let profiles: Vec<ChaosProfile> = if args.quick {
@@ -165,13 +164,8 @@ fn main() {
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("chaos_stress", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let mut report = MetricsReport::new("chaos_stress", &args);
-    let mut next = outcome.results.iter();
+    let results = run.sweep(cells);
+    let mut next = results.iter();
     for profile in &profiles {
         let mut table = Table::new(&[
             "level",
@@ -197,7 +191,7 @@ fn main() {
                         r.fault_stats.preemptions.to_string(),
                         r.breaker_trips.to_string(),
                     ]);
-                    report.push_result(
+                    run.report.push_result(
                         vec![
                             ("profile", Json::Str(profile.label().to_string())),
                             ("level", Json::Uint(u64::from(level))),
@@ -213,53 +207,37 @@ fn main() {
             }
         }
         println!("--- profile: {profile} ---");
-        table.print();
-        if let Some(dir) = &args.csv {
-            table.write_csv(dir, &format!("chaos_{profile}"));
-        }
+        run.table(&table, Some(&format!("chaos_{profile}")));
         println!();
     }
     // Determinism (the nastiest profile, both lock families) and the
     // breaker payoff check also run as sweep cells.
-    let check_cells = vec![
-        Cell::new("determinism/TTAS", threads, move || {
-            let spec = spec_for(
-                SchemeKind::HleScm,
-                LockKind::Ttas,
-                ChaosProfile::Full,
-                2,
-                threads,
-                ops.min(150),
-            );
-            assert_deterministic(&spec, "full@2 HLE-SCM/TTAS");
-            None
-        }),
-        Cell::new("determinism/MCS", threads, move || {
-            let spec = spec_for(
-                SchemeKind::HleScm,
-                LockKind::Mcs,
-                ChaosProfile::Full,
-                2,
-                threads,
-                ops.min(150),
-            );
-            assert_deterministic(&spec, "full@2 HLE-SCM/MCS");
-            None
-        }),
-        Cell::new("breaker-payoff", threads, move || Some(assert_breaker_pays_off(threads, ops))),
-    ];
-    let checks = sweep.run(check_cells);
-    timing.absorb(&checks);
+    let mut check_cells: Vec<_> = [LockKind::Ttas, LockKind::Mcs]
+        .into_iter()
+        .map(|lock| {
+            Cell::new(format!("determinism/{}", lock.label()), threads, move || {
+                let spec = spec_for(
+                    SchemeKind::HleScm,
+                    lock,
+                    ChaosProfile::Full,
+                    2,
+                    threads,
+                    ops.min(150),
+                );
+                assert_deterministic(&spec, &format!("full@2 HLE-SCM/{lock}"));
+                None
+            })
+        })
+        .collect();
+    check_cells.push(Cell::new("breaker-payoff", threads, move || {
+        Some(assert_breaker_pays_off(threads, ops))
+    }));
+    let checks = run.sweep(check_cells);
     println!("determinism check: identical seeds reproduced identical runs (window=0)");
-    let (on, off, trips) = checks.results[2].expect("breaker cell returns stats");
+    let (on, off, trips) = checks[2].expect("breaker cell returns stats");
     println!(
         "breaker check (HLE-retries/MCS, permanent 95% storm): \
          on {on:.3} > off {off:.3} ops/kcycle, {trips} trips"
     );
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
-
     println!("\nall chaos assertions passed");
 }

@@ -6,18 +6,19 @@
 //! Doubles as an end-to-end cross-check of the abort-cause taxonomy: for
 //! every cell the classified cause counts must sum exactly to the number
 //! of aborted attempts the scheme counters and the raw HTM statistics
-//! both report. The binary panics if the accounting ever disagrees.
+//! both report. The experiment panics if the accounting ever disagrees.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, f3, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_tree_bench, CliArgs, TreeBenchSpec};
+use super::{tree_spec, Run};
+use crate::metrics::Json;
+use crate::report::{f2, f3, Table};
+use crate::run_tree_bench;
+use crate::sweep::Cell;
 use elision_core::{LockKind, SchemeKind};
 use elision_sim::AbortCause;
 use elision_structures::OpMix;
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let size = if args.quick { 128 } else { 2048 };
     let ops = if args.quick { 300 } else { 1000 };
 
@@ -27,30 +28,28 @@ fn main() {
     let mut cells = Vec::new();
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         for scheme in SchemeKind::ALL {
-            let args = &args;
             cells.push(Cell::new(
                 format!("{}/{}", lock.label(), scheme.label()),
                 args.threads,
                 move || {
-                    let mut spec =
-                        TreeBenchSpec::new(scheme, lock, args.threads, size, OpMix::MODERATE);
-                    spec.ops_per_thread = ops;
-                    spec.window = args.window;
-                    run_tree_bench(&spec)
+                    run_tree_bench(&tree_spec(
+                        scheme,
+                        lock,
+                        args.threads,
+                        size,
+                        OpMix::MODERATE,
+                        ops,
+                    ))
                 },
             ));
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("diag_aborts", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     let mut headers = vec!["lock", "scheme", "frac-nonspec", "attempts/op", "aborted"];
     headers.extend(AbortCause::ALL.iter().map(|c| c.label()));
     let mut table = Table::new(&headers);
-    let mut report = MetricsReport::new("diag_aborts", &args);
-    let mut next = outcome.results.iter();
+    let mut next = results.iter();
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         for scheme in SchemeKind::ALL {
             let r = next.next().expect("one result per cell");
@@ -79,7 +78,7 @@ fn main() {
             ];
             row.extend(AbortCause::ALL.iter().map(|&c| causes.get(c).to_string()));
             table.row(row);
-            report.push_result(
+            run.report.push_result(
                 vec![
                     ("lock", Json::Str(lock.label().to_string())),
                     ("scheme", Json::Str(scheme.label().to_string())),
@@ -88,13 +87,6 @@ fn main() {
             );
         }
     }
-    table.print();
+    run.table(&table, Some("diag_aborts"));
     println!("\ncause accounting verified: per-cell cause counts sum to aborted attempts");
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "diag_aborts");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
 }

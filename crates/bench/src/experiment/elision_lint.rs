@@ -22,17 +22,17 @@
 //!   alone, and a packed+lockco queue self-aborts on its lock line.
 //!
 //! With `--metrics DIR` the report is written as `ELISION_LINT.json`
-//! (schema-compatible with `bench_summary`). It contains no job counts
+//! (schema-compatible with `repro summary`). It contains no job counts
 //! or wall-clock data, so it is byte-identical across `--jobs` values;
 //! host timing goes to `TIMING_elision_lint.json`, which the determinism
 //! gates exclude.
 
+use super::{finding_json, Run};
+use crate::metrics::{cause_histogram_json, Json, SCHEMA_VERSION};
+use crate::report::Table;
+use crate::sweep::Cell;
 use elision_analysis::advisor::{advise, AdvisorReport, AdvisorSpec};
 use elision_analysis::LintId;
-use elision_bench::metrics::{Json, SCHEMA_VERSION};
-use elision_bench::report::Table;
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
 use elision_core::{make_scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, MemoryBuilder, PlacementConfig, PlacementPolicy, Placer, Strand};
 use elision_sim::{AbortCause, ConflictLineHistogram, DetRng, OpCounters};
@@ -232,37 +232,6 @@ fn lint_labels(lints: &[LintId]) -> Json {
 }
 
 fn row_json(cell: &CellSpec, out: &CellOut, lines_in_hot: Option<bool>) -> Json {
-    let findings = out
-        .report
-        .findings
-        .iter()
-        .map(|f| {
-            Json::obj(vec![
-                ("lint", Json::Str(f.lint.label().to_string())),
-                ("message", Json::Str(f.message.clone())),
-                (
-                    "sites",
-                    Json::Arr(
-                        f.sites
-                            .iter()
-                            .map(|s| {
-                                Json::obj(vec![
-                                    ("tid", Json::Uint(s.tid as u64)),
-                                    ("var", s.var.map_or(Json::Null, |v| Json::Uint(u64::from(v)))),
-                                    (
-                                        "line",
-                                        s.line.map_or(Json::Null, |l| Json::Uint(u64::from(l))),
-                                    ),
-                                    ("time", Json::Uint(s.time)),
-                                    ("seq", Json::Uint(s.seq as u64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
     let footprints = out
         .report
         .footprints
@@ -284,7 +253,7 @@ fn row_json(cell: &CellSpec, out: &CellOut, lines_in_hot: Option<bool>) -> Json 
         ("expected", lint_labels(&cell.expected)),
         ("forbidden", lint_labels(&cell.forbidden)),
         ("strict_clean", Json::Bool(cell.strict_clean)),
-        ("findings", Json::Arr(findings)),
+        ("findings", Json::Arr(out.report.findings.iter().map(finding_json).collect())),
         ("advice", Json::Arr(out.report.advice.iter().map(|a| Json::Str(a.clone())).collect())),
         (
             "hot_lines",
@@ -293,15 +262,7 @@ fn row_json(cell: &CellSpec, out: &CellOut, lines_in_hot: Option<bool>) -> Json 
         ("footprints", Json::Arr(footprints)),
     ];
     if let Some((counters, lines)) = &out.probe {
-        fields.push((
-            "abort_causes",
-            Json::Obj(
-                AbortCause::ALL
-                    .iter()
-                    .map(|c| (c.label().to_string(), Json::Uint(counters.causes.get(*c))))
-                    .collect(),
-            ),
-        ));
+        fields.push(("abort_causes", cause_histogram_json(&counters.causes)));
         fields.push((
             "probe",
             Json::obj(vec![
@@ -490,11 +451,11 @@ fn probe_cells() -> Vec<CellSpec> {
     cells
 }
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let (quick, full) = (run.args.quick, run.args.full);
     println!("== Static elision advisor: structure x placement x scheme ==\n");
 
-    let mut cells = matrix_cells(args.full);
+    let mut cells = matrix_cells(full);
     cells.extend(probe_cells());
 
     let sweep_cells: Vec<Cell<'_, CellOut>> = cells
@@ -513,16 +474,13 @@ fn main() {
         })
         .collect();
 
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(sweep_cells);
-    let mut timing = TimingLog::new("elision_lint", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(sweep_cells);
 
     let mut rows: Vec<Json> = Vec::new();
     let mut table = Table::new(&["cell", "findings", "lints", "probe"]);
     let mut clean = 0usize;
     let mut flagged = 0usize;
-    for (cell, out) in cells.iter().zip(&outcome.results) {
+    for (cell, out) in cells.iter().zip(&results) {
         let found: Vec<LintId> = out.report.lints();
         for lint in &cell.expected {
             assert!(
@@ -626,32 +584,25 @@ fn main() {
         rows.push(row_json(cell, out, lines_in_hot));
     }
 
-    table.print();
+    run.table(&table, None);
     println!(
         "\n{} cells: {flagged} seeded-bad layouts flagged, {clean} clean layouts verified",
         cells.len()
     );
 
-    if let Some(dir) = &args.metrics {
-        let doc = Json::obj(vec![
-            ("schema_version", Json::Uint(SCHEMA_VERSION)),
-            ("binary", Json::Str("elision_lint".to_string())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("quick", Json::Bool(args.quick)),
-                    ("full", Json::Bool(args.full)),
-                    ("probe_iters", Json::Uint(PROBE_ITERS as u64)),
-                    ("probe_seed", Json::Uint(PROBE_SEED)),
-                ]),
-            ),
-            ("rows", Json::Arr(rows)),
-        ]);
-        std::fs::create_dir_all(dir).expect("creating metrics directory");
-        let path = dir.join("ELISION_LINT.json");
-        std::fs::write(&path, doc.render()).expect("writing ELISION_LINT.json");
-        eprintln!("wrote {}", path.display());
-        timing.write(dir);
-    }
+    run.document(Json::obj(vec![
+        ("schema_version", Json::Uint(SCHEMA_VERSION)),
+        ("binary", Json::Str("elision_lint".to_string())),
+        (
+            "config",
+            Json::obj(vec![
+                ("quick", Json::Bool(quick)),
+                ("full", Json::Bool(full)),
+                ("probe_iters", Json::Uint(PROBE_ITERS as u64)),
+                ("probe_seed", Json::Uint(PROBE_SEED)),
+            ]),
+        ),
+        ("rows", Json::Arr(rows)),
+    ]));
     println!("\nall elision-lint assertions passed");
 }

@@ -9,42 +9,36 @@
 //! MCS everything wins 2-10x across the board because plain HLE-MCS is
 //! fully serialized — and HLE-retries helps TTAS but *not* MCS.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, ratio, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_tree_bench_avg, size_sweep, CliArgs, TreeBenchSpec};
+use super::{scheme_table, slug, tree_spec, Run, SOFTWARE_SCHEMES};
+use crate::metrics::Json;
+use crate::report::{f2, ratio};
+use crate::sweep::Cell;
+use crate::{run_tree_bench_avg, size_sweep};
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::OpMix;
 
-const SCHEMES: [SchemeKind; 4] =
-    [SchemeKind::HleRetries, SchemeKind::HleScm, SchemeKind::OptSlr, SchemeKind::SlrScm];
-
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let sizes = size_sweep(args.quick, args.full);
     let ops = if args.quick { 300 } else { 1000 };
 
     println!("== Figure 10: software schemes vs the HLE baseline of each lock ==");
     println!("{} threads; baseline y=1 is plain HLE with the same lock\n", args.threads);
 
-    // Each (lock, mix, size) row is a chunk of 1 + SCHEMES.len() cells:
+    // Each (lock, mix, size) row is a chunk of 1 + SOFTWARE_SCHEMES.len() cells:
     // the plain-HLE baseline followed by the four software schemes.
     let mut cells = Vec::new();
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         for (label, mix) in OpMix::LEVELS {
             for &size in &sizes {
-                let args = &args;
                 let mut specs = vec![SchemeKind::Hle];
-                specs.extend(SCHEMES);
+                specs.extend(SOFTWARE_SCHEMES);
                 for scheme in specs {
                     cells.push(Cell::new(
                         format!("{}/{label}/{size}/{}", lock.label(), scheme.label()),
                         args.threads,
                         move || {
-                            let mut spec =
-                                TreeBenchSpec::new(scheme, lock, args.threads, size, mix);
-                            spec.ops_per_thread = ops;
-                            spec.window = args.window;
+                            let spec = tree_spec(scheme, lock, args.threads, size, mix, ops);
                             run_tree_bench_avg(&spec, args.seeds)
                         },
                     ));
@@ -52,28 +46,19 @@ fn main() {
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("fig10_spectrum", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let chunk = 1 + SCHEMES.len();
-    let mut report = MetricsReport::new("fig10_spectrum", &args);
-    let mut chunks = outcome.results.chunks_exact(chunk);
+    let results = run.sweep(cells);
+    let mut chunks = results.chunks_exact(1 + SOFTWARE_SCHEMES.len());
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         for (label, _mix) in OpMix::LEVELS {
             println!("--- {} lock, {label} ---", lock.label());
-            let mut headers = vec!["size".to_string()];
-            headers.extend(SCHEMES.iter().map(|s| s.label().to_string()));
-            let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-            let mut table = Table::new(&header_refs);
+            let mut table = scheme_table("size", &SOFTWARE_SCHEMES);
             for &size in &sizes {
                 let row = chunks.next().expect("one chunk per row");
                 let hle = &row[0];
                 let mut cells = vec![size.to_string()];
-                for (scheme, r) in SCHEMES.iter().zip(&row[1..]) {
+                for (scheme, r) in SOFTWARE_SCHEMES.iter().zip(&row[1..]) {
                     cells.push(f2(ratio(r.throughput, hle.throughput)));
-                    report.push_result(
+                    run.report.push_result(
                         vec![
                             ("lock", Json::Str(lock.label().to_string())),
                             ("workload", Json::Str(label.to_string())),
@@ -86,24 +71,10 @@ fn main() {
                 }
                 table.row(cells);
             }
-            table.print();
-            if let Some(dir) = &args.csv {
-                let slug = format!(
-                    "fig10_{}_{}",
-                    lock.label().to_lowercase(),
-                    label
-                        .chars()
-                        .map(|c| if c.is_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
-                        .collect::<String>()
-                );
-                table.write_csv(dir, &slug);
-            }
+            let csv = format!("fig10_{}_{}", lock.label().to_lowercase(), slug(label));
+            run.table(&table, Some(&csv));
             println!();
         }
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
     }
     println!(
         "Paper shape check: MCS rows sit well above 1 everywhere (2-10x); TTAS rows \

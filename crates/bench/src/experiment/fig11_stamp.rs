@@ -11,16 +11,16 @@
 //! tracks SLR on TTAS but collapses to ~standard on MCS for genome, yada
 //! and vacation; SLR-SCM only helps vacation-low (~15%).
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f3, ratio, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
+use super::{scheme_table, Run};
+use crate::metrics::Json;
+use crate::report::{f3, ratio};
+use crate::sweep::Cell;
 use elision_core::{LockKind, SchemeKind};
 use elision_htm::HtmConfig;
 use elision_stamp::{run_kernel, KernelKind, StampParams};
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let params = if args.quick { StampParams::quick() } else { StampParams::full() };
 
     println!("== Figure 11: STAMP normalized runtime (lower is better) ==");
@@ -33,7 +33,6 @@ fn main() {
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         for kernel in KernelKind::ALL {
             for scheme in SchemeKind::ALL {
-                let args = &args;
                 let params = &params;
                 cells.push(Cell::new(
                     format!("{}/{}/{}", lock.label(), kernel.label(), scheme.label()),
@@ -49,7 +48,7 @@ fn main() {
                                 lock,
                                 args.threads,
                                 &p,
-                                args.window,
+                                0,
                                 HtmConfig::haswell(),
                             );
                             total += run.makespan;
@@ -60,19 +59,11 @@ fn main() {
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("fig11_stamp", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let mut report = MetricsReport::new("fig11_stamp", &args);
-    let mut chunks = outcome.results.chunks_exact(SchemeKind::ALL.len());
+    let results = run.sweep(cells);
+    let mut chunks = results.chunks_exact(SchemeKind::ALL.len());
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         println!("--- {} lock ---", lock.label());
-        let mut headers = vec!["test".to_string()];
-        headers.extend(SchemeKind::ALL.iter().map(|s| s.label().to_string()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(&header_refs);
+        let mut table = scheme_table("test", &SchemeKind::ALL);
         for kernel in KernelKind::ALL {
             let times = chunks.next().expect("one chunk per kernel");
             let baseline = SchemeKind::ALL
@@ -84,7 +75,7 @@ fn main() {
             let mut cells = vec![kernel.label().to_string()];
             for (scheme, t) in SchemeKind::ALL.iter().zip(times) {
                 cells.push(f3(ratio(*t, baseline)));
-                report.push_row(Json::obj(vec![
+                run.report.push_row(Json::obj(vec![
                     ("lock", Json::Str(lock.label().to_string())),
                     ("test", Json::Str(kernel.label().to_string())),
                     ("scheme", Json::Str(scheme.label().to_string())),
@@ -94,15 +85,8 @@ fn main() {
             }
             table.row(cells);
         }
-        table.print();
-        if let Some(dir) = &args.csv {
-            table.write_csv(dir, &format!("fig11_stamp_{}", lock.label().to_lowercase()));
-        }
+        run.table(&table, Some(&format!("fig11_stamp_{}", lock.label().to_lowercase())));
         println!();
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
     }
     println!(
         "Paper shape check: HLE column ~1 for MCS but <1 for TTAS on several tests; \

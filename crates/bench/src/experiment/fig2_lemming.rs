@@ -15,20 +15,20 @@
 //! operation on small trees with 30-70% completing speculatively, and
 //! nearly all speculative on large trees.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, f3, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_tree_bench_avg, size_sweep, CliArgs, TreeBenchSpec};
+use super::{tree_spec, Run};
+use crate::metrics::Json;
+use crate::report::{f2, f3, Table};
+use crate::run_tree_bench_avg;
+use crate::size_sweep;
+use crate::sweep::Cell;
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::OpMix;
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let sizes = size_sweep(args.quick, args.full);
     let ops = if args.quick { 300 } else { 1000 };
-    // --chaos runs the whole figure under the named fault profile at a
-    // moderate intensity (level 2 of 3).
-    let (fault_plan, htm_faults) = args.chaos.at_intensity(2, 0xC4A0);
+    let (fault_plan, htm_faults) = run.faults();
 
     println!("== Figure 2: impact of aborts under plain HLE ==");
     println!("{} threads, 10% insert / 10% delete / 80% lookup", args.threads);
@@ -37,12 +37,9 @@ fn main() {
     let mut cells = Vec::new();
     for &size in &sizes {
         for lock in [LockKind::Ttas, LockKind::Mcs] {
-            let args = &args;
             cells.push(Cell::new(format!("{size}/{}", lock.label()), args.threads, move || {
                 let mut spec =
-                    TreeBenchSpec::new(SchemeKind::Hle, lock, args.threads, size, OpMix::MODERATE);
-                spec.ops_per_thread = ops;
-                spec.window = args.window;
+                    tree_spec(SchemeKind::Hle, lock, args.threads, size, OpMix::MODERATE, ops);
                 spec.faults = fault_plan;
                 spec.htm = spec.htm.with_faults(htm_faults);
                 let hle = run_tree_bench_avg(&spec, args.seeds);
@@ -53,10 +50,7 @@ fn main() {
             }));
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("fig2_lemming", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     let mut table = Table::new(&[
         "size",
@@ -66,8 +60,7 @@ fn main() {
         "frac-nonspec",
         "frac-arrive-held",
     ]);
-    let mut report = MetricsReport::new("fig2_lemming", &args);
-    for (size, lock, hle, std) in &outcome.results {
+    for (size, lock, hle, std) in &results {
         table.row(vec![
             size.to_string(),
             lock.label().to_string(),
@@ -76,7 +69,7 @@ fn main() {
             f3(hle.counters.frac_nonspeculative()),
             f3(hle.counters.frac_arrived_lock_held()),
         ]);
-        report.push_result(
+        run.report.push_result(
             vec![
                 ("size", Json::Uint(*size as u64)),
                 ("lock", Json::Str(lock.label().to_string())),
@@ -86,14 +79,7 @@ fn main() {
             hle,
         );
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "fig2_lemming");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    run.table(&table, Some("fig2_lemming"));
 
     println!(
         "\nPaper shape check: MCS frac-nonspec ~1 at every size; TTAS needs \

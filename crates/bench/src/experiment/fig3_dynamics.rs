@@ -9,42 +9,34 @@
 //! TTAS is mostly speculative with serialization bursts in which
 //! throughput drops by up to ~2.5x.
 
-use elision_bench::metrics::{cause_histogram_json, Json, MetricsReport};
-use elision_bench::report::{f2, f3, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_tree_bench, CliArgs, TreeBenchSpec};
+use super::{tree_spec, Run};
+use crate::metrics::{cause_histogram_json, Json};
+use crate::report::{f2, f3, Table};
+use crate::run_tree_bench;
+use crate::sweep::Cell;
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::OpMix;
 
 const TREE_SIZE: usize = 64;
 const SLOTS: u64 = 60;
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let ops = if args.quick { 500 } else { 2000 };
 
     println!("== Figure 3: serialization dynamics over time (HLE, size-64 tree) ==\n");
     let mut cells = Vec::new();
     for lock in [LockKind::Mcs, LockKind::Ttas] {
-        let args = &args;
         cells.push(Cell::new(lock.label(), args.threads, move || {
             let mut spec =
-                TreeBenchSpec::new(SchemeKind::Hle, lock, args.threads, TREE_SIZE, OpMix::MODERATE);
-            spec.ops_per_thread = ops;
-            spec.window = args.window;
+                tree_spec(SchemeKind::Hle, lock, args.threads, TREE_SIZE, OpMix::MODERATE, ops);
             // Calibrate the slot width from an untimed first run.
             let calib = run_tree_bench(&spec);
             spec.slot_cycles = Some((calib.makespan / SLOTS).max(1));
             (lock, run_tree_bench(&spec))
         }));
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("fig3_dynamics", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let mut report = MetricsReport::new("fig3_dynamics", &args);
-    for (lock, r) in &outcome.results {
+    for (lock, r) in &run.sweep(cells) {
         let slots = r.slots.as_ref().expect("slot series requested");
         let causes = r.cause_slots.as_ref().expect("cause slot series requested");
 
@@ -56,7 +48,7 @@ fn main() {
                 f2(slots.normalized_throughput[i]),
                 f3(slots.frac_nonspec[i]),
             ]);
-            report.push_row(Json::obj(vec![
+            run.report.push_row(Json::obj(vec![
                 ("lock", Json::Str(lock.label().to_string())),
                 ("slot", Json::Uint(i as u64)),
                 ("norm_throughput", Json::Float(slots.normalized_throughput[i])),
@@ -67,20 +59,13 @@ fn main() {
                 ),
             ]));
         }
-        table.print();
-        if let Some(dir) = &args.csv {
-            table.write_csv(dir, &format!("fig3_dynamics_{}", lock.label().to_lowercase()));
-        }
+        run.table(&table, Some(&format!("fig3_dynamics_{}", lock.label().to_lowercase())));
         let avg_nonspec: f64 = slots.frac_nonspec.iter().sum::<f64>() / slots.len().max(1) as f64;
         println!(
             "worst throughput dip: {:.2}x below average; mean per-slot frac-nonspec: {:.3}\n",
             slots.worst_slowdown(),
             avg_nonspec
         );
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
     }
     println!(
         "Paper shape check: MCS per-slot frac-nonspec ~1 throughout; TTAS mostly \

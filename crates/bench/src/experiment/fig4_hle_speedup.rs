@@ -9,15 +9,16 @@
 //! sizes; HLE-TTAS gains little on small trees but large speedups (up to
 //! ~14x in the paper's lookup-only workload) as the tree grows.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_tree_bench_avg, size_sweep, CliArgs, TreeBenchSpec};
+use super::{slug, tree_spec, Run};
+use crate::metrics::Json;
+use crate::report::{f2, Table};
+use crate::sweep::Cell;
+use crate::{run_tree_bench_avg, size_sweep};
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::OpMix;
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let sizes = size_sweep(args.quick, args.full);
     let ops = if args.quick { 300 } else { 1000 };
 
@@ -28,15 +29,11 @@ fn main() {
     for (label, mix) in OpMix::LEVELS {
         for &size in &sizes {
             for lock in [LockKind::Ttas, LockKind::Mcs] {
-                let args = &args;
                 cells.push(Cell::new(
                     format!("{label}/{size}/{}", lock.label()),
                     args.threads,
                     move || {
-                        let mut spec =
-                            TreeBenchSpec::new(SchemeKind::Hle, lock, args.threads, size, mix);
-                        spec.ops_per_thread = ops;
-                        spec.window = args.window;
+                        let spec = tree_spec(SchemeKind::Hle, lock, args.threads, size, mix, ops);
                         let hle = run_tree_bench_avg(&spec, args.seeds);
                         let mut std_spec = spec;
                         std_spec.scheme = SchemeKind::Standard;
@@ -47,13 +44,8 @@ fn main() {
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("fig4_hle_speedup", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let mut report = MetricsReport::new("fig4_hle_speedup", &args);
-    let mut next = outcome.results.iter();
+    let results = run.sweep(cells);
+    let mut next = results.iter();
     for (label, _mix) in OpMix::LEVELS {
         println!("--- {label} ---");
         let mut table = Table::new(&["size", "TTAS", "MCS"]);
@@ -62,7 +54,7 @@ fn main() {
             for lock in [LockKind::Ttas, LockKind::Mcs] {
                 let (hle, std) = next.next().expect("one result per cell");
                 cells.push(f2(hle.throughput / std.throughput));
-                report.push_result(
+                run.report.push_result(
                     vec![
                         ("workload", Json::Str(label.to_string())),
                         ("size", Json::Uint(size as u64)),
@@ -74,19 +66,8 @@ fn main() {
             }
             table.row(cells);
         }
-        table.print();
-        if let Some(dir) = &args.csv {
-            let slug = label
-                .chars()
-                .map(|c| if c.is_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
-                .collect::<String>();
-            table.write_csv(dir, &format!("fig4_hle_speedup_{slug}"));
-        }
+        run.table(&table, Some(&format!("fig4_hle_speedup_{}", slug(label))));
         println!();
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
     }
     println!(
         "Paper shape check: MCS stays at ~1x everywhere; TTAS grows with tree size, \

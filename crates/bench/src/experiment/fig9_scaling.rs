@@ -11,17 +11,18 @@
 //! SLR, SLR-SCM) scale with the thread count for both locks, closing the
 //! gap between MCS and TTAS.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, ratio, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_tree_bench_avg, CliArgs, TreeBenchSpec};
+use super::{scheme_table, tree_spec, Run};
+use crate::metrics::Json;
+use crate::report::{f2, ratio};
+use crate::run_tree_bench_avg;
+use crate::sweep::Cell;
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::OpMix;
 
 const TREE_SIZE: usize = 128;
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let ops = if args.quick { 300 } else { 1200 };
     let thread_counts: Vec<usize> =
         [1usize, 2, 4, 8].into_iter().filter(|&t| t <= args.threads.max(8)).collect();
@@ -31,60 +32,37 @@ fn main() {
 
     // The common baseline (single-threaded, lock-free) is itself a sweep
     // cell; every other cell is normalized to it afterwards.
-    let mut cells = Vec::new();
-    {
-        let args = &args;
-        cells.push(Cell::new("baseline/nolock/1", 1, move || {
-            let mut base_spec = TreeBenchSpec::new(
-                SchemeKind::NoLock,
-                LockKind::Ttas,
-                1,
-                TREE_SIZE,
-                OpMix::MODERATE,
-            );
-            base_spec.ops_per_thread = ops;
-            base_spec.window = args.window;
-            run_tree_bench_avg(&base_spec, args.seeds)
-        }));
-    }
+    let mut cells = vec![Cell::new("baseline/nolock/1", 1, move || {
+        let base_spec =
+            tree_spec(SchemeKind::NoLock, LockKind::Ttas, 1, TREE_SIZE, OpMix::MODERATE, ops);
+        run_tree_bench_avg(&base_spec, args.seeds)
+    })];
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         for &t in &thread_counts {
             for scheme in SchemeKind::ALL {
-                let args = &args;
                 cells.push(Cell::new(
                     format!("{}/{t}/{}", lock.label(), scheme.label()),
                     t,
                     move || {
-                        let mut spec =
-                            TreeBenchSpec::new(scheme, lock, t, TREE_SIZE, OpMix::MODERATE);
-                        spec.ops_per_thread = ops;
-                        spec.window = args.window;
+                        let spec = tree_spec(scheme, lock, t, TREE_SIZE, OpMix::MODERATE, ops);
                         run_tree_bench_avg(&spec, args.seeds)
                     },
                 ));
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("fig9_scaling", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let base = outcome.results[0].throughput;
-    let mut report = MetricsReport::new("fig9_scaling", &args);
-    let mut next = outcome.results[1..].iter();
+    let results = run.sweep(cells);
+    let base = results[0].throughput;
+    let mut next = results[1..].iter();
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         println!("--- {} lock ---", lock.label());
-        let mut headers = vec!["threads".to_string()];
-        headers.extend(SchemeKind::ALL.iter().map(|s| s.label().to_string()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(&header_refs);
+        let mut table = scheme_table("threads", &SchemeKind::ALL);
         for &t in &thread_counts {
             let mut cells = vec![t.to_string()];
             for scheme in SchemeKind::ALL {
                 let r = next.next().expect("one result per cell");
                 cells.push(f2(ratio(r.throughput, base)));
-                report.push_result(
+                run.report.push_result(
                     vec![
                         ("lock", Json::Str(lock.label().to_string())),
                         ("threads", Json::Uint(t as u64)),
@@ -96,15 +74,8 @@ fn main() {
             }
             table.row(cells);
         }
-        table.print();
-        if let Some(dir) = &args.csv {
-            table.write_csv(dir, &format!("fig9_scaling_{}", lock.label().to_lowercase()));
-        }
+        run.table(&table, Some(&format!("fig9_scaling_{}", lock.label().to_lowercase())));
         println!();
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
     }
     println!(
         "Paper shape check: HLE-MCS flat at all thread counts; software-assisted \

@@ -2,26 +2,24 @@
 //!
 //! The paper reports that hash-table results are comparable to the
 //! red-black tree, "zooming in" on the short-transaction end of the
-//! spectrum. This binary reproduces that comparison: all schemes over
+//! spectrum. This experiment reproduces that comparison: all schemes over
 //! both locks at the three contention levels, normalized to plain HLE of
 //! the same lock.
 
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::{f2, ratio, Table};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{run_hash_bench, CliArgs, HashBenchSpec};
+use super::{scheme_table, Run, SOFTWARE_SCHEMES};
+use crate::metrics::Json;
+use crate::report::{f2, ratio};
+use crate::sweep::Cell;
+use crate::{run_hash_bench, HashBenchSpec};
 use elision_core::{LockKind, SchemeConfig, SchemeKind};
 use elision_htm::HtmConfig;
 use elision_structures::OpMix;
 
-const SCHEMES: [SchemeKind; 4] =
-    [SchemeKind::HleRetries, SchemeKind::HleScm, SchemeKind::OptSlr, SchemeKind::SlrScm];
-
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let size = if args.quick { 128 } else { 512 };
     let ops = if args.quick { 300 } else { 1000 };
-    let (fault_plan, htm_faults) = args.chaos.at_intensity(2, 0xC4A0);
+    let (fault_plan, htm_faults) = run.faults();
 
     println!("== Hash-table benchmark (short transactions; §7.1) ==");
     println!(
@@ -35,9 +33,8 @@ fn main() {
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         for (label, mix) in OpMix::LEVELS {
             let mut schemes = vec![SchemeKind::Hle];
-            schemes.extend(SCHEMES);
+            schemes.extend(SOFTWARE_SCHEMES);
             for scheme in schemes {
-                let args = &args;
                 cells.push(Cell::new(
                     format!("{}/{label}/{}", lock.label(), scheme.label()),
                     args.threads,
@@ -49,7 +46,7 @@ fn main() {
                             size,
                             mix,
                             ops_per_thread: ops,
-                            window: args.window,
+                            window: 0,
                             htm: HtmConfig::haswell().with_faults(htm_faults),
                             seed: 42,
                             scheme_cfg: SchemeConfig::paper(),
@@ -60,26 +57,18 @@ fn main() {
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("hashtable_bench", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let mut report = MetricsReport::new("hashtable_bench", &args);
-    let mut chunks = outcome.results.chunks_exact(1 + SCHEMES.len());
+    let results = run.sweep(cells);
+    let mut chunks = results.chunks_exact(1 + SOFTWARE_SCHEMES.len());
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         println!("--- {} lock ---", lock.label());
-        let mut headers = vec!["mix".to_string()];
-        headers.extend(SCHEMES.iter().map(|s| s.label().to_string()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(&header_refs);
+        let mut table = scheme_table("mix", &SOFTWARE_SCHEMES);
         for (label, _mix) in OpMix::LEVELS {
             let row = chunks.next().expect("one chunk per mix");
             let hle = &row[0];
             let mut cells = vec![label.to_string()];
-            for (scheme, r) in SCHEMES.iter().zip(&row[1..]) {
+            for (scheme, r) in SOFTWARE_SCHEMES.iter().zip(&row[1..]) {
                 cells.push(f2(ratio(r.throughput, hle.throughput)));
-                report.push_result(
+                run.report.push_result(
                     vec![
                         ("lock", Json::Str(lock.label().to_string())),
                         ("mix", Json::Str(label.to_string())),
@@ -91,15 +80,8 @@ fn main() {
             }
             table.row(cells);
         }
-        table.print();
-        if let Some(dir) = &args.csv {
-            table.write_csv(dir, &format!("hashtable_{}", lock.label().to_lowercase()));
-        }
+        run.table(&table, Some(&format!("hashtable_{}", lock.label().to_lowercase())));
         println!();
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
     }
     println!(
         "Paper shape check: same ordering as the small-tree (short transaction) end \

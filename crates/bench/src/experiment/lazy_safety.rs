@@ -36,13 +36,13 @@
 //! [`LintId::ZombieCommit`]: LintId::ZombieCommit
 //! [`LintId::CommitWhileLockHeld`]: LintId::CommitWhileLockHeld
 
+use super::{assert_counterexamples, cell_report, cell_report_json, Run};
+use crate::metrics::{Json, SCHEMA_VERSION};
+use crate::report::Table;
+use crate::sweep::Cell;
 use elision_analysis::explore::{explore_and_minimize, Bounds, CellReport, Mode};
 use elision_analysis::testkit::{lazy_race_explore, lazy_zombie_explore, LazyFixes};
 use elision_analysis::LintId;
-use elision_bench::metrics::{Json, SCHEMA_VERSION};
-use elision_bench::report::Table;
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
 use elision_core::LockKind;
 
 /// Acceptance bound on a minimized counterexample: replaying at most
@@ -98,69 +98,18 @@ impl UnsafeClass {
 
     fn run(self, lock: LockKind, fixes: LazyFixes) -> CellReport {
         let bounds = Bounds::lazy_safety();
-        let (stats, findings) = match self {
+        cell_report(match self {
             UnsafeClass::Zombie => {
                 explore_and_minimize(Mode::Dpor, &bounds, |ov| lazy_zombie_explore(lock, fixes, ov))
             }
             UnsafeClass::SubscriptionRace => {
                 explore_and_minimize(Mode::Dpor, &bounds, |ov| lazy_race_explore(lock, fixes, ov))
             }
-        };
-        CellReport {
-            executions: stats.executions,
-            runs: stats.runs,
-            truncated: stats.truncated,
-            findings,
-        }
+        })
     }
 }
 
-fn cell_json(class: UnsafeClass, lock: LockKind, fixes: LazyFixes, r: &CellReport) -> Json {
-    Json::obj(vec![
-        ("class", Json::Str(class.label().to_string())),
-        ("lock", Json::Str(lock.label().to_string())),
-        ("fixes", Json::Str(fixes.label().to_string())),
-        ("must_fail", Json::Bool(class.must_fail(fixes))),
-        ("executions", Json::Uint(r.executions as u64)),
-        ("runs", Json::Uint(r.runs as u64)),
-        ("truncated", Json::Bool(r.truncated)),
-        (
-            "findings",
-            Json::Arr(
-                r.findings
-                    .iter()
-                    .map(|f| {
-                        Json::obj(vec![
-                            ("lint", Json::Str(f.finding.lint.label().to_string())),
-                            ("message", Json::Str(f.finding.message.clone())),
-                            (
-                                "forced",
-                                Json::Arr(
-                                    f.forced
-                                        .iter()
-                                        .map(|&(step, thread)| {
-                                            Json::obj(vec![
-                                                ("step", Json::Uint(step as u64)),
-                                                ("thread", Json::Uint(thread as u64)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "diagram",
-                                Json::Arr(f.diagram.iter().map(|l| Json::Str(l.clone())).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
     let bounds = Bounds::lazy_safety();
 
     println!("== Lazy-subscription safety: unsafe classes x hardware fixes x locks ==\n");
@@ -177,16 +126,13 @@ fn main() {
         }
     }
 
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("lazy_safety", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     let mut rows: Vec<Json> = Vec::new();
     let mut table = Table::new(&["cell", "verdict", "executions", "runs", "findings"]);
     let mut counterexamples = 0usize;
     let mut clean = 0usize;
-    for (&(class, lock, fixes), r) in keys.iter().zip(&outcome.results) {
+    for (&(class, lock, fixes), r) in keys.iter().zip(&results) {
         let key = format!("{}/{}/{}", class.label(), lock.label(), fixes.label());
         let must_fail = class.must_fail(fixes);
         table.row(vec![
@@ -196,28 +142,15 @@ fn main() {
             r.runs.to_string(),
             r.findings.len().to_string(),
         ]);
-        rows.push(cell_json(class, lock, fixes, r));
+        let labels = vec![
+            ("class", Json::Str(class.label().to_string())),
+            ("lock", Json::Str(lock.label().to_string())),
+            ("fixes", Json::Str(fixes.label().to_string())),
+            ("must_fail", Json::Bool(must_fail)),
+        ];
+        rows.push(cell_report_json(labels, r, false));
         if must_fail {
-            assert!(
-                !r.findings.is_empty(),
-                "{key}: an unfixed unsafe cell produced no counterexample — \
-                 the gate is vacuous"
-            );
-            assert!(
-                r.findings.iter().any(|f| f.finding.lint == class.marker()),
-                "{key}: the class marker {:?} was not among the findings: {:?}",
-                class.marker(),
-                r.findings.iter().map(|f| f.finding.lint).collect::<Vec<_>>()
-            );
-            for f in &r.findings {
-                assert!(
-                    f.forced.len() <= MAX_COUNTEREXAMPLE_STEPS,
-                    "{key}: counterexample needs {} forced steps (budget {})",
-                    f.forced.len(),
-                    MAX_COUNTEREXAMPLE_STEPS
-                );
-                assert!(!f.diagram.is_empty(), "{key}: counterexample has no diagram");
-            }
+            assert_counterexamples(&key, r, &[class.marker()], MAX_COUNTEREXAMPLE_STEPS);
             println!(
                 "  {key}: {} counterexample(s), all within {MAX_COUNTEREXAMPLE_STEPS} \
                  forced steps",
@@ -251,43 +184,36 @@ fn main() {
         "fix-coverage matrix lost the paper's asymmetry"
     );
 
-    table.print();
+    run.table(&table, None);
     println!(
         "\n{counterexamples} unsafe cells produced counterexamples, \
          {clean} fixed cells verified clean under identical bounds"
     );
 
-    if let Some(dir) = &args.metrics {
-        let doc = Json::obj(vec![
-            ("schema_version", Json::Uint(SCHEMA_VERSION)),
-            ("binary", Json::Str("lazy_safety".to_string())),
-            (
-                "config",
-                Json::obj(vec![
-                    ("threads", Json::Uint(2)),
-                    ("mode", Json::Str("dpor".to_string())),
-                    (
-                        "bounds",
-                        Json::obj(vec![
-                            (
-                                "divergence",
-                                bounds.divergence.map_or(Json::Null, |d| Json::Uint(u64::from(d))),
-                            ),
-                            ("max_schedules", Json::Uint(bounds.max_schedules as u64)),
-                            ("max_runs", Json::Uint(bounds.max_runs as u64)),
-                            ("max_steps", Json::Uint(bounds.max_steps as u64)),
-                        ]),
-                    ),
-                    ("max_counterexample_steps", Json::Uint(MAX_COUNTEREXAMPLE_STEPS as u64)),
-                ]),
-            ),
-            ("cells", Json::Arr(rows)),
-        ]);
-        std::fs::create_dir_all(dir).expect("creating metrics directory");
-        let path = dir.join("LAZY_SAFETY.json");
-        std::fs::write(&path, doc.render()).expect("writing LAZY_SAFETY.json");
-        eprintln!("wrote {}", path.display());
-        timing.write(dir);
-    }
+    run.document(Json::obj(vec![
+        ("schema_version", Json::Uint(SCHEMA_VERSION)),
+        ("binary", Json::Str("lazy_safety".to_string())),
+        (
+            "config",
+            Json::obj(vec![
+                ("threads", Json::Uint(2)),
+                ("mode", Json::Str("dpor".to_string())),
+                (
+                    "bounds",
+                    Json::obj(vec![
+                        (
+                            "divergence",
+                            bounds.divergence.map_or(Json::Null, |d| Json::Uint(u64::from(d))),
+                        ),
+                        ("max_schedules", Json::Uint(bounds.max_schedules as u64)),
+                        ("max_runs", Json::Uint(bounds.max_runs as u64)),
+                        ("max_steps", Json::Uint(bounds.max_steps as u64)),
+                    ]),
+                ),
+                ("max_counterexample_steps", Json::Uint(MAX_COUNTEREXAMPLE_STEPS as u64)),
+            ]),
+        ),
+        ("cells", Json::Arr(rows)),
+    ]));
     println!("\nall lazy-safety assertions passed");
 }

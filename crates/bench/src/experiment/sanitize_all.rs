@@ -8,39 +8,16 @@
 //! undetected. Findings are printed with full access provenance and
 //! serialized into the metrics JSON (`--metrics <dir>`).
 
+use super::{finding_json, Run};
+use crate::metrics::{Json, MetricsReport};
+use crate::report::Table;
+use crate::sweep::Cell;
+use crate::ChaosProfile;
 use elision_analysis::driver::{sanitize_run, SanReport, SanitizeSpec};
 use elision_analysis::testkit::{broken_slr_schedule, double_release_schedule};
 use elision_analysis::{Finding, LintId};
-use elision_bench::metrics::{Json, MetricsReport};
-use elision_bench::report::Table;
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::{ChaosProfile, CliArgs};
 use elision_core::{LockKind, SchemeKind};
 use elision_htm::HtmConfig;
-
-fn finding_json(f: &Finding) -> Json {
-    Json::obj(vec![
-        ("lint", Json::Str(f.lint.label().to_string())),
-        ("message", Json::Str(f.message.clone())),
-        (
-            "sites",
-            Json::Arr(
-                f.sites
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("tid", Json::Uint(s.tid as u64)),
-                            ("var", s.var.map_or(Json::Null, |v| Json::Uint(u64::from(v)))),
-                            ("line", s.line.map_or(Json::Null, |l| Json::Uint(u64::from(l)))),
-                            ("time", Json::Uint(s.time)),
-                            ("seq", Json::Uint(s.seq as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
 
 fn cell_row(scheme: SchemeKind, lock: LockKind, profile: &str, level: u32, r: &SanReport) -> Json {
     Json::obj(vec![
@@ -99,8 +76,8 @@ fn check_seeded(name: &str, findings: &[Finding], expected: &[LintId], report: &
     ]));
 }
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let threads = args.threads.clamp(2, 4);
     let ops = if args.quick { 16 } else { 32 };
 
@@ -158,19 +135,14 @@ fn main() {
             }
         }
     }
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(sweep_cells);
-    let mut timing = TimingLog::new("sanitize_all", sweep.jobs());
-    timing.absorb(&outcome);
-
-    let mut report = MetricsReport::new("sanitize_all", &args);
+    let results = run.sweep(sweep_cells);
     let mut table = Table::new(&["cell", "san-events", "trace-events", "findings", "counters"]);
-    for ((scheme, lock, profile, level, what), r) in keys.iter().zip(&outcome.results) {
+    for ((scheme, lock, profile, level, what), r) in keys.iter().zip(&results) {
         check_cell(r, what, &mut table);
-        report.push_row(cell_row(*scheme, *lock, profile, *level, r));
+        run.report.push_row(cell_row(*scheme, *lock, profile, *level, r));
     }
 
-    table.print();
+    run.table(&table, None);
     println!("\n{} cells clean under the sanitizer", keys.len());
 
     println!("\n-- seeded negative schedules --");
@@ -178,18 +150,13 @@ fn main() {
         "broken-slr",
         &broken_slr_schedule(),
         &[LintId::DataRace, LintId::CommitWhileLockHeld, LintId::SlrUnsubscribedCommit],
-        &mut report,
+        &mut run.report,
     );
     check_seeded(
         "double-release",
         &double_release_schedule(),
         &[LintId::ReleaseWithoutAcquire],
-        &mut report,
+        &mut run.report,
     );
-
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
     println!("\nall sanitizer assertions passed");
 }

@@ -9,52 +9,38 @@
 //! p50/p90/p99/p999 tail percentiles, CDF rows, and per-shard/per-phase
 //! telemetry; byte-identical at any `--jobs`.
 //!
-//! The binary asserts the open-loop lemming-effect story end to end: the
+//! The experiment asserts the open-loop lemming-effect story end to end: the
 //! plain-HLE storm cell must show *both* a lock-word-conflict spike and
 //! a p999 blowup relative to its steady cell, and the burst cell (same
 //! mean load as steady) must raise the tail — the signature a
 //! closed-loop harness cannot see.
 
-use elision_bench::metrics::MetricsReport;
-use elision_bench::report::{f2, Table};
-use elision_bench::servicebench::{
-    run_service_avg, service_grid, service_row, LoadScenario, ServiceCell,
-};
-use elision_bench::sweep::{Cell, Sweep, TimingLog};
-use elision_bench::CliArgs;
+use super::Run;
+use crate::report::{f2, Table};
+use crate::servicebench::{run_service_avg, service_grid, service_row, LoadScenario, ServiceCell};
+use crate::sweep::Cell;
 use elision_core::SchemeKind;
 use elision_service::ServiceResult;
 use elision_sim::AbortCause;
 
-fn main() {
-    let args = CliArgs::parse();
+pub(super) fn run(run: &mut Run) {
+    let args = &run.args;
     let grid = service_grid(args.quick, args.full);
 
     println!("== Open-loop sharded service: tail latency under arriving traffic ==");
-    println!(
-        "{} cells (scheme x shards x load), {} seed(s), window {}\n",
-        grid.len(),
-        args.seeds,
-        args.window
-    );
+    println!("{} cells (scheme x shards x load), {} seed(s), window 0\n", grid.len(), args.seeds);
 
     let cells: Vec<Cell<'_, (ServiceCell, ServiceResult)>> = grid
         .iter()
         .map(|cell| {
             let cell = cell.clone();
-            let quick = args.quick;
-            let window = args.window;
-            let seeds = args.seeds;
             Cell::new(cell.key(), cell.workers(), move || {
-                let r = run_service_avg(&cell, quick, window, seeds);
+                let r = run_service_avg(&cell, args.quick, args.seeds);
                 (cell, r)
             })
         })
         .collect();
-    let sweep = Sweep::from_args(&args);
-    let outcome = sweep.run(cells);
-    let mut timing = TimingLog::new("SERVICE", sweep.jobs());
-    timing.absorb(&outcome);
+    let results = run.sweep(cells);
 
     let mut table = Table::new(&[
         "scheme",
@@ -68,8 +54,7 @@ fn main() {
         "p999",
         "lockword-aborts",
     ]);
-    let mut report = MetricsReport::new("SERVICE", &args);
-    for (cell, r) in &outcome.results {
+    for (cell, r) in &results {
         table.row(vec![
             cell.scheme.label().to_string(),
             cell.lock.label().to_string(),
@@ -82,18 +67,11 @@ fn main() {
             r.latency.quantile(0.999).unwrap_or(0).to_string(),
             r.counters.causes.get(AbortCause::LockWordConflict).to_string(),
         ]);
-        report.push_row(service_row(cell, r));
+        run.report.push_row(service_row(cell, r));
     }
-    table.print();
-    if let Some(dir) = &args.csv {
-        table.write_csv(dir, "service_bench");
-    }
-    if let Some(dir) = &args.metrics {
-        report.write(dir);
-        timing.write(dir);
-    }
+    run.table(&table, Some("service_bench"));
 
-    assert_storm_correlation(&outcome.results);
+    assert_storm_correlation(&results);
     println!(
         "\nOpen-loop shape check: the plain-HLE storm cell spikes lock-word \
          conflicts and p999 together; the burst cell moves only the tail \

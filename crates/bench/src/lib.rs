@@ -1,26 +1,28 @@
-//! Shared measurement pipeline for the figure-regeneration binaries.
+//! Shared measurement pipeline for the `repro` experiment driver.
 //!
-//! Each `fig*` binary in `src/bin/` regenerates one figure of the paper:
-//! it sweeps the figure's parameter grid, runs the simulated benchmark,
-//! and prints the same rows/series the paper plots (plus optional CSV).
-//! This library holds the common pieces: the red-black-tree and
-//! hash-table benchmark drivers (fill phase + measured phase), seed
-//! averaging, speedup computation, table printing and a tiny CLI parser.
+//! Each `fig*` experiment in [`experiment`] regenerates one figure of the
+//! paper: it sweeps the figure's parameter grid, runs the simulated
+//! benchmark, and prints the same rows/series the paper plots (plus
+//! optional CSV). This library holds the common pieces: the experiment
+//! registry and its artifact pipeline, the red-black-tree and hash-table
+//! benchmark drivers (fill phase + measured phase), seed averaging, the
+//! parallel sweep, table printing and a tiny CLI parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod cli;
+pub mod experiment;
 pub mod metrics;
 pub mod report;
 pub mod servicebench;
+pub mod summary;
 pub mod sweep;
 pub mod treebench;
 
 pub use chaos::ChaosProfile;
 pub use cli::CliArgs;
-pub use sweep::{Cell, Sweep, SweepOutcome, TimingLog};
 pub use treebench::{
     run_hash_bench, run_tree_bench, run_tree_bench_avg, HashBenchSpec, TreeBenchResult,
     TreeBenchSpec,
@@ -28,11 +30,6 @@ pub use treebench::{
 
 /// The paper's thread-count maximum (4 cores x 2 hyperthreads).
 pub const PAPER_THREADS: usize = 8;
-
-/// Default scheduler lag window for benchmark runs: small relative to
-/// transaction begin/commit costs so critical sections genuinely overlap
-/// in logical time.
-pub const BENCH_WINDOW: u64 = 16;
 
 /// Tree-size sweep used by the spectrum figures (the paper sweeps
 /// 2..512K; the simulator covers the same dynamic range with a cap chosen

@@ -1,7 +1,8 @@
-//! Deterministic JSON metrics emission for the figure binaries.
+//! Deterministic JSON metrics emission for the experiments.
 //!
-//! Every figure binary accepts `--metrics DIR` and drops a
-//! `<DIR>/<binary>.json` report next to its CSVs. The schema is fixed:
+//! Under `--metrics DIR` every experiment drops a `<DIR>/<artifact>.json`
+//! report next to its CSVs (see `crate::experiment`). The row-report
+//! schema is fixed:
 //!
 //! ```text
 //! {
@@ -20,14 +21,12 @@
 //! with Rust's shortest-roundtrip formatting, and no timestamps or
 //! absolute paths appear anywhere — two runs with identical seeds emit
 //! byte-identical files. A small recursive-descent parser rounds the
-//! layer out so `bench_summary` can merge the per-binary reports.
+//! layer out so `repro summary` can merge the per-experiment reports.
 
 use crate::cli::CliArgs;
 use crate::treebench::TreeBenchResult;
 use elision_sim::AbortCause;
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
 /// A JSON value. Objects are insertion-ordered key/value pairs so that
 /// serialization is deterministic.
@@ -355,7 +354,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// Schema version stamped into every report.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// A per-binary metrics report accumulating one JSON row per table row.
+/// A per-experiment metrics report accumulating one JSON row per table row.
 #[derive(Debug)]
 pub struct MetricsReport {
     binary: String,
@@ -406,18 +405,6 @@ impl MetricsReport {
             ("config", self.config.clone()),
             ("rows", Json::Arr(self.rows.clone())),
         ])
-    }
-
-    /// Write the report to `dir/<binary>.json` (creating `dir`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors (benchmark binaries fail loudly).
-    pub fn write(&self, dir: &Path) {
-        fs::create_dir_all(dir).expect("creating metrics directory");
-        let path = dir.join(format!("{}.json", self.binary));
-        fs::write(&path, self.to_json().render()).expect("writing metrics JSON");
-        eprintln!("wrote {}", path.display());
     }
 }
 

@@ -1,4 +1,4 @@
-//! Aligned-text table printing and CSV output for the figure binaries.
+//! Aligned-text table printing and CSV output for the experiments.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -64,7 +64,7 @@ impl Table {
     ///
     /// # Panics
     ///
-    /// Panics on I/O errors (benchmark binaries fail loudly).
+    /// Panics on I/O errors (experiments fail loudly).
     pub fn write_csv(&self, dir: &Path, name: &str) {
         fs::create_dir_all(dir).expect("creating CSV directory");
         let mut out = String::new();

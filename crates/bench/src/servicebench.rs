@@ -148,8 +148,9 @@ pub fn service_grid(quick: bool, full: bool) -> Vec<ServiceCell> {
     cells
 }
 
-/// Build the full [`ServiceSpec`] for a cell.
-pub fn service_spec(cell: &ServiceCell, quick: bool, window: u64, seed: u64) -> ServiceSpec {
+/// Build the full [`ServiceSpec`] for a cell (at window 0, so the run is
+/// a pure function of the seed).
+pub fn service_spec(cell: &ServiceCell, quick: bool, seed: u64) -> ServiceSpec {
     let d = if quick { 40_000 } else { 120_000 };
     let mut spec = ServiceSpec::quick(cell.scheme, cell.lock);
     spec.shards = cell.shards;
@@ -159,17 +160,16 @@ pub fn service_spec(cell: &ServiceCell, quick: bool, window: u64, seed: u64) -> 
     spec.mix = ServiceMix::MIXED;
     spec.phases = cell.load.phases(d);
     spec.migrate_at = (cell.load == LoadScenario::Migrate).then_some(d);
-    spec.window = window;
     spec.seed = seed;
     spec
 }
 
 /// Run a cell over several seeds, merging results exactly (histograms
 /// and counters sum; throughput is recomputed over the summed makespan).
-pub fn run_service_avg(cell: &ServiceCell, quick: bool, window: u64, seeds: u64) -> ServiceResult {
+pub fn run_service_avg(cell: &ServiceCell, quick: bool, seeds: u64) -> ServiceResult {
     let mut merged: Option<ServiceResult> = None;
     for k in 0..seeds.max(1) {
-        let spec = service_spec(cell, quick, window, 42u64.wrapping_add(k * 7919));
+        let spec = service_spec(cell, quick, 42u64.wrapping_add(k * 7919));
         let r = run_service(&spec);
         match &mut merged {
             Some(acc) => acc.merge(&r),
@@ -296,7 +296,7 @@ mod tests {
             shards: 2,
             load: LoadScenario::Steady,
         };
-        let r = run_service(&service_spec(&cell, true, 0, 42));
+        let r = run_service(&service_spec(&cell, true, 42));
         let row = service_row(&cell, &r);
         for key in ["p50", "p90", "p99", "p999"] {
             assert!(row.get("latency").and_then(|l| l.get(key)).is_some(), "missing {key}");
@@ -321,8 +321,8 @@ mod tests {
             shards: 2,
             load: LoadScenario::Steady,
         };
-        let one = run_service_avg(&cell, true, 0, 1);
-        let three = run_service_avg(&cell, true, 0, 3);
+        let one = run_service_avg(&cell, true, 1);
+        let three = run_service_avg(&cell, true, 3);
         assert!(three.requests > one.requests, "three seeds must see more requests");
         assert_eq!(three.latency.count(), three.requests);
     }

@@ -1,107 +1,97 @@
-//! Merge per-binary `--metrics` JSON reports into one `BENCH_SUMMARY.json`.
+//! Merge per-experiment `--metrics` JSON reports into one
+//! `BENCH_SUMMARY.json` (`repro summary DIR`).
 //!
-//! Usage: `bench_summary <DIR>` (defaults to `results`). Reads every
-//! `*.json` in the directory (except a previous summary), validates the
-//! schema, and writes `<DIR>/BENCH_SUMMARY.json` containing one entry per
-//! report — binary name, its config, its row count — plus an abort-cause
-//! histogram summed over every row of every report and a lint histogram
-//! summed over every row's static-analysis `findings` (the elision_lint
-//! report). Files are processed in sorted name order, so the summary is
-//! deterministic.
+//! Reads every `*.json` in the directory (except a previous summary),
+//! validates the schema, and writes `<DIR>/BENCH_SUMMARY.json` containing
+//! one entry per report — binary name, its config, its row count — plus
+//! an abort-cause histogram summed over every row of every report and a
+//! lint histogram summed over every row's `findings`. A report's rows are
+//! its `rows` array, or the `cells` array of the explorer reports
+//! (`MODELCHECK.json`, `LAZY_SAFETY.json`). Files are processed in sorted
+//! name order, so the summary is deterministic.
 //!
-//! `TIMING_<binary>.json` files (written by the sweep orchestrator) are
-//! merged separately into `TIMING_SUMMARY.json` — per-binary wall-clock
-//! milliseconds, host jobs and cell counts plus the sweep total. Wall
-//! time varies run to run, so the timing summary shares the `TIMING_`
-//! prefix the determinism gates exclude, and `BENCH_SUMMARY.json` itself
-//! stays byte-reproducible.
+//! `TIMING_<name>.json` files (written by the sweep orchestrator) are
+//! merged separately into `TIMING_SUMMARY.json` — per-experiment
+//! wall-clock milliseconds, host jobs and cell counts plus the sweep
+//! total. Wall time varies run to run, so the timing summary shares the
+//! `TIMING_` prefix the determinism gates exclude, and
+//! `BENCH_SUMMARY.json` itself stays byte-reproducible.
 
+use crate::metrics::{parse, Json, SCHEMA_VERSION};
 use elision_analysis::LintId;
-use elision_bench::metrics::{parse, Json, SCHEMA_VERSION};
 use elision_sim::AbortCause;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::exit;
 
 const SUMMARY_NAME: &str = "BENCH_SUMMARY.json";
 const TIMING_SUMMARY_NAME: &str = "TIMING_SUMMARY.json";
 
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    exit(1);
-}
-
-/// Validate one timing report's schema; returns its summary entry and
-/// total wall-clock milliseconds.
-fn validate_timing(path: &Path, doc: &Json) -> (Json, u64) {
+/// Read and parse one report and check its schema version; returns the
+/// document and its binary name.
+fn load(path: &Path) -> Result<(Json, String), String> {
     let ctx = path.display();
+    let text = fs::read_to_string(path).map_err(|e| format!("reading {ctx}: {e}"))?;
+    let doc = parse(&text).map_err(|e| format!("parsing {ctx}: {e}"))?;
     let version = doc
         .get("schema_version")
         .and_then(Json::as_u64)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing schema_version")));
+        .ok_or_else(|| format!("{ctx}: missing schema_version"))?;
     if version != SCHEMA_VERSION {
-        fail(&format!("{ctx}: schema_version {version} (expected {SCHEMA_VERSION})"));
-    }
-    if doc.get("kind").and_then(Json::as_str) != Some("timing") {
-        fail(&format!("{ctx}: TIMING_ file without kind == \"timing\""));
+        return Err(format!("{ctx}: schema_version {version} (expected {SCHEMA_VERSION})"));
     }
     let binary = doc
         .get("binary")
         .and_then(Json::as_str)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing binary name")))
+        .ok_or_else(|| format!("{ctx}: missing binary name"))?
         .to_string();
-    let jobs = doc
-        .get("jobs")
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing jobs")));
+    Ok((doc, binary))
+}
+
+/// Validate one timing report's schema; returns its summary entry and
+/// total wall-clock milliseconds.
+fn validate_timing(path: &Path) -> Result<(Json, u64), String> {
+    let (doc, binary) = load(path)?;
+    let ctx = path.display();
+    if doc.get("kind").and_then(Json::as_str) != Some("timing") {
+        return Err(format!("{ctx}: TIMING_ file without kind == \"timing\""));
+    }
+    let jobs =
+        doc.get("jobs").and_then(Json::as_u64).ok_or_else(|| format!("{ctx}: missing jobs"))?;
     let wall_ms = doc
         .get("wall_ms")
         .and_then(Json::as_u64)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing wall_ms")));
+        .ok_or_else(|| format!("{ctx}: missing wall_ms"))?;
     let cells = doc
         .get("cells")
         .and_then(Json::as_arr)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing cells array")));
+        .ok_or_else(|| format!("{ctx}: missing cells array"))?;
     let entry = Json::obj(vec![
         ("binary", Json::Str(binary)),
         ("jobs", Json::Uint(jobs)),
         ("wall_ms", Json::Uint(wall_ms)),
         ("cells", Json::Uint(cells.len() as u64)),
     ]);
-    (entry, wall_ms)
+    Ok((entry, wall_ms))
 }
 
 /// Validate one report's schema; returns (binary, config, rows).
-fn validate(path: &Path, doc: &Json) -> (String, Json, Vec<Json>) {
+fn validate(path: &Path) -> Result<(String, Json, Vec<Json>), String> {
+    let (doc, binary) = load(path)?;
     let ctx = path.display();
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing schema_version")));
-    if version != SCHEMA_VERSION {
-        fail(&format!("{ctx}: schema_version {version} (expected {SCHEMA_VERSION})"));
-    }
-    let binary = doc
-        .get("binary")
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing binary name")))
-        .to_string();
-    let config =
-        doc.get("config").cloned().unwrap_or_else(|| fail(&format!("{ctx}: missing config")));
+    let config = doc.get("config").cloned().ok_or_else(|| format!("{ctx}: missing config"))?;
     let rows = doc
         .get("rows")
+        .or_else(|| doc.get("cells"))
         .and_then(Json::as_arr)
-        .unwrap_or_else(|| fail(&format!("{ctx}: missing rows array")))
+        .ok_or_else(|| format!("{ctx}: missing rows array"))?
         .to_vec();
-    (binary, config, rows)
+    Ok((binary, config, rows))
 }
 
-fn main() {
-    let dir = std::env::args().nth(1).map_or_else(|| PathBuf::from("results"), PathBuf::from);
-    let entries = match fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(e) => fail(&format!("cannot read {}: {e}", dir.display())),
-    };
+/// Write `dir/BENCH_SUMMARY.json` and, if `dir` holds timing files,
+/// `dir/TIMING_SUMMARY.json`; errors name the offending file.
+pub fn summarize(dir: &Path) -> Result<(), String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut timing_paths: Vec<PathBuf> = Vec::new();
     for p in entries.filter_map(|e| e.ok().map(|e| e.path())) {
@@ -123,7 +113,7 @@ fn main() {
     paths.sort();
     timing_paths.sort();
     if paths.is_empty() {
-        fail(&format!("no metrics reports (*.json) found in {}", dir.display()));
+        return Err(format!("no metrics reports (*.json) found in {}", dir.display()));
     }
 
     let mut reports = Vec::new();
@@ -132,11 +122,7 @@ fn main() {
     let mut lint_totals = vec![0u64; LintId::ALL.len()];
     let mut service_cells: Vec<Json> = Vec::new();
     for path in &paths {
-        let text = fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(&format!("reading {}: {e}", path.display())));
-        let doc =
-            parse(&text).unwrap_or_else(|e| fail(&format!("parsing {}: {e}", path.display())));
-        let (binary, config, rows) = validate(path, &doc);
+        let (binary, config, rows) = validate(path)?;
         for row in &rows {
             if let Some(causes) = row.get("abort_causes") {
                 for (i, cause) in AbortCause::ALL.iter().enumerate() {
@@ -237,8 +223,7 @@ fn main() {
         ),
     ]);
     let out = dir.join(SUMMARY_NAME);
-    fs::write(&out, summary.render())
-        .unwrap_or_else(|e| fail(&format!("writing {}: {e}", out.display())));
+    fs::write(&out, summary.render()).map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!("wrote {} ({} reports, {total_rows} rows)", out.display(), paths.len());
 
     // Wall-clock trajectory: merged separately so the main summary stays
@@ -247,11 +232,7 @@ fn main() {
         let mut timing_entries = Vec::new();
         let mut total_wall_ms = 0u64;
         for path in &timing_paths {
-            let text = fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("reading {}: {e}", path.display())));
-            let doc =
-                parse(&text).unwrap_or_else(|e| fail(&format!("parsing {}: {e}", path.display())));
-            let (entry, wall_ms) = validate_timing(path, &doc);
+            let (entry, wall_ms) = validate_timing(path)?;
             total_wall_ms += wall_ms;
             timing_entries.push(entry);
             println!("merged {}", path.display());
@@ -265,7 +246,40 @@ fn main() {
         ]);
         let out = dir.join(TIMING_SUMMARY_NAME);
         fs::write(&out, timing_summary.render())
-            .unwrap_or_else(|e| fail(&format!("writing {}: {e}", out.display())));
+            .map_err(|e| format!("writing {}: {e}", out.display()))?;
         println!("wrote {} ({n_binaries} binaries, {total_wall_ms} ms wall total)", out.display());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The explorer reports name their rows `cells`; they merge like any
+    /// other report, findings included.
+    #[test]
+    fn explorer_reports_merge_by_their_cells() {
+        let dir = std::env::temp_dir().join(format!("summary-cells-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("creating temp dir");
+        let cell = Json::obj(vec![(
+            "findings",
+            Json::Arr(vec![Json::obj(vec![("lint", Json::Str("data-race".to_string()))])]),
+        )]);
+        let report = Json::obj(vec![
+            ("schema_version", Json::Uint(SCHEMA_VERSION)),
+            ("binary", Json::Str("model_check".to_string())),
+            ("config", Json::obj(vec![])),
+            ("cells", Json::Arr(vec![cell])),
+        ]);
+        fs::write(dir.join("MODELCHECK.json"), report.render()).expect("writing report");
+        summarize(&dir).expect("explorer report merges");
+        let text = fs::read_to_string(dir.join(SUMMARY_NAME)).expect("summary written");
+        let summary = parse(&text).expect("summary parses");
+        assert_eq!(summary.get("total_rows").and_then(Json::as_u64), Some(1));
+        let races = summary.get("lint_totals").and_then(|t| t.get("data-race"));
+        assert_eq!(races.and_then(Json::as_u64), Some(1));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,6 +1,6 @@
-//! Parallel deterministic sweep orchestration for the figure binaries.
+//! Parallel deterministic sweep orchestration for the experiments.
 //!
-//! Every figure/ablation binary sweeps a grid of scheme × lock × threads
+//! Every figure/ablation experiment sweeps a grid of scheme × lock × threads
 //! × size × seed cells, and every cell is an *independent* deterministic
 //! simulation: with lag window 0 its result is a pure function of its
 //! spec. That makes the harness embarrassingly parallel at the cell
@@ -23,13 +23,12 @@
 //! [`elision_sim::sim_threads_in_flight`], for cross-checking.
 //!
 //! Host wall-clock per cell and per sweep is recorded in a [`TimingLog`]
-//! and written as `TIMING_<binary>.json` next to the metrics reports.
+//! and written as `TIMING_<experiment>.json` next to the metrics reports.
 //! Wall time is inherently nondeterministic, so it lives in a separate
-//! file that the artifact-determinism gates exclude; `bench_summary`
+//! file that the artifact-determinism gates exclude; `repro summary`
 //! folds the timing files into `BENCH_SUMMARY.json` as the perf
 //! trajectory evidence.
 
-use crate::cli::CliArgs;
 use crate::metrics::{Json, SCHEMA_VERSION};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -133,11 +132,6 @@ impl Sweep {
         Sweep { jobs, sim_cap: jobs * crate::PAPER_THREADS }
     }
 
-    /// An executor configured from the shared CLI flags (`--jobs`).
-    pub fn from_args(args: &CliArgs) -> Self {
-        Sweep::new(args.jobs)
-    }
-
     /// Override the global cap on concurrent simulated threads.
     pub fn sim_cap(mut self, cap: usize) -> Self {
         self.sim_cap = cap.max(1);
@@ -211,8 +205,9 @@ impl Sweep {
     }
 }
 
-/// Accumulates wall-clock evidence for one binary (possibly across
-/// several [`Sweep::run`] calls) and writes it as `TIMING_<binary>.json`.
+/// Accumulates wall-clock evidence for one experiment (possibly across
+/// several [`Sweep::run`] calls) and writes it as `TIMING_<binary>.json`,
+/// `binary` being the experiment's name.
 ///
 /// Timing files are deliberately separate from the deterministic metrics
 /// reports: wall time varies run to run, so the determinism gates diff
@@ -235,11 +230,6 @@ impl TimingLog {
     pub fn absorb<T>(&mut self, outcome: &SweepOutcome<T>) {
         self.cells.extend(outcome.timings.iter().cloned());
         self.wall_ms += outcome.wall_ms;
-    }
-
-    /// Total wall-clock milliseconds absorbed so far.
-    pub fn wall_ms(&self) -> u64 {
-        self.wall_ms
     }
 
     /// The timing report as a JSON value.
@@ -269,11 +259,11 @@ impl TimingLog {
     }
 
     /// Write `dir/TIMING_<binary>.json` (creating `dir`), and echo the
-    /// per-binary wall clock to stderr.
+    /// experiment's wall clock to stderr.
     ///
     /// # Panics
     ///
-    /// Panics on I/O errors (benchmark binaries fail loudly).
+    /// Panics on I/O errors (experiments fail loudly).
     pub fn write(&self, dir: &Path) {
         std::fs::create_dir_all(dir).expect("creating metrics directory");
         let path = dir.join(format!("TIMING_{}.json", self.binary));
@@ -291,6 +281,7 @@ impl TimingLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::CliArgs;
     use crate::metrics::MetricsReport;
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;

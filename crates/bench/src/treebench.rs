@@ -30,7 +30,8 @@ pub struct TreeBenchSpec {
     pub mix: OpMix,
     /// Operations per thread in the measured phase.
     pub ops_per_thread: u64,
-    /// Scheduler lag window.
+    /// Scheduler lag window. The default, 0, makes a run a pure function
+    /// of its seeds; a larger window trades that for host speed.
     pub window: u64,
     /// HTM configuration.
     pub htm: HtmConfig,
@@ -60,7 +61,7 @@ impl TreeBenchSpec {
             size,
             mix,
             ops_per_thread: 1000,
-            window: crate::BENCH_WINDOW,
+            window: 0,
             htm: HtmConfig::haswell(),
             seed: 42,
             slot_cycles: None,
@@ -404,7 +405,6 @@ mod tests {
     fn tiny_spec(scheme: SchemeKind, lock: LockKind) -> TreeBenchSpec {
         let mut s = TreeBenchSpec::new(scheme, lock, 2, 32, OpMix::MODERATE);
         s.ops_per_thread = 50;
-        s.window = 0;
         s.htm = HtmConfig::deterministic();
         s
     }

@@ -5,7 +5,7 @@
 //! *byte-identical* to what the original `HashSet`/`HashMap` +
 //! broadcast-wakeup implementation produced. These tests pin that promise
 //! to hashes captured from the pre-rewrite binaries: they run the real
-//! figure binaries (via `CARGO_BIN_EXE_*`) into a scratch directory and
+//! experiments (via `CARGO_BIN_EXE_repro`) into a scratch directory and
 //! compare an FNV-1a hash of each deterministic artifact (wall-clock
 //! `TIMING_*.json` files are excluded, as in the CI determinism gates).
 //!
@@ -53,13 +53,14 @@ impl Drop for Scratch {
     }
 }
 
-fn run_binary(exe: &str, args: &[&str]) {
+fn repro(args: &[&str]) {
+    let exe = env!("CARGO_BIN_EXE_repro");
     let status = Command::new(exe)
         .args(args)
         .stdout(std::process::Stdio::null())
         .status()
         .unwrap_or_else(|e| panic!("spawning {exe}: {e}"));
-    assert!(status.success(), "{exe} {args:?} exited with {status}");
+    assert!(status.success(), "repro {args:?} exited with {status}");
 }
 
 fn assert_golden(dir: &Path, name: &str, want: u64) {
@@ -78,10 +79,18 @@ fn assert_golden(dir: &Path, name: &str, want: u64) {
 fn fig2_quick_artifacts_match_pre_rewrite_goldens() {
     let scratch = Scratch::new("fig2");
     let dir = scratch.0.to_str().expect("utf-8 scratch path");
-    run_binary(
-        env!("CARGO_BIN_EXE_fig2_lemming"),
-        &["--quick", "--seeds", "1", "--jobs", "2", "--csv", dir, "--metrics", dir],
-    );
+    repro(&[
+        "fig2_lemming",
+        "--quick",
+        "--seeds",
+        "1",
+        "--jobs",
+        "2",
+        "--csv",
+        dir,
+        "--metrics",
+        dir,
+    ]);
     assert_golden(&scratch.0, "fig2_lemming.csv", GOLDEN_FIG2_CSV);
     assert_golden(&scratch.0, "fig2_lemming.json", GOLDEN_FIG2_JSON);
 }
@@ -96,23 +105,21 @@ fn perf_gate_metrics_match_pre_rewrite_goldens() {
     // on (or writes to) the tracked baseline: only the deterministic
     // metrics file matters here.
     let baseline = scratch.0.join("baseline.json");
-    run_binary(
-        env!("CARGO_BIN_EXE_perf_gate"),
-        &[
-            "--quick",
-            "--seeds",
-            "1",
-            "--jobs",
-            "2",
-            "--metrics",
-            dir,
-            "--reps",
-            "1",
-            "--bless",
-            "--baseline",
-            baseline.to_str().expect("utf-8 baseline path"),
-        ],
-    );
+    repro(&[
+        "perf_gate",
+        "--quick",
+        "--seeds",
+        "1",
+        "--jobs",
+        "2",
+        "--metrics",
+        dir,
+        "--reps",
+        "1",
+        "--bless",
+        "--baseline",
+        baseline.to_str().expect("utf-8 baseline path"),
+    ]);
     assert_golden(&scratch.0, "BENCH_SIM_HOTPATH.json", GOLDEN_PERF_GATE_JSON);
 }
 
@@ -124,8 +131,37 @@ fn perf_gate_metrics_match_pre_rewrite_goldens() {
 fn modelcheck_quick_artifact_matches_pre_rewrite_golden() {
     let scratch = Scratch::new("mc");
     let dir = scratch.0.to_str().expect("utf-8 scratch path");
-    run_binary(env!("CARGO_BIN_EXE_model_check"), &["--quick", "--jobs", "2", "--metrics", dir]);
+    repro(&["model_check", "--quick", "--jobs", "2", "--metrics", dir]);
     assert_golden(&scratch.0, "MODELCHECK.json", GOLDEN_MODELCHECK_JSON);
+}
+
+/// `repro summary` over the reports of `repro all` must reproduce the
+/// BENCH_SUMMARY.json the per-figure binaries and `bench_summary` wrote
+/// before the single driver, and must also merge the two explorer
+/// reports (`MODELCHECK.json`, `LAZY_SAFETY.json`, whose rows are named
+/// `cells`) that `bench_summary` rejected. `#[ignore]`d by default (it
+/// runs every quick experiment); CI runs it with the model-check golden.
+#[test]
+#[ignore = "runs every --quick experiment; exercised by CI's model-check job"]
+fn summary_of_all_matches_pre_driver_golden() {
+    let scratch = Scratch::new("summary");
+    let dir = scratch.0.to_str().expect("utf-8 scratch path");
+    let quick = ["--quick", "--seeds", "1", "--jobs", "2", "--metrics", dir];
+    repro(&[&["all"], &quick[..], &["--no-gate", "--reps", "1"]].concat());
+    let aside = Scratch::new("summary_aside");
+    for name in ["MODELCHECK.json", "LAZY_SAFETY.json"] {
+        std::fs::rename(scratch.0.join(name), aside.0.join(name)).expect("moving report aside");
+    }
+    repro(&["summary", dir]);
+    assert_golden(&scratch.0, "BENCH_SUMMARY.json", GOLDEN_SUMMARY_WITHOUT_EXPLORERS_JSON);
+    for name in ["MODELCHECK.json", "LAZY_SAFETY.json"] {
+        std::fs::rename(aside.0.join(name), scratch.0.join(name)).expect("moving report back");
+    }
+    repro(&["summary", dir]);
+    let text = std::fs::read_to_string(scratch.0.join("BENCH_SUMMARY.json")).expect("summary");
+    let summary = elision_bench::metrics::parse(&text).expect("summary parses");
+    let reports = summary.get("reports").and_then(|r| r.as_arr()).expect("reports array");
+    assert_eq!(reports.len(), elision_bench::experiment::EXPERIMENTS.len());
 }
 
 // Golden hashes at window 0. Originally captured from the pre-rewrite
@@ -144,3 +180,7 @@ const GOLDEN_FIG2_CSV: u64 = 0xd6cc_7b01_f6ed_1939;
 const GOLDEN_FIG2_JSON: u64 = 0xfa0d_86b0_a82f_33e6;
 const GOLDEN_PERF_GATE_JSON: u64 = 0xa36d_d358_d5f5_4d7f;
 const GOLDEN_MODELCHECK_JSON: u64 = 0x1331_dd5f_75c2_f000;
+// Captured from `bench_summary` over the 18 row reports that the
+// per-figure binaries wrote at `--quick --seeds 1` (all but the two
+// explorer reports, which it could not merge).
+const GOLDEN_SUMMARY_WITHOUT_EXPLORERS_JSON: u64 = 0xb7c8_40f6_4c0b_c302;

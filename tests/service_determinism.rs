@@ -21,13 +21,13 @@ use proptest::prelude::*;
 
 /// Run `cells` through the sweep at host parallelism `jobs` and render
 /// the full SERVICE metrics report to its artifact bytes.
-fn render_service_report(cells: &[ServiceCell], jobs: usize, window: u64, seeds: u64) -> String {
+fn render_service_report(cells: &[ServiceCell], jobs: usize, seeds: u64) -> String {
     let sweep_cells: Vec<Cell<'_, (ServiceCell, ServiceResult)>> = cells
         .iter()
         .map(|cell| {
             let cell = cell.clone();
             Cell::new(cell.key(), cell.workers(), move || {
-                let r = run_service_avg(&cell, true, window, seeds);
+                let r = run_service_avg(&cell, true, seeds);
                 (cell, r)
             })
         })
@@ -46,8 +46,8 @@ proptest! {
     /// Any slice of the quick grid renders the same artifact bytes at
     /// `--jobs 1` and `--jobs 4`. Runs at window 0, the repo-wide
     /// determinism convention: a larger lag window deliberately trades
-    /// byte-reproducibility for host speed (see `CliArgs::window`), so
-    /// every artifact gate — this one included — pins window 0.
+    /// byte-reproducibility for host speed (see `ServiceSpec::window`),
+    /// so every artifact gate — this one included — pins window 0.
     #[test]
     fn service_report_is_byte_identical_across_jobs(
         start in 0usize..18,
@@ -55,8 +55,8 @@ proptest! {
     ) {
         let grid = service_grid(true, false);
         let cells = &grid[start..(start + 3).min(grid.len())];
-        let sequential = render_service_report(cells, 1, 0, seeds);
-        let pooled = render_service_report(cells, 4, 0, seeds);
+        let sequential = render_service_report(cells, 1, seeds);
+        let pooled = render_service_report(cells, 4, seeds);
         prop_assert_eq!(sequential, pooled, "SERVICE.json differs between --jobs 1 and --jobs 4");
     }
 }
@@ -75,8 +75,8 @@ fn burst_p999_strictly_exceeds_steady_at_equal_mean_load() {
             load: LoadScenario::Steady,
         };
         let burst_cell = ServiceCell { load: LoadScenario::Burst, ..steady_cell.clone() };
-        let steady = run_service_avg(&steady_cell, true, 0, 1);
-        let burst = run_service_avg(&burst_cell, true, 0, 1);
+        let steady = run_service_avg(&steady_cell, true, 1);
+        let burst = run_service_avg(&burst_cell, true, 1);
         let steady_p999 = steady.latency.quantile(0.999).unwrap_or(0);
         let burst_p999 = burst.latency.quantile(0.999).unwrap_or(0);
         assert!(
