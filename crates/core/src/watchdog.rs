@@ -25,8 +25,9 @@ const SUB_BUCKETS: u64 = 1 << PRECISION_BITS;
 const EXACT_LIMIT: u64 = 1 << (PRECISION_BITS + 1);
 /// First octave that needs sub-bucketing (values >= `EXACT_LIMIT`).
 const FIRST_OCTAVE: u32 = PRECISION_BITS + 1;
-/// Total bucket count: the exact region plus `SUB_BUCKETS` per octave
-/// for every octave up to 2^63.
+/// Bucket count of the full `u64` range: the exact region plus
+/// `SUB_BUCKETS` per octave for every octave up to 2^63.
+#[cfg(test)]
 const BUCKETS: usize = (EXACT_LIMIT + (64 - FIRST_OCTAVE as u64) * SUB_BUCKETS) as usize;
 
 /// A bounded log-bucketed (HDR-style) histogram of `u64` samples.
@@ -35,12 +36,14 @@ const BUCKETS: usize = (EXACT_LIMIT + (64 - FIRST_OCTAVE as u64) * SUB_BUCKETS) 
 /// bucketed with 128 sub-buckets per power-of-two octave, so any
 /// reported quantile is within **1% relative error** of the true sample
 /// (error ≤ 1/128 ≈ 0.78%, and the reported value never exceeds the
-/// true maximum). Memory is a fixed ~7.4k-bucket array regardless of
-/// how many samples are recorded, and [`LatencyHistogram::merge`] is
+/// true maximum). Memory is one counter per bucket up to the highest
+/// bucket recorded, at most ~7.4k however many samples are recorded
+/// (2.2k for samples below 10M), and [`LatencyHistogram::merge`] is
 /// exact — bucket boundaries are identical across instances, so merging
 /// per-thread histograms loses nothing over recording centrally.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
+    /// Counts of buckets `0..=index(max)`; grown on demand.
     counts: Vec<u64>,
     total: u64,
     /// Exact extrema, tracked outside the buckets so `percentile(0)` /
@@ -59,7 +62,7 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        LatencyHistogram { counts: vec![0; BUCKETS], total: 0, min: u64::MAX, max: 0 }
+        LatencyHistogram { counts: Vec::new(), total: 0, min: u64::MAX, max: 0 }
     }
 
     /// The bucket index of `value`.
@@ -93,7 +96,11 @@ impl LatencyHistogram {
 
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
-        self.counts[Self::index(value)] += 1;
+        let i = Self::index(value);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
         self.total += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
@@ -159,6 +166,9 @@ impl LatencyHistogram {
     /// identical bucket boundaries, so the merged histogram equals the
     /// histogram of the concatenated sample streams.
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -405,16 +415,20 @@ mod tests {
 
     #[test]
     fn histogram_memory_is_bounded() {
-        // Millions of records, fixed footprint: the bucket array length
-        // never changes (this is the property that lets the open-loop
+        // Millions of records, bounded footprint: the bucket array never
+        // outgrows the full range, and holds exactly the buckets up to the
+        // largest sample (this is the property that lets the open-loop
         // engine log every request).
         let mut h = LatencyHistogram::new();
-        let buckets_before = h.counts.len();
         for i in 0..2_000_000u64 {
             h.record(i.wrapping_mul(0x9E37_79B9) % 10_000_000);
         }
-        assert_eq!(h.counts.len(), buckets_before);
+        assert!(h.counts.len() <= BUCKETS);
+        assert_eq!(h.counts.len(), LatencyHistogram::index(h.max()) + 1);
         assert_eq!(h.count(), 2_000_000);
+        let mut top = LatencyHistogram::new();
+        top.record(u64::MAX);
+        assert_eq!(top.counts.len(), BUCKETS);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! [`crate::SimHandle::note_access`]; the per-step footprints are stored
 //! on the [`StepRecord`] and drive dynamic partial-order reduction.
 //!
+//! [`crate::SimBuilder::run`] executes a controlled run's threads as fibers
+//! on the calling thread (x86_64 Linux): a decision point returns the
+//! thread to run next and the running fiber switches straight to it. On
+//! other targets each simulated thread is an OS thread that waits on this
+//! control's condvar until it is granted a segment. Both executors use the
+//! same decision function, so they record identical schedules.
+//!
 //! Controlled runs ignore fault plans (the chaos layer's extra-cycle and
 //! preemption hooks are bypassed) — chaos explores timing, the model
 //! checker explores orderings, and mixing the two would double-count.
@@ -32,7 +39,7 @@ pub struct StepAccess {
 }
 
 /// One scheduling decision and the execution segment that followed it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepRecord {
     /// Thread granted at this decision point.
     pub chosen: usize,
@@ -55,6 +62,8 @@ struct CtlInner {
     done: Vec<bool>,
     steps: Vec<StepRecord>,
     divergences: u32,
+    /// A thread of a thread-executor run panicked.
+    poisoned: bool,
 }
 
 /// Serializes a simulated run and records/replays its schedule.
@@ -112,6 +121,7 @@ impl ScheduleControl {
                 done: vec![false; threads],
                 steps: Vec::new(),
                 divergences: 0,
+                poisoned: false,
             }),
             cv: Condvar::new(),
             threads,
@@ -121,7 +131,8 @@ impl ScheduleControl {
     }
 
     /// Pick the next thread to run. Caller holds the inner lock; every
-    /// live thread other than the caller is parked in [`Self::wait_turn`].
+    /// live thread other than the caller is suspended or waiting for its
+    /// turn.
     fn decide(&self, g: &mut CtlInner, clock_of: &dyn Fn(usize) -> u64) {
         let enabled: Vec<usize> = (0..self.threads).filter(|&t| !g.done[t]).collect();
         debug_assert!(!enabled.is_empty(), "decide called with no live threads");
@@ -152,57 +163,81 @@ impl ScheduleControl {
         g.granted = Some(chosen);
     }
 
-    fn wait_turn(&self, g: &mut parking_lot::MutexGuard<'_, CtlInner>, id: usize) {
-        while g.granted != Some(id) {
-            self.cv.wait(g);
+    /// The one decision function both executors share: record that `id`
+    /// reached a decision point (or finished, when `finished`) and return
+    /// the thread granted the next segment. `None` means nobody runs yet:
+    /// the run starts once every thread has reached its first decision
+    /// point or finished, and it ends when every thread has finished.
+    fn on_event(
+        &self,
+        g: &mut CtlInner,
+        id: usize,
+        finished: bool,
+        clock_of: &dyn Fn(usize) -> u64,
+    ) -> Option<usize> {
+        if finished {
+            g.done[id] = true;
         }
-    }
-
-    /// Called by the scheduler on every `advance` in controlled mode.
-    /// Blocks until this thread is granted the next segment.
-    pub(crate) fn at_decision_point(&self, id: usize, clock_of: &dyn Fn(usize) -> u64) {
-        let mut g = self.inner.lock();
         if g.started {
             // Only the granted thread can be executing; it just ended its
             // segment, so pick the next one.
             debug_assert_eq!(g.granted, Some(id), "non-granted thread reached a decision point");
             g.granted = None;
-            self.decide(&mut g, clock_of);
-            self.cv.notify_all();
-        } else {
-            g.arrived[id] = true;
-            if g.arrived.iter().zip(&g.done).all(|(&a, &d)| a || d) {
-                g.started = true;
-                self.decide(&mut g, clock_of);
-                self.cv.notify_all();
-            }
-        }
-        self.wait_turn(&mut g, id);
-    }
-
-    /// Called by the scheduler when a thread finishes in controlled mode.
-    pub(crate) fn thread_finished(&self, id: usize, clock_of: &dyn Fn(usize) -> u64) {
-        let mut g = self.inner.lock();
-        g.done[id] = true;
-        if g.started {
-            debug_assert_eq!(g.granted, Some(id), "non-granted thread finished");
-            g.granted = None;
             if g.done.iter().all(|&d| d) {
-                return;
+                return None;
             }
-            self.decide(&mut g, clock_of);
-            self.cv.notify_all();
         } else {
             // A thread may finish without ever reaching a decision point
-            // (empty body); treat that as arrival so the run can start.
+            // (empty body); that counts as arrival so the run can start.
             g.arrived[id] = true;
             let all_here = g.arrived.iter().zip(&g.done).all(|(&a, &d)| a || d);
-            if all_here && g.done.iter().any(|&d| !d) {
-                g.started = true;
-                self.decide(&mut g, clock_of);
-                self.cv.notify_all();
+            if !all_here || g.done.iter().all(|&d| d) {
+                return None;
             }
+            g.started = true;
         }
+        self.decide(g, clock_of);
+        g.granted
+    }
+
+    /// Fiber executor: record the event and return the thread to switch
+    /// to, with the lock already released.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    pub(crate) fn next_after(
+        &self,
+        id: usize,
+        finished: bool,
+        clock_of: &dyn Fn(usize) -> u64,
+    ) -> Option<usize> {
+        self.on_event(&mut self.inner.lock(), id, finished, clock_of)
+    }
+
+    /// Thread executor: record the event, wake the granted thread and,
+    /// unless `id` finished, block until `id` is granted again. Unwinds
+    /// instead if a peer panicked (see [`ScheduleControl::poison`]).
+    pub(crate) fn hand_off(&self, id: usize, finished: bool, clock_of: &dyn Fn(usize) -> u64) {
+        let mut g = self.inner.lock();
+        if g.poisoned {
+            drop(g);
+            return crate::sched::unwind_for_peer();
+        }
+        if self.on_event(&mut g, id, finished, clock_of).is_some() {
+            self.cv.notify_all();
+        }
+        while !finished && g.granted != Some(id) {
+            if g.poisoned {
+                drop(g);
+                return crate::sched::unwind_for_peer();
+            }
+            self.cv.wait(&mut g);
+        }
+    }
+
+    /// A thread of a thread-executor run panicked: wake every thread
+    /// waiting for its turn so that it unwinds.
+    pub(crate) fn poison(&self) {
+        self.inner.lock().poisoned = true;
+        self.cv.notify_all();
     }
 
     /// Record a shared-line access by the currently granted thread.
@@ -263,6 +298,61 @@ mod tests {
             }
         });
         ctl.steps()
+    }
+
+    /// One toy execution on the fiber executor (`SimBuilder::run`) or on
+    /// OS threads: thread `t` makes `advances` advances of cost `5 + 3t`,
+    /// each after reporting an access to a line its peers also touch.
+    fn run_toy_on(
+        threads: usize,
+        advances: usize,
+        overrides: BTreeMap<usize, usize>,
+        on_threads: bool,
+    ) -> (Vec<StepRecord>, Vec<u64>) {
+        let ctl = Arc::new(ScheduleControl::new(threads, overrides));
+        let builder = SimBuilder::new(threads).control(Arc::clone(&ctl));
+        let body = move |ctx: crate::ThreadCtx| {
+            for i in 0..advances {
+                ctx.handle.note_access(((ctx.id + i) % 3) as u32, i % 2 == 0);
+                ctx.handle.advance(5 + 3 * ctx.id as u64);
+            }
+            ctx.handle.steps_taken()
+        };
+        let out = if on_threads { builder.run_threads(body) } else { builder.run(body) };
+        (ctl.steps(), out.results)
+    }
+
+    #[test]
+    fn fiber_and_thread_executors_record_identical_schedules() {
+        // Enumerate toy schedules by forcing every alternative choice at
+        // every step (as the explorer does); both executors must record
+        // the same steps and return the same results for each.
+        for (threads, advances) in [(2, 2), (3, 2), (2, 4)] {
+            let mut stack: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new()];
+            let mut queued: HashSet<Vec<(usize, usize)>> = HashSet::new();
+            let mut runs = 0;
+            while let Some(overrides) = stack.pop() {
+                runs += 1;
+                if runs > 120 {
+                    break;
+                }
+                let fibers = run_toy_on(threads, advances, overrides.clone(), false);
+                let os_threads = run_toy_on(threads, advances, overrides.clone(), true);
+                assert_eq!(fibers, os_threads, "{threads}x{advances} under {overrides:?}");
+                let steps = fibers.0;
+                for (i, step) in steps.iter().enumerate().skip(overrides.len()) {
+                    for &t in step.enabled.iter().filter(|&&t| t != step.chosen) {
+                        let mut child: BTreeMap<usize, usize> =
+                            steps[..i].iter().map(|s| s.chosen).enumerate().collect();
+                        child.insert(i, t);
+                        if queued.insert(child.iter().map(|(&k, &v)| (k, v)).collect()) {
+                            stack.push(child);
+                        }
+                    }
+                }
+            }
+            assert!(runs >= 6, "{threads}x{advances}: only {runs} schedules explored");
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! The result is that critical sections genuinely *overlap in logical time*
 //! regardless of how the host OS schedules the backing threads, which is
-//! the property every experiment in the paper depends on. With
+//! the property every experiment in the paper depends on. Model-checker
+//! runs (see [`control`]) back the simulated threads with fibers on the
+//! caller's thread instead of OS threads. With
 //! [`SimBuilder::window`] set to `0` the interleaving is fully
 //! deterministic (exactly one thread — the lexicographically smallest
 //! `(clock, thread id)` — runs at a time), which the test-suites use.
@@ -41,13 +43,17 @@
 //! assert!(outcome.makespan >= 300);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod arrivals;
 pub mod control;
 mod cost;
 mod fault;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[allow(unsafe_code)]
+mod fiber;
 mod rng;
 mod sched;
 mod slots;
@@ -75,8 +81,9 @@ static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
 /// simulation running in this process.
 ///
 /// A sweep harness that runs many independent simulations on a host
-/// thread pool uses this to account for (and cap) the total number of OS
-/// threads the `sim` layer has live at once: each [`SimBuilder::run`]
+/// thread pool uses this to account for (and cap) the total number of
+/// simulated threads the `sim` layer has live at once (each one an OS
+/// thread in a free run, a fiber in a controlled one): each [`SimBuilder::run`]
 /// adds its thread count on entry and removes it when the run finishes,
 /// even if a simulated thread panics. The read is a single relaxed atomic
 /// load — cheap enough to poll from a hot scheduling loop.
@@ -141,10 +148,14 @@ impl<R> SimOutcome<R> {
 /// Builder for a simulated multicore run.
 ///
 /// A simulation consists of `threads` simulated threads all executing the
-/// same closure (distinguished by [`ThreadCtx::id`]). The closure runs on a
-/// real OS thread but is gated by the logical-clock scheduler: it must call
-/// [`SimHandle::advance`] for every costed event, and may be blocked there
-/// until slower peers catch up.
+/// same closure (distinguished by [`ThreadCtx::id`]). In a free run the
+/// closure runs on an OS thread of its own but is gated by the
+/// logical-clock scheduler: it must call [`SimHandle::advance`] for every
+/// costed event, and may be blocked there until slower peers catch up.
+/// In a run under a [`ScheduleControl`] the closures run as fibers on the
+/// thread that calls [`SimBuilder::run`] (on x86_64 Linux; OS threads
+/// elsewhere), and each `advance` switches to the thread the control
+/// picks next.
 #[derive(Debug, Clone)]
 pub struct SimBuilder {
     threads: usize,
@@ -207,7 +218,26 @@ impl SimBuilder {
     ///
     /// `body` is cloned per thread; shared state should be captured via
     /// `Arc`. The call blocks until every simulated thread finishes.
+    ///
+    /// # Panics
+    ///
+    /// If a simulated thread panics, every other one unwinds at its next
+    /// [`SimHandle::advance`], and then `run` panics with
+    /// `simulated thread panicked: <message>`.
     pub fn run<R, F>(&self, body: F) -> SimOutcome<R>
+    where
+        R: Send + 'static,
+        F: Fn(ThreadCtx) -> R + Clone + Send + 'static,
+    {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if let Some(ctl) = &self.control {
+            return self.run_fibers(Arc::clone(ctl), body);
+        }
+        self.run_threads(body)
+    }
+
+    /// Run each simulated thread on an OS thread of its own.
+    fn run_threads<R, F>(&self, body: F) -> SimOutcome<R>
     where
         R: Send + 'static,
         F: Fn(ThreadCtx) -> R + Clone + Send + 'static,
@@ -225,6 +255,7 @@ impl SimBuilder {
                 std::thread::Builder::new()
                     .name(format!("sim-{id}"))
                     .spawn(move || {
+                        let _poison = PoisonOnPanic(handle.scheduler());
                         // Wait for all threads to be registered so the
                         // initial min-clock computation sees everyone.
                         handle.wait_for_start();
@@ -239,15 +270,90 @@ impl SimBuilder {
         sched.release_start();
         let mut results = Vec::with_capacity(self.threads);
         let mut end_times = Vec::with_capacity(self.threads);
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         for j in joins {
-            let (r, end) = j.join().expect("simulated thread panicked");
-            results.push(r);
-            end_times.push(end);
+            match j.join() {
+                Ok((r, end)) => {
+                    results.push(r);
+                    end_times.push(end);
+                }
+                // Report the first thread's own panic, not a peer's unwind.
+                Err(p) => {
+                    if panic.as_ref().is_none_or(|q| q.is::<sched::PeerPanicked>()) {
+                        panic = Some(p);
+                    }
+                }
+            }
         }
+        if let Some(p) = panic {
+            raise(&*p);
+        }
+        self.outcome(&sched, results, end_times)
+    }
+
+    /// Run the simulated threads as fibers on the calling thread, each
+    /// decision point a direct switch to the thread `control` picks.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn run_fibers<R, F>(&self, control: Arc<ScheduleControl>, body: F) -> SimOutcome<R>
+    where
+        R: Send + 'static,
+        F: Fn(ThreadCtx) -> R + Clone + Send + 'static,
+    {
+        let sched = Arc::new(Scheduler::with_fibers(self.threads, control));
+        let _in_flight = InFlightGuard::new(self.threads);
+        let slots = Arc::new(parking_lot::Mutex::new(
+            (0..self.threads).map(|_| None).collect::<Vec<Option<(R, u64)>>>(),
+        ));
+        for id in 0..self.threads {
+            let body = body.clone();
+            let handle = SimHandle::new(Arc::clone(&sched), id);
+            let slots = Arc::clone(&slots);
+            sched.fibers().spawn(
+                id,
+                Box::new(move || {
+                    let r = body(ThreadCtx { id, handle: handle.clone() });
+                    slots.lock()[id] = Some((r, handle.now()));
+                    handle.scheduler().finish(id)
+                }),
+            );
+        }
+        if let Err(payload) = sched.fibers().run() {
+            raise(&*payload);
+        }
+        let (results, end_times) = std::mem::take(&mut *slots.lock())
+            .into_iter()
+            .map(|slot| slot.expect("a finished fiber stored its result"))
+            .unzip();
+        self.outcome(&sched, results, end_times)
+    }
+
+    fn outcome<R>(&self, sched: &Scheduler, results: Vec<R>, end_times: Vec<u64>) -> SimOutcome<R> {
         let makespan = end_times.iter().copied().max().unwrap_or(0);
         let fault_stats = (0..self.threads).filter_map(|id| sched.fault_stats(id)).collect();
         SimOutcome { results, end_times, makespan, fault_stats }
     }
+}
+
+/// Poisons the scheduler if its simulated thread unwinds, so that peers
+/// parked waiting for it unwind too instead of waiting forever.
+struct PoisonOnPanic<'a>(&'a Scheduler);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// Re-raise a simulated thread's panic on the thread that called `run`.
+fn raise(payload: &(dyn std::any::Any + Send)) -> ! {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    panic!("simulated thread panicked: {msg}")
 }
 
 #[cfg(test)]
@@ -376,6 +482,136 @@ mod tests {
         for seen in out.results {
             assert!(seen >= 3, "gauge reported {seen} while 3 of ours were live");
         }
+    }
+
+    /// Run `run` on a helper thread and return its panic message. Fails,
+    /// rather than hanging the suite, if the run never returns.
+    fn panic_message_of(run: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            let msg = caught.err().map(|p| match p.downcast::<String>() {
+                Ok(s) => *s,
+                Err(p) => p.downcast_ref::<&str>().map_or("?", |s| s).to_string(),
+            });
+            let _ = tx.send(msg);
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(Some(msg)) => msg,
+            Ok(None) => panic!("the run returned although a simulated thread panicked"),
+            Err(_) => panic!("the run hung after a simulated thread panicked"),
+        }
+    }
+
+    /// Three threads of 64 advances each, more than a window of 8 lets a
+    /// peer run ahead of a dead thread; thread `culprit` panics at its
+    /// fourth advance. Checks the first and the last thread as culprit.
+    fn assert_panic_propagates(builder: fn() -> SimBuilder, on_threads: bool) {
+        for culprit in [0, 2] {
+            let msg = panic_message_of(move || {
+                let body = move |ctx: ThreadCtx| {
+                    for i in 0..64 {
+                        assert!(!(ctx.id == culprit && i == 3), "thread {culprit} failed");
+                        ctx.handle.advance(1);
+                    }
+                };
+                if on_threads {
+                    builder().run_threads(body);
+                } else {
+                    builder().run(body);
+                }
+            });
+            assert_eq!(msg, format!("simulated thread panicked: thread {culprit} failed"));
+        }
+    }
+
+    fn controlled(threads: usize) -> SimBuilder {
+        SimBuilder::new(threads)
+            .control(Arc::new(ScheduleControl::new(threads, std::collections::BTreeMap::new())))
+    }
+
+    #[test]
+    fn panic_in_a_window_0_run_propagates() {
+        assert_panic_propagates(|| SimBuilder::new(3).window(0), false);
+    }
+
+    #[test]
+    fn panic_in_a_window_8_run_propagates() {
+        assert_panic_propagates(|| SimBuilder::new(3).window(8), false);
+    }
+
+    #[test]
+    fn panic_in_a_controlled_run_propagates() {
+        assert_panic_propagates(|| controlled(3), false);
+    }
+
+    #[test]
+    fn panic_in_a_controlled_run_on_threads_propagates() {
+        assert_panic_propagates(|| controlled(3), true);
+    }
+
+    #[test]
+    fn controlled_64_thread_run_is_round_robin() {
+        let ctl = Arc::new(ScheduleControl::new(64, std::collections::BTreeMap::new()));
+        let out = SimBuilder::new(64).control(Arc::clone(&ctl)).run(|ctx| {
+            for _ in 0..3 {
+                ctx.handle.advance(10);
+            }
+            ctx.id
+        });
+        assert_eq!(out.results, (0..64).collect::<Vec<_>>());
+        let order: Vec<usize> = ctl.steps().iter().map(|s| s.chosen).collect();
+        let want: Vec<usize> = (0..3).flat_map(|_| 0..64).collect();
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn deep_recursion_across_decision_points() {
+        // About 0.5 MiB of frames per thread in a debug build, with a
+        // switch to the peer at every level on the way down and up.
+        fn depth(h: &SimHandle, n: u64, pad: [u8; 256]) -> u64 {
+            if n == 0 {
+                std::hint::black_box(pad);
+                return 0;
+            }
+            h.advance(1);
+            let mut next = pad;
+            next[(n % 256) as usize] = next[(n % 256) as usize].wrapping_add(1);
+            let below = depth(h, n - 1, std::hint::black_box(next));
+            h.advance(1);
+            1 + below
+        }
+        let out = controlled(2).run(|ctx| depth(&ctx.handle, 1000, [0; 256]));
+        assert_eq!(out.results, vec![1000, 1000]);
+        assert_eq!(out.makespan, 2000);
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn fiber_stacks_are_reused_and_captures_dropped() {
+        let owned = Arc::new(());
+        let run = |k: u32| {
+            let owned = Arc::clone(&owned);
+            controlled(2).run(move |ctx| {
+                let _keep = &owned;
+                for i in 0..3 {
+                    assert!(!(ctx.id == 1 && i == 2 && k % 2500 == 1), "run {k} failed");
+                    ctx.handle.advance(1);
+                }
+            })
+        };
+        run(0);
+        let mapped = fiber::stacks_mapped();
+        for k in 1..10_000 {
+            if k % 2500 == 1 {
+                let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(k)));
+                assert!(failed.is_err(), "run {k} must panic");
+            } else {
+                run(k);
+            }
+            assert_eq!(Arc::strong_count(&owned), 1, "run {k} leaked a capture");
+        }
+        assert_eq!(fiber::stacks_mapped(), mapped, "every run after the first reuses its stacks");
     }
 
     #[test]

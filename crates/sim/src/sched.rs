@@ -35,9 +35,27 @@
 //! Which threads are runnable is a pure function of the clock vector, so
 //! wakeup mechanics cannot change window-0 schedules — every artifact is
 //! byte-identical to the broadcast design.
+//!
+//! # Panics
+//!
+//! A simulated thread that panics *poisons* the scheduler and wakes every
+//! parked peer. Each peer then unwinds at its next `advance` or park, so
+//! the run ends instead of waiting forever for the dead thread.
+//!
+//! # Controlled runs
+//!
+//! Under a [`ScheduleControl`] the parking rule is replaced by the
+//! control's decisions. [`crate::SimBuilder::run`] executes such runs as
+//! fibers on the calling thread (see `fiber.rs`) on x86_64 Linux: a
+//! decision point is a direct switch to the thread the control picks. On
+//! other targets, and for a scheduler made by
+//! [`Scheduler::with_control`], each simulated thread is an OS thread that
+//! waits for the control to grant it the next segment.
 
 use crate::control::ScheduleControl;
 use crate::fault::{FaultPlan, FaultStats, FaultThreadState};
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+use crate::fiber::Fibers;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,6 +66,18 @@ pub(crate) const MAX_THREADS: usize = 64;
 
 /// Sentinel clock value marking a finished thread.
 const DONE: u64 = u64::MAX;
+
+/// The unwind payload of a simulated thread torn down because a peer
+/// panicked; [`crate::SimBuilder::run`] reports the peer's panic instead.
+pub(crate) struct PeerPanicked;
+
+/// Unwind the calling simulated thread because a peer panicked. Does
+/// nothing if it is already unwinding: a second panic would abort.
+pub(crate) fn unwind_for_peer() {
+    if !std::thread::panicking() {
+        std::panic::resume_unwind(Box::new(PeerPanicked));
+    }
+}
 
 /// Pads an atomic to its own cache line to avoid host-level false sharing.
 #[derive(Debug)]
@@ -83,6 +113,12 @@ pub struct Scheduler {
     /// When set, every `advance` is a serialized decision point driven by
     /// the model checker instead of the bounded-lag parking rule.
     control: Option<Arc<ScheduleControl>>,
+    /// Set when a simulated thread of a thread-executor run panicked.
+    poisoned: AtomicBool,
+    /// The fibers a controlled run executes on its host thread; `None`
+    /// when the simulated threads are OS threads.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fibers: Option<Fibers>,
 }
 
 impl Scheduler {
@@ -109,6 +145,9 @@ impl Scheduler {
             start_cv: Condvar::new(),
             faults,
             control: None,
+            poisoned: AtomicBool::new(false),
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            fibers: None,
         }
     }
 
@@ -117,11 +156,45 @@ impl Scheduler {
     /// never inject faults: the clock still accrues per-thread costs (it
     /// feeds the default min-clock choice and the final makespan), but
     /// parking is replaced by the control's serialized turn-taking.
+    ///
+    /// Each simulated thread of such a scheduler runs on its own OS thread
+    /// and blocks until the control grants it a segment.
     pub fn with_control(threads: usize, control: Arc<ScheduleControl>) -> Self {
         assert_eq!(control.threads(), threads, "control sized for a different thread count");
         let mut s = Self::with_faults(threads, 0, FaultPlan::none());
         s.control = Some(control);
         s
+    }
+
+    /// As [`Scheduler::with_control`], but the simulated threads are fibers
+    /// on the calling host thread: spawn and run them through
+    /// [`Scheduler::fibers`]. Each fiber's body returns
+    /// [`Scheduler::finish`]'s result, the thread to switch to after it.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    pub(crate) fn with_fibers(threads: usize, control: Arc<ScheduleControl>) -> Self {
+        let mut s = Self::with_control(threads, control);
+        s.fibers = Some(Fibers::new(threads));
+        // Fibers start in id order; nothing waits at the start gate.
+        s.release_start();
+        s
+    }
+
+    /// The fibers of a scheduler made by [`Scheduler::with_fibers`].
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    pub(crate) fn fibers(&self) -> &Fibers {
+        self.fibers.as_ref().expect("scheduler was not made by with_fibers")
+    }
+
+    /// A simulated thread of a thread-executor run panicked: make every
+    /// peer unwind at its next `advance` or park, and wake the parked ones.
+    pub(crate) fn poison(&self) {
+        self.poisoned.store(true, Ordering::SeqCst);
+        for t in 0..self.parkers.len() {
+            self.wake(t);
+        }
+        if let Some(ctl) = &self.control {
+            ctl.poison();
+        }
     }
 
     /// The faults injected so far into thread `id`, or `None` when the run
@@ -229,14 +302,21 @@ impl Scheduler {
         (min, min_id)
     }
 
-    /// Block until the bounded-lag rule readmits thread `id` at clock `t`.
+    /// Block until the bounded-lag rule readmits thread `id` at clock `t`,
+    /// or unwind if the scheduler is poisoned.
     fn park(&self, id: usize, t: u64) {
         let p = &self.parkers[id];
         let mut guard = p.mutex.lock();
         p.parked.store(true, Ordering::SeqCst);
         // Re-check under the mutex: a waker that missed our parked flag
-        // has already bumped its clock, so this check sees it.
+        // has already bumped its clock (or set `poisoned`), so this check
+        // sees it.
         while !self.is_runnable(id, t) {
+            if self.poisoned.load(Ordering::SeqCst) {
+                p.parked.store(false, Ordering::SeqCst);
+                drop(guard);
+                return unwind_for_peer();
+            }
             p.cv.wait(&mut guard);
         }
         p.parked.store(false, Ordering::SeqCst);
@@ -244,9 +324,18 @@ impl Scheduler {
 
     fn advance(&self, id: usize, cost: u64) {
         if let Some(ctl) = &self.control {
+            let clock_of = |tid: usize| self.times[tid].0.load(Ordering::SeqCst);
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            if let Some(fibers) = &self.fibers {
+                if fibers.unwinding() {
+                    return;
+                }
+                self.times[id].0.fetch_add(cost, Ordering::SeqCst);
+                let next = ctl.next_after(id, false, &clock_of);
+                return fibers.switch(id, next);
+            }
             self.times[id].0.fetch_add(cost, Ordering::SeqCst);
-            ctl.at_decision_point(id, &|tid| self.times[tid].0.load(Ordering::SeqCst));
-            return;
+            return ctl.hand_off(id, false, &clock_of);
         }
         let cost = match self.faults.get(id) {
             Some(f) => {
@@ -262,6 +351,11 @@ impl Scheduler {
         if self.times.len() == 1 {
             return;
         }
+        // Relaxed is enough on this fast path: `park` re-reads the flag
+        // under the same handshake that keeps wakeups from being lost.
+        if self.poisoned.load(Ordering::Relaxed) {
+            return unwind_for_peer();
+        }
         let (min, min_id) = self.wake_runnable(id);
         let runnable = if min == DONE {
             true
@@ -275,15 +369,21 @@ impl Scheduler {
         }
     }
 
-    fn finish(&self, id: usize) {
+    /// Mark `id` finished and pass the turn on. Returns the thread a fiber
+    /// executor switches to next (`None`: nobody, or not a fiber run).
+    pub(crate) fn finish(&self, id: usize) -> Option<usize> {
         self.times[id].0.store(DONE, Ordering::SeqCst);
         if let Some(ctl) = &self.control {
-            ctl.thread_finished(id, &|tid| self.times[tid].0.load(Ordering::SeqCst));
-            return;
-        }
-        if self.times.len() > 1 {
+            let clock_of = |tid: usize| self.times[tid].0.load(Ordering::SeqCst);
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            if self.fibers.is_some() {
+                return ctl.next_after(id, true, &clock_of);
+            }
+            ctl.hand_off(id, true, &clock_of);
+        } else if self.times.len() > 1 {
             self.wake_runnable(id);
         }
+        None
     }
 }
 
@@ -358,6 +458,11 @@ impl SimHandle {
     /// so peers may run ahead freely.
     pub fn finish(&self) {
         self.sched.finish(self.id);
+    }
+
+    /// The scheduler this handle drives.
+    pub(crate) fn scheduler(&self) -> &Scheduler {
+        &self.sched
     }
 }
 
