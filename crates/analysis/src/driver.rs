@@ -141,7 +141,7 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
         let ring_capacity = (ops * 64).max(1024);
         harness::run_arc_faulted(
             spec.threads,
-            0, // strict window: log order == execution order
+            0, // strict window, as the artifact gates pin
             spec.htm,
             spec.seed,
             spec.faults,

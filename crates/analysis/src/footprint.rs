@@ -4,9 +4,9 @@
 //! once, alone, on a single strand with the sanitizer log attached and a
 //! deterministic HTM configuration whose capacity is far above any real
 //! footprint. No interleavings are explored — the [`elision_htm::SanLog`]
-//! of the solo run *is* the operation's read/write set, because under
-//! strict window 0 with one thread the log order equals program order and
-//! every transactional access of the k-th attempt lands between the k-th
+//! of the solo run *is* the operation's read/write set, because with one
+//! thread the log order equals program order and every transactional
+//! access of the k-th attempt lands between the k-th
 //! `TxnBegin`/`TxnCommit` pair.
 //!
 //! Combined with a [`LayoutMap`] the word-level footprints project onto

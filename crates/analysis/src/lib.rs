@@ -18,7 +18,7 @@
 //!
 //! This crate checks all three *post hoc* over the logs the lower layers
 //! already produce: the [`elision_htm::SanLog`] (every memory access, in
-//! global execution order — sound under the simulator's strict window 0)
+//! global execution order — one simulated thread runs at a time)
 //! and the merged [`elision_sim::GlobalTrace`] of per-thread trace rings.
 //! [`driver::sanitize_run`] wires a whole scheme × lock × fault-plan cell
 //! through all three passes; [`testkit`] provides known-bad schedules and

@@ -214,8 +214,8 @@ fn site_of(ev: &SanEvent, seq: usize, cfg: &RaceConfig, var: Option<u32>) -> Acc
 
 /// Run happens-before race detection over a sanitizer log.
 ///
-/// The log must come from a strict (window 0) run: the detector trusts
-/// the log's order to be the execution order.
+/// The detector trusts the log's order to be the execution order, which
+/// the simulator guarantees at every scheduler window.
 pub fn detect_races(cfg: &RaceConfig, events: &[SanEvent]) -> Vec<Finding> {
     let mut d = Detector::new(cfg);
     // A committing transaction's publishes directly precede its

@@ -65,7 +65,7 @@ pub fn broken_slr_schedule() -> Vec<Finding> {
         let lock = Arc::clone(&lock);
         harness::run_arc(
             threads,
-            0, // strict window: required for log soundness
+            0, // strict window: the violation fires on the window-0 schedule
             HtmConfig::deterministic(),
             7,
             Arc::clone(&mem),

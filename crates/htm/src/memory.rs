@@ -150,9 +150,9 @@ impl MemoryBuilder {
     }
 
     /// Attach a sanitizer event log ([`SanLog`]) to the frozen memory:
-    /// every strand access will be recorded for the analysis passes.
-    /// Sanitized runs must use the strict scheduler window (window 0) so
-    /// the log order equals the execution order.
+    /// every strand access will be recorded for the analysis passes. One
+    /// simulated thread runs at a time at every scheduler window, so the
+    /// log order equals the execution order.
     pub fn enable_sanitizer(&mut self) {
         self.sanitize = true;
     }

@@ -8,15 +8,13 @@
 //! The `elision-analysis` crate post-processes this log into
 //! happens-before race detection and opacity/sandboxing checks.
 //!
-//! Soundness of the log's *order* relies on the simulator's strict
-//! scheduling window (window 0): everything a thread executes between two
-//! `SimHandle::advance` calls is atomic with respect to the simulated
-//! interleaving, and all commit publications and non-transactional
-//! writes additionally serialize on the memory's engine mutex. Under
-//! those two facts the log's append order is the execution order, so the
-//! event's index in the log is its global sequence number. Sanitized
-//! runs must therefore use window 0; relaxed windows give a log whose
-//! order is only approximate.
+//! Soundness of the log's *order* relies on the simulator running exactly
+//! one simulated thread at a time, at every scheduling window: everything
+//! a thread executes between two `SimHandle::advance` calls is atomic with
+//! respect to the simulated interleaving, and all commit publications and
+//! non-transactional writes additionally serialize on the memory's engine
+//! mutex. Under those two facts the log's append order is the execution
+//! order, so the event's index in the log is its global sequence number.
 //!
 //! Recording an event never advances a logical clock and never draws
 //! from an RNG stream, so enabling the sanitizer cannot perturb the

@@ -15,18 +15,18 @@
 //! [`crate::SimHandle::note_access`]; the per-step footprints are stored
 //! on the [`StepRecord`] and drive dynamic partial-order reduction.
 //!
-//! [`crate::SimBuilder::run`] executes a controlled run's threads as fibers
-//! on the calling thread (x86_64 Linux): a decision point returns the
-//! thread to run next and the running fiber switches straight to it. On
-//! other targets each simulated thread is an OS thread that waits on this
-//! control's condvar until it is granted a segment. Both executors use the
-//! same decision function, so they record identical schedules.
+//! The control only decides and records: it is the scheduler's decision
+//! function in a controlled run, and the scheduler's baton carries out
+//! each decision. [`crate::SimBuilder::run`] executes a controlled run's
+//! threads as fibers on the calling thread (x86_64 Linux), otherwise as OS
+//! threads; both executors ask the same decision function, so they record
+//! identical schedules.
 //!
 //! Controlled runs ignore fault plans (the chaos layer's extra-cycle and
 //! preemption hooks are bypassed) — chaos explores timing, the model
 //! checker explores orderings, and mixing the two would double-count.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
 /// One shared-memory access performed during a schedule step.
@@ -58,12 +58,9 @@ struct CtlInner {
     started: bool,
     /// Thread currently allowed to run, if any.
     granted: Option<usize>,
-    arrived: Vec<bool>,
     done: Vec<bool>,
     steps: Vec<StepRecord>,
     divergences: u32,
-    /// A thread of a thread-executor run panicked.
-    poisoned: bool,
 }
 
 /// Serializes a simulated run and records/replays its schedule.
@@ -76,7 +73,6 @@ struct CtlInner {
 /// robust when dropping earlier forced choices shortens the run.
 pub struct ScheduleControl {
     inner: Mutex<CtlInner>,
-    cv: Condvar,
     threads: usize,
     overrides: BTreeMap<usize, usize>,
     max_steps: usize,
@@ -117,13 +113,10 @@ impl ScheduleControl {
             inner: Mutex::new(CtlInner {
                 started: false,
                 granted: None,
-                arrived: vec![false; threads],
                 done: vec![false; threads],
                 steps: Vec::new(),
                 divergences: 0,
-                poisoned: false,
             }),
-            cv: Condvar::new(),
             threads,
             overrides,
             max_steps,
@@ -163,18 +156,19 @@ impl ScheduleControl {
         g.granted = Some(chosen);
     }
 
-    /// The one decision function both executors share: record that `id`
+    /// The decision function of a controlled run: record that `id`
     /// reached a decision point (or finished, when `finished`) and return
-    /// the thread granted the next segment. `None` means nobody runs yet:
-    /// the run starts once every thread has reached its first decision
-    /// point or finished, and it ends when every thread has finished.
-    fn on_event(
+    /// the thread granted the next segment, or `None` once every thread has
+    /// finished. Threads start in id order: until the last one has reached
+    /// its first decision point (or finished), each passes the turn to the
+    /// next id, and no step is recorded.
+    pub(crate) fn on_event(
         &self,
-        g: &mut CtlInner,
         id: usize,
         finished: bool,
         clock_of: &dyn Fn(usize) -> u64,
     ) -> Option<usize> {
+        let mut g = self.inner.lock();
         if finished {
             g.done[id] = true;
         }
@@ -183,61 +177,16 @@ impl ScheduleControl {
             // segment, so pick the next one.
             debug_assert_eq!(g.granted, Some(id), "non-granted thread reached a decision point");
             g.granted = None;
-            if g.done.iter().all(|&d| d) {
-                return None;
-            }
+        } else if id + 1 < self.threads {
+            return Some(id + 1);
         } else {
-            // A thread may finish without ever reaching a decision point
-            // (empty body); that counts as arrival so the run can start.
-            g.arrived[id] = true;
-            let all_here = g.arrived.iter().zip(&g.done).all(|(&a, &d)| a || d);
-            if !all_here || g.done.iter().all(|&d| d) {
-                return None;
-            }
             g.started = true;
         }
-        self.decide(g, clock_of);
+        if g.done.iter().all(|&d| d) {
+            return None;
+        }
+        self.decide(&mut g, clock_of);
         g.granted
-    }
-
-    /// Fiber executor: record the event and return the thread to switch
-    /// to, with the lock already released.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    pub(crate) fn next_after(
-        &self,
-        id: usize,
-        finished: bool,
-        clock_of: &dyn Fn(usize) -> u64,
-    ) -> Option<usize> {
-        self.on_event(&mut self.inner.lock(), id, finished, clock_of)
-    }
-
-    /// Thread executor: record the event, wake the granted thread and,
-    /// unless `id` finished, block until `id` is granted again. Unwinds
-    /// instead if a peer panicked (see [`ScheduleControl::poison`]).
-    pub(crate) fn hand_off(&self, id: usize, finished: bool, clock_of: &dyn Fn(usize) -> u64) {
-        let mut g = self.inner.lock();
-        if g.poisoned {
-            drop(g);
-            return crate::sched::unwind_for_peer();
-        }
-        if self.on_event(&mut g, id, finished, clock_of).is_some() {
-            self.cv.notify_all();
-        }
-        while !finished && g.granted != Some(id) {
-            if g.poisoned {
-                drop(g);
-                return crate::sched::unwind_for_peer();
-            }
-            self.cv.wait(&mut g);
-        }
-    }
-
-    /// A thread of a thread-executor run panicked: wake every thread
-    /// waiting for its turn so that it unwinds.
-    pub(crate) fn poison(&self) {
-        self.inner.lock().poisoned = true;
-        self.cv.notify_all();
     }
 
     /// Record a shared-line access by the currently granted thread.

@@ -6,19 +6,21 @@
 //! real 4-core/8-thread Haswell machine. This host has neither TSX hardware
 //! nor multiple cores, so the workspace substitutes a *simulated* multicore:
 //! every simulated thread owns a monotonically increasing logical clock
-//! (measured in abstract "cycles"), every memory access / spin iteration /
-//! transaction event advances that clock by a cost taken from a
-//! [`CostModel`], and a scheduler only lets a thread run while its clock is
-//! within a bounded window of the global minimum clock.
+//! (measured in abstract "cycles"), and every memory access / spin
+//! iteration / transaction event advances that clock by a cost taken from a
+//! [`CostModel`].
 //!
-//! The result is that critical sections genuinely *overlap in logical time*
-//! regardless of how the host OS schedules the backing threads, which is
-//! the property every experiment in the paper depends on. Model-checker
-//! runs (see [`control`]) back the simulated threads with fibers on the
-//! caller's thread instead of OS threads. With
-//! [`SimBuilder::window`] set to `0` the interleaving is fully
-//! deterministic (exactly one thread — the lexicographically smallest
-//! `(clock, thread id)` — runs at a time), which the test-suites use.
+//! Exactly one simulated thread runs at a time: the one holding the
+//! scheduler's baton. At each advance one decision function picks who runs
+//! next: the bounded-lag rule, which keeps the running thread going while
+//! its clock is within [`SimBuilder::window`] of its slowest live peer, or
+//! a model checker's [`ScheduleControl`]. Critical sections therefore
+//! *overlap in logical time* exactly as the clocks say, whatever the host,
+//! which is the property every experiment in the paper depends on, and
+//! every run is deterministic. At window `0` the running thread is always
+//! the lexicographically smallest `(clock, thread id)`. Free runs back the
+//! simulated threads with OS threads; model-checker runs (see [`control`])
+//! with fibers on the caller's thread.
 //!
 //! # Quick example
 //!
@@ -70,43 +72,7 @@ pub use slots::{CauseSlotRecorder, CauseSlotSeries, SlotRecorder, SlotSeries};
 pub use stats::{AbortCause, AttemptKind, CauseHistogram, ConflictLineHistogram, OpCounters};
 pub use trace::{GlobalEvent, GlobalTrace, TraceEvent, TraceRing};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Process-global count of simulated threads currently in flight, across
-/// every concurrently running simulation. See [`sim_threads_in_flight`].
-static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-/// The number of simulated threads currently executing, summed over every
-/// simulation running in this process.
-///
-/// A sweep harness that runs many independent simulations on a host
-/// thread pool uses this to account for (and cap) the total number of
-/// simulated threads the `sim` layer has live at once (each one an OS
-/// thread in a free run, a fiber in a controlled one): each [`SimBuilder::run`]
-/// adds its thread count on entry and removes it when the run finishes,
-/// even if a simulated thread panics. The read is a single relaxed atomic
-/// load — cheap enough to poll from a hot scheduling loop.
-pub fn sim_threads_in_flight() -> usize {
-    IN_FLIGHT.load(Ordering::Relaxed)
-}
-
-/// Decrements the in-flight gauge on drop so a panicking simulated thread
-/// cannot leak its contribution.
-struct InFlightGuard(usize);
-
-impl InFlightGuard {
-    fn new(threads: usize) -> Self {
-        IN_FLIGHT.fetch_add(threads, Ordering::Relaxed);
-        InFlightGuard(threads)
-    }
-}
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        IN_FLIGHT.fetch_sub(self.0, Ordering::Relaxed);
-    }
-}
 
 /// Per-thread context handed to each simulated thread's body.
 #[derive(Debug)]
@@ -148,14 +114,13 @@ impl<R> SimOutcome<R> {
 /// Builder for a simulated multicore run.
 ///
 /// A simulation consists of `threads` simulated threads all executing the
-/// same closure (distinguished by [`ThreadCtx::id`]). In a free run the
-/// closure runs on an OS thread of its own but is gated by the
-/// logical-clock scheduler: it must call [`SimHandle::advance`] for every
-/// costed event, and may be blocked there until slower peers catch up.
-/// In a run under a [`ScheduleControl`] the closures run as fibers on the
-/// thread that calls [`SimBuilder::run`] (on x86_64 Linux; OS threads
-/// elsewhere), and each `advance` switches to the thread the control
-/// picks next.
+/// same closure (distinguished by [`ThreadCtx::id`]). Each closure must
+/// call [`SimHandle::advance`] for every costed event, and only the thread
+/// holding the scheduler's baton runs: an `advance` may pass the baton on
+/// and block until it comes back. In a free run each closure runs on an OS
+/// thread of its own. In a run under a [`ScheduleControl`] the closures
+/// run as fibers on the thread that calls [`SimBuilder::run`] (on x86_64
+/// Linux; OS threads elsewhere).
 #[derive(Debug, Clone)]
 pub struct SimBuilder {
     threads: usize,
@@ -183,10 +148,11 @@ impl SimBuilder {
 
     /// Set the bounded-lag window, in cycles.
     ///
-    /// A thread may run while `clock <= min(live clocks) + window`. `0`
-    /// selects *strict* mode: exactly one thread (the lexicographically
-    /// smallest `(clock, id)`) runs at a time, making the whole simulation
-    /// deterministic. Larger windows trade determinism for host speed.
+    /// The running thread keeps the baton while
+    /// `clock <= min(other live clocks) + window`. `0` selects *strict*
+    /// mode: the running thread is always the lexicographically smallest
+    /// `(clock, id)`. Every window is deterministic; a wider one trades
+    /// interleaving granularity for fewer handoffs.
     pub fn window(mut self, window: u64) -> Self {
         self.window = window;
         self
@@ -221,8 +187,8 @@ impl SimBuilder {
     ///
     /// # Panics
     ///
-    /// If a simulated thread panics, every other one unwinds at its next
-    /// [`SimHandle::advance`], and then `run` panics with
+    /// If a simulated thread panics, every other one unwinds from the
+    /// point where it waits for the baton, and then `run` panics with
     /// `simulated thread panicked: <message>`.
     pub fn run<R, F>(&self, body: F) -> SimOutcome<R>
     where
@@ -246,7 +212,6 @@ impl SimBuilder {
             Some(ctl) => Scheduler::with_control(self.threads, Arc::clone(ctl)),
             None => Scheduler::with_faults(self.threads, self.window, self.faults),
         });
-        let _in_flight = InFlightGuard::new(self.threads);
         let mut joins = Vec::with_capacity(self.threads);
         for id in 0..self.threads {
             let body = body.clone();
@@ -256,8 +221,6 @@ impl SimBuilder {
                     .name(format!("sim-{id}"))
                     .spawn(move || {
                         let _poison = PoisonOnPanic(handle.scheduler());
-                        // Wait for all threads to be registered so the
-                        // initial min-clock computation sees everyone.
                         handle.wait_for_start();
                         let r = body(ThreadCtx { id, handle: handle.clone() });
                         let end = handle.now();
@@ -300,7 +263,6 @@ impl SimBuilder {
         F: Fn(ThreadCtx) -> R + Clone + Send + 'static,
     {
         let sched = Arc::new(Scheduler::with_fibers(self.threads, control));
-        let _in_flight = InFlightGuard::new(self.threads);
         let slots = Arc::new(parking_lot::Mutex::new(
             (0..self.threads).map(|_| None).collect::<Vec<Option<(R, u64)>>>(),
         ));
@@ -334,8 +296,9 @@ impl SimBuilder {
     }
 }
 
-/// Poisons the scheduler if its simulated thread unwinds, so that peers
-/// parked waiting for it unwind too instead of waiting forever.
+/// Poisons the scheduler once its simulated thread has unwound, so that
+/// peers parked waiting for the baton unwind too instead of waiting
+/// forever.
 struct PoisonOnPanic<'a>(&'a Scheduler);
 
 impl Drop for PoisonOnPanic<'_> {
@@ -468,20 +431,6 @@ mod tests {
         assert_eq!(a.fault_stats, b.fault_stats, "same seed, same stats");
         assert!(a.makespan > base.makespan, "faults must cost simulated time");
         assert!(a.fault_stats.iter().any(|s| s.preemptions > 0));
-    }
-
-    #[test]
-    fn in_flight_gauge_counts_own_run() {
-        // Other tests may run sims concurrently in this process, so only
-        // one-directional claims are safe: while our 3-thread run is
-        // live, the gauge must report at least our contribution.
-        let out = SimBuilder::new(3).window(0).run(|ctx| {
-            ctx.handle.advance(1);
-            sim_threads_in_flight()
-        });
-        for seen in out.results {
-            assert!(seen >= 3, "gauge reported {seen} while 3 of ours were live");
-        }
     }
 
     /// Run `run` on a helper thread and return its panic message. Fails,

@@ -1,63 +1,61 @@
-//! The bounded-lag min-clock scheduler.
+//! The scheduler: one decision function and one baton.
 //!
-//! Every simulated thread owns a logical clock. The scheduler's single
-//! invariant is the *bounded-lag* rule: a thread may only proceed past an
-//! [`SimHandle::advance`] call while
+//! Every simulated thread owns a logical clock, and exactly one simulated
+//! thread runs at a time: the one holding the baton. At each
+//! [`SimHandle::advance`], and when it finishes, the holder asks one
+//! decision function (`Scheduler::next`) which thread runs next, and hands
+//! the baton over with one `Scheduler::switch`.
+//! [`Scheduler::release_start`] hands the baton to thread 0, so threads
+//! start in id order, each running up to its first `advance`.
+//!
+//! # Who runs next
+//!
+//! Under a [`ScheduleControl`] the control decides: it records the step,
+//! then applies its override or picks the `(clock, id)` minimum. In a free
+//! run the *bounded-lag* rule decides. The running thread keeps the baton
+//! while
 //!
 //! ```text
-//! clock(self) <= min(clock(t) for live t) + window
+//! window == 0:  (clock(self), self) < min((clock(t), t) for other live t)
+//! window  > 0:  clock(self) <= min(clock(t) for other live t) + window
 //! ```
 //!
-//! With `window == 0` the rule tightens to "only the lexicographically
-//! smallest `(clock, id)` runs", which yields a fully deterministic
-//! interleaving.
+//! and otherwise hands it to the other live thread with the smallest
+//! `(clock, id)`. At window 0 only the lexicographically smallest
+//! `(clock, id)` runs. At every window the schedule is a pure function of
+//! the clock vector, so every run is deterministic: it is the schedule a
+//! single-CPU host would produce. A wider window only lets a thread run
+//! further ahead before it yields.
 //!
-//! # Parking
+//! # Handoff
 //!
-//! Threads that violate the rule park on a **per-thread** mutex/condvar
-//! pair, and clock changes issue *directed* wakeups: after bumping its
-//! clock (or finishing), a thread scans the clocks once and notifies only
-//! the peers the new minimum makes runnable — exactly one thread (the new
-//! lexicographic minimum) at window 0. The previous design parked every
-//! blocked thread on one shared condvar and `notify_all`'d it after every
-//! clock change; at window 0 that is a thundering herd of `threads - 1`
-//! sleepers woken (and mostly re-parked) per baton hand-off, which on a
-//! single-CPU host made futex traffic — not simulated work — the dominant
-//! cost of every benchmark.
+//! [`crate::SimBuilder::run`] executes a controlled run's threads as
+//! fibers on the calling thread (x86_64 Linux, see `fiber.rs`), where a
+//! switch is a stack switch. Otherwise each simulated thread is an OS
+//! thread with a parker of its own: a switch stores the baton, notifies
+//! the target's parker and parks until the baton comes back.
 //!
-//! No wakeup is lost: a parker takes its own mutex, publishes its parked
-//! flag, and re-checks runnability *before* waiting; a waker bumps the
-//! clock first and then takes the target's mutex to notify. Everything is
-//! `SeqCst`, so either the waker's scan sees the parked flag (and
-//! notifies under the mutex, which the parker holds until it waits), or
-//! the parker's runnability re-check sees the waker's new clock.
-//!
-//! Which threads are runnable is a pure function of the clock vector, so
-//! wakeup mechanics cannot change window-0 schedules — every artifact is
-//! byte-identical to the broadcast design.
+//! No wakeup is lost. A parker checks the baton under its own mutex before
+//! it waits, and the wait releases that mutex atomically; a passer stores
+//! the baton first and then takes the target's mutex to notify. So either
+//! the target's check sees the baton, or the target is already waiting
+//! when the notification comes. Only the baton holder writes the clocks
+//! and the baton, so a decision never races with a peer.
 //!
 //! # Panics
 //!
-//! A simulated thread that panics *poisons* the scheduler and wakes every
-//! parked peer. Each peer then unwinds at its next `advance` or park, so
-//! the run ends instead of waiting forever for the dead thread.
-//!
-//! # Controlled runs
-//!
-//! Under a [`ScheduleControl`] the parking rule is replaced by the
-//! control's decisions. [`crate::SimBuilder::run`] executes such runs as
-//! fibers on the calling thread (see `fiber.rs`) on x86_64 Linux: a
-//! decision point is a direct switch to the thread the control picks. On
-//! other targets, and for a scheduler made by
-//! [`Scheduler::with_control`], each simulated thread is an OS thread that
-//! waits for the control to grant it the next segment.
+//! A simulated thread that panics holds the baton and keeps it while it
+//! unwinds. An OS thread then *poisons* the scheduler and wakes every
+//! parked peer, and each peer unwinds from its park, so the run ends
+//! instead of waiting forever for the dead thread. Fibers unwind their
+//! suspended peers the same way inside `fiber.rs`.
 
 use crate::control::ScheduleControl;
 use crate::fault::{FaultPlan, FaultStats, FaultThreadState};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::fiber::Fibers;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Maximum number of simulated threads (bounded by the conflict-bitmap
@@ -67,31 +65,24 @@ pub(crate) const MAX_THREADS: usize = 64;
 /// Sentinel clock value marking a finished thread.
 const DONE: u64 = u64::MAX;
 
+/// The baton's holder before [`Scheduler::release_start`]: nobody.
+const NOBODY: usize = usize::MAX;
+
 /// The unwind payload of a simulated thread torn down because a peer
 /// panicked; [`crate::SimBuilder::run`] reports the peer's panic instead.
 pub(crate) struct PeerPanicked;
-
-/// Unwind the calling simulated thread because a peer panicked. Does
-/// nothing if it is already unwinding: a second panic would abort.
-pub(crate) fn unwind_for_peer() {
-    if !std::thread::panicking() {
-        std::panic::resume_unwind(Box::new(PeerPanicked));
-    }
-}
 
 /// Pads an atomic to its own cache line to avoid host-level false sharing.
 #[derive(Debug)]
 #[repr(align(128))]
 struct PaddedClock(AtomicU64);
 
-/// One thread's parking place, padded like the clocks so parkers never
-/// false-share. Only its owner waits on `cv`; anyone may notify.
+/// One OS thread's parking place, padded like the clocks so parkers never
+/// false-share. Only its owner waits on `cv`; whoever passes it the baton
+/// notifies.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Parker {
-    /// True while the owner is inside `park` (set and cleared under
-    /// `mutex`, read lock-free by wakers).
-    parked: AtomicBool,
     mutex: Mutex<()>,
     cv: Condvar,
 }
@@ -101,19 +92,18 @@ struct Parker {
 pub struct Scheduler {
     window: u64,
     times: Vec<PaddedClock>,
-    /// Per-thread parking places for the directed-wakeup protocol.
+    /// The baton: the id of the one simulated thread allowed to run.
+    turn: AtomicUsize,
+    /// Per-thread parking places of the OS-thread executor.
     parkers: Vec<Parker>,
-    /// The start gate (cold path: crossed once per thread per run).
-    start: Mutex<bool>,
-    start_cv: Condvar,
     /// Per-thread fault-schedule state; empty when no faults are injected.
     /// Each entry is only ever locked by its own thread, so the mutexes are
     /// uncontended — they exist to make the state shareable via `&self`.
     faults: Vec<Mutex<FaultThreadState>>,
-    /// When set, every `advance` is a serialized decision point driven by
-    /// the model checker instead of the bounded-lag parking rule.
+    /// When set, the model checker decides who runs next instead of the
+    /// bounded-lag rule.
     control: Option<Arc<ScheduleControl>>,
-    /// Set when a simulated thread of a thread-executor run panicked.
+    /// Set when a simulated thread of an OS-thread run panicked.
     poisoned: AtomicBool,
     /// The fibers a controlled run executes on its host thread; `None`
     /// when the simulated threads are OS threads.
@@ -140,9 +130,8 @@ impl Scheduler {
         Scheduler {
             window,
             times: (0..threads).map(|_| PaddedClock(AtomicU64::new(0))).collect(),
+            turn: AtomicUsize::new(NOBODY),
             parkers: (0..threads).map(|_| Parker::default()).collect(),
-            start: Mutex::new(false),
-            start_cv: Condvar::new(),
             faults,
             control: None,
             poisoned: AtomicBool::new(false),
@@ -154,11 +143,11 @@ impl Scheduler {
     /// Create a scheduler whose interleaving is dictated by `control`
     /// (see [`ScheduleControl`]). Controlled runs are always window 0 and
     /// never inject faults: the clock still accrues per-thread costs (it
-    /// feeds the default min-clock choice and the final makespan), but
-    /// parking is replaced by the control's serialized turn-taking.
+    /// feeds the default min-clock choice and the final makespan), but the
+    /// control decides who holds the baton.
     ///
     /// Each simulated thread of such a scheduler runs on its own OS thread
-    /// and blocks until the control grants it a segment.
+    /// and parks until it holds the baton.
     pub fn with_control(threads: usize, control: Arc<ScheduleControl>) -> Self {
         assert_eq!(control.threads(), threads, "control sized for a different thread count");
         let mut s = Self::with_faults(threads, 0, FaultPlan::none());
@@ -174,8 +163,6 @@ impl Scheduler {
     pub(crate) fn with_fibers(threads: usize, control: Arc<ScheduleControl>) -> Self {
         let mut s = Self::with_control(threads, control);
         s.fibers = Some(Fibers::new(threads));
-        // Fibers start in id order; nothing waits at the start gate.
-        s.release_start();
         s
     }
 
@@ -185,15 +172,12 @@ impl Scheduler {
         self.fibers.as_ref().expect("scheduler was not made by with_fibers")
     }
 
-    /// A simulated thread of a thread-executor run panicked: make every
-    /// peer unwind at its next `advance` or park, and wake the parked ones.
+    /// A simulated thread of an OS-thread run panicked: make every parked
+    /// peer unwind.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         for t in 0..self.parkers.len() {
-            self.wake(t);
-        }
-        if let Some(ctl) = &self.control {
-            ctl.poison();
+            self.notify(t);
         }
     }
 
@@ -213,18 +197,9 @@ impl Scheduler {
         self.window
     }
 
-    /// Open the start gate, releasing all simulated threads.
+    /// Start the run: hand the baton to thread 0.
     pub fn release_start(&self) {
-        let mut started = self.start.lock();
-        *started = true;
-        self.start_cv.notify_all();
-    }
-
-    fn wait_for_start(&self) {
-        let mut started = self.start.lock();
-        while !*started {
-            self.start_cv.wait(&mut started);
-        }
+        self.pass(0);
     }
 
     /// Read thread `id`'s clock (`u64::MAX` once finished).
@@ -232,111 +207,80 @@ impl Scheduler {
         self.times[id].0.load(Ordering::SeqCst)
     }
 
-    /// The smallest live clock and the id holding it (ties broken by the
-    /// smaller id). Returns `(DONE, 0)` when every thread has finished.
-    fn min_clock(&self) -> (u64, usize) {
-        let mut best = DONE;
-        let mut best_id = 0;
-        for (id, t) in self.times.iter().enumerate() {
-            let v = t.0.load(Ordering::SeqCst);
-            if v < best {
-                best = v;
-                best_id = id;
+    /// The one decision function. Thread `id`, which holds the baton, has
+    /// reached a decision point (or finished, when `finished`): return the
+    /// thread that runs next, `id` itself to keep the baton, or `None` once
+    /// every thread has finished.
+    pub(crate) fn next(&self, id: usize, finished: bool) -> Option<usize> {
+        if let Some(ctl) = &self.control {
+            return ctl.on_event(id, finished, &|t| self.time_of(t));
+        }
+        // The other live thread with the smallest `(clock, id)`.
+        let (mut min, mut min_id) = (DONE, id);
+        for (t, clock) in self.times.iter().enumerate() {
+            let v = clock.0.load(Ordering::SeqCst);
+            if t != id && v < min {
+                min = v;
+                min_id = t;
             }
         }
-        (best, best_id)
-    }
-
-    fn is_runnable(&self, id: usize, my_time: u64) -> bool {
-        let (min, min_id) = self.min_clock();
         if min == DONE {
-            return true;
+            return (!finished).then_some(id);
         }
-        if self.window == 0 {
-            (my_time, id) <= (min, min_id)
-        } else {
-            my_time <= min.saturating_add(self.window)
-        }
+        let mine = self.time_of(id);
+        let keep = !finished
+            && if self.window == 0 {
+                (mine, id) < (min, min_id)
+            } else {
+                mine <= min.saturating_add(self.window)
+            };
+        Some(if keep { id } else { min_id })
     }
 
-    /// Notify thread `target` if it is parked. Taking the parker's mutex
-    /// before notifying orders this wakeup after the parker has either
-    /// re-checked runnability (seeing the caller's prior clock change) or
-    /// entered the condvar wait — so no wakeup is lost.
-    fn wake(&self, target: usize) {
-        let p = &self.parkers[target];
-        if p.parked.load(Ordering::SeqCst) {
-            let _g = p.mutex.lock();
-            p.cv.notify_one();
+    /// The one handoff: pass the baton from the running thread `from` to
+    /// `to` and return once `from` holds it again.
+    fn switch(&self, from: usize, to: Option<usize>) {
+        if to == Some(from) {
+            return;
         }
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if let Some(fibers) = &self.fibers {
+            return fibers.switch(from, to);
+        }
+        self.pass(to.expect("a live thread always has a successor"));
+        self.park(from);
     }
 
-    /// Directed wakeups after a clock change by (or finish of) `id`: scan
-    /// the clocks once and notify exactly the peers the new state makes
-    /// runnable — the new lexicographic minimum at window 0, every thread
-    /// back inside the lag window otherwise. Returns the scanned
-    /// `(min, min_id)` so `advance` can reuse it for its own runnability
-    /// check without a second scan.
-    fn wake_runnable(&self, id: usize) -> (u64, usize) {
-        let (min, min_id) = self.min_clock();
-        if min == DONE {
-            // Everyone finished; defensively release any parked stragglers
-            // (is_runnable is vacuously true for them now).
-            for t in 0..self.parkers.len() {
-                self.wake(t);
-            }
-        } else if self.window == 0 {
-            // Exactly one thread is runnable: the minimum. Skip the
-            // self-notify when the caller kept the baton.
-            if min_id != id {
-                self.wake(min_id);
-            }
-        } else {
-            let cap = min.saturating_add(self.window);
-            for t in 0..self.parkers.len() {
-                if t != id && self.times[t].0.load(Ordering::SeqCst) <= cap {
-                    self.wake(t);
-                }
-            }
-        }
-        (min, min_id)
+    /// Hand the baton to OS thread `to` and wake it.
+    fn pass(&self, to: usize) {
+        self.turn.store(to, Ordering::SeqCst);
+        self.notify(to);
     }
 
-    /// Block until the bounded-lag rule readmits thread `id` at clock `t`,
-    /// or unwind if the scheduler is poisoned.
-    fn park(&self, id: usize, t: u64) {
+    /// Notify thread `t`'s parker. Taking its mutex orders this after the
+    /// parker either checked the baton and the poison flag (seeing the
+    /// caller's store) or started waiting, so no wakeup is lost.
+    fn notify(&self, t: usize) {
+        let p = &self.parkers[t];
+        let _g = p.mutex.lock();
+        p.cv.notify_one();
+    }
+
+    /// Park OS thread `id` until it holds the baton, or unwind if a peer
+    /// panicked.
+    fn park(&self, id: usize) {
         let p = &self.parkers[id];
         let mut guard = p.mutex.lock();
-        p.parked.store(true, Ordering::SeqCst);
-        // Re-check under the mutex: a waker that missed our parked flag
-        // has already bumped its clock (or set `poisoned`), so this check
-        // sees it.
-        while !self.is_runnable(id, t) {
+        while self.turn.load(Ordering::SeqCst) != id {
             if self.poisoned.load(Ordering::SeqCst) {
-                p.parked.store(false, Ordering::SeqCst);
                 drop(guard);
-                return unwind_for_peer();
+                std::panic::resume_unwind(Box::new(PeerPanicked));
             }
             p.cv.wait(&mut guard);
         }
-        p.parked.store(false, Ordering::SeqCst);
     }
 
     fn advance(&self, id: usize, cost: u64) {
-        if let Some(ctl) = &self.control {
-            let clock_of = |tid: usize| self.times[tid].0.load(Ordering::SeqCst);
-            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-            if let Some(fibers) = &self.fibers {
-                if fibers.unwinding() {
-                    return;
-                }
-                self.times[id].0.fetch_add(cost, Ordering::SeqCst);
-                let next = ctl.next_after(id, false, &clock_of);
-                return fibers.switch(id, next);
-            }
-            self.times[id].0.fetch_add(cost, Ordering::SeqCst);
-            return ctl.hand_off(id, false, &clock_of);
-        }
         let cost = match self.faults.get(id) {
             Some(f) => {
                 let now = self.times[id].0.load(Ordering::SeqCst);
@@ -344,46 +288,25 @@ impl Scheduler {
             }
             None => cost,
         };
-        let t = self.times[id].0.fetch_add(cost, Ordering::SeqCst) + cost;
-        // Single-thread fast path: alone, the bounded-lag rule is always
-        // satisfied and there is no one to wake (fill phases and
-        // single-thread baselines take this branch on every advance).
-        if self.times.len() == 1 {
+        self.times[id].0.fetch_add(cost, Ordering::SeqCst);
+        // Single-thread fast path: alone in a free run, a thread always
+        // keeps the baton (fill phases and single-thread baselines take
+        // this branch on every advance).
+        if self.times.len() == 1 && self.control.is_none() {
             return;
         }
-        // Relaxed is enough on this fast path: `park` re-reads the flag
-        // under the same handshake that keeps wakeups from being lost.
-        if self.poisoned.load(Ordering::Relaxed) {
-            return unwind_for_peer();
+        // An unwinding thread keeps the baton until it has unwound.
+        if std::thread::panicking() {
+            return;
         }
-        let (min, min_id) = self.wake_runnable(id);
-        let runnable = if min == DONE {
-            true
-        } else if self.window == 0 {
-            (t, id) <= (min, min_id)
-        } else {
-            t <= min.saturating_add(self.window)
-        };
-        if !runnable {
-            self.park(id, t);
-        }
+        self.switch(id, self.next(id, false));
     }
 
-    /// Mark `id` finished and pass the turn on. Returns the thread a fiber
-    /// executor switches to next (`None`: nobody, or not a fiber run).
+    /// Mark `id` finished and return the thread that runs next (`None`:
+    /// every thread has finished).
     pub(crate) fn finish(&self, id: usize) -> Option<usize> {
         self.times[id].0.store(DONE, Ordering::SeqCst);
-        if let Some(ctl) = &self.control {
-            let clock_of = |tid: usize| self.times[tid].0.load(Ordering::SeqCst);
-            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-            if self.fibers.is_some() {
-                return ctl.next_after(id, true, &clock_of);
-            }
-            ctl.hand_off(id, true, &clock_of);
-        } else if self.times.len() > 1 {
-            self.wake_runnable(id);
-        }
-        None
+        self.next(id, true)
     }
 }
 
@@ -418,8 +341,9 @@ impl SimHandle {
         self.sched.time_of(self.id)
     }
 
-    /// Advance the thread's logical clock by `cost` cycles, blocking while
-    /// the bounded-lag rule forbids this thread from running.
+    /// Advance the thread's logical clock by `cost` cycles, then pass the
+    /// baton if the scheduler picks another thread, blocking until this
+    /// thread holds it again.
     ///
     /// This is the simulation's only yield point: all simulated work —
     /// memory accesses, spin iterations, transaction bookkeeping, pure
@@ -428,9 +352,10 @@ impl SimHandle {
         self.sched.advance(self.id, cost);
     }
 
-    /// Block until the start gate opens (all simulated threads spawned).
+    /// Block until this thread first holds the baton (see
+    /// [`Scheduler::release_start`]).
     pub fn wait_for_start(&self) {
-        self.sched.wait_for_start();
+        self.sched.park(self.id);
     }
 
     /// Whether this run is serialized under a [`ScheduleControl`].
@@ -455,9 +380,11 @@ impl SimHandle {
     }
 
     /// Mark the thread finished, excluding it from min-clock computation
-    /// so peers may run ahead freely.
+    /// so peers may run ahead freely, and hand the baton on.
     pub fn finish(&self) {
-        self.sched.finish(self.id);
+        if let Some(to) = self.sched.finish(self.id) {
+            self.sched.pass(to);
+        }
     }
 
     /// The scheduler this handle drives.
@@ -470,91 +397,85 @@ impl SimHandle {
 mod tests {
     use super::*;
 
+    /// A free-run scheduler whose threads stand at `clocks`. These tests
+    /// only call `next` and `finish`, which never park.
+    fn at_clocks(window: u64, clocks: &[u64]) -> Scheduler {
+        let s = Scheduler::new(clocks.len(), window);
+        for (t, &c) in clocks.iter().enumerate() {
+            s.times[t].0.store(c, Ordering::SeqCst);
+        }
+        s
+    }
+
     #[test]
     fn min_clock_ignores_finished_threads() {
-        // NOTE: `advance` may park the calling thread, so scheduler unit
-        // tests only drive the non-blocking entry points.
-        let s = Scheduler::new(3, 0);
-        s.release_start();
-        s.finish(0);
-        s.finish(1);
-        let (min, id) = s.min_clock();
-        assert_eq!((min, id), (0, 2), "live thread 2 holds the minimum");
+        let s = at_clocks(0, &[0, 0, 5]);
+        assert_eq!(s.finish(0), Some(1), "the baton goes to the smallest live peer");
         assert_eq!(s.time_of(0), u64::MAX, "finished threads report DONE");
-        // With every peer finished, thread 2 (the minimum) is runnable.
-        assert!(s.is_runnable(2, 0));
+        s.times[1].0.store(9, Ordering::SeqCst);
+        assert_eq!(s.next(1, false), Some(2), "finished thread 0 is not the minimum");
+        assert_eq!(s.finish(1), Some(2));
+        s.times[2].0.store(1_000, Ordering::SeqCst);
+        assert_eq!(s.next(2, false), Some(2), "a thread alone keeps the baton");
     }
 
     #[test]
     fn runnable_respects_window() {
-        let s = Scheduler::new(2, 8);
-        s.release_start();
-        // Thread 0 at 0, thread 1 at 0: both runnable.
-        assert!(s.is_runnable(0, 0));
-        assert!(s.is_runnable(1, 0));
-        // Push thread 0 to 9 while thread 1 is at 0: 9 > 0 + 8.
-        assert!(!s.is_runnable(0, 9));
-        assert!(s.is_runnable(0, 8));
+        let s = at_clocks(8, &[8, 0]);
+        assert_eq!(s.next(0, false), Some(0), "8 <= 0 + 8 keeps the baton");
+        s.times[0].0.store(9, Ordering::SeqCst);
+        assert_eq!(s.next(0, false), Some(1), "9 > 0 + 8 hands it on");
+        let s = at_clocks(8, &[20, 3, 3, 1]);
+        assert_eq!(s.next(0, false), Some(3), "the baton goes to the smallest clock");
     }
 
     #[test]
     fn strict_mode_breaks_ties_by_id() {
-        let s = Scheduler::new(2, 0);
-        s.release_start();
-        // Both clocks 0: only thread 0 is runnable.
-        assert!(s.is_runnable(0, 0));
-        assert!(!s.is_runnable(1, 0));
+        let s = at_clocks(0, &[0, 0]);
+        assert_eq!(s.next(0, false), Some(0));
+        assert_eq!(s.next(1, false), Some(0));
+        let s = at_clocks(8, &[20, 3, 3]);
+        assert_eq!(s.next(0, false), Some(1));
     }
 
     #[test]
-    fn all_done_is_runnable() {
-        let s = Scheduler::new(2, 0);
-        s.release_start();
-        s.finish(0);
-        s.finish(1);
-        assert!(s.is_runnable(0, DONE));
+    fn all_done_yields_none() {
+        let s = at_clocks(0, &[0, 0]);
+        assert_eq!(s.finish(0), Some(1));
+        assert_eq!(s.finish(1), None);
     }
 
     #[test]
-    fn wake_runnable_reports_the_minimum() {
-        let s = Scheduler::new(3, 0);
-        s.release_start();
-        s.times[0].0.store(10, Ordering::SeqCst);
-        s.times[2].0.store(4, Ordering::SeqCst);
-        // No peers are parked, so this only scans and reports.
-        assert_eq!(s.wake_runnable(0), (0, 1));
+    fn next_hands_the_baton_to_the_minimum() {
+        let s = at_clocks(0, &[10, 0, 4]);
+        assert_eq!(s.next(0, false), Some(1));
         s.times[1].0.store(7, Ordering::SeqCst);
-        assert_eq!(s.wake_runnable(0), (4, 2));
+        assert_eq!(s.next(0, false), Some(2));
+        assert_eq!(s.next(2, false), Some(2), "the minimum keeps the baton");
     }
 
     #[test]
     fn directed_wakeup_is_not_lost() {
-        // One thread parks (not runnable), a peer then advances past it;
-        // the parked thread must be released by the directed wakeup. This
-        // is the race the Dekker-style flag/clock ordering closes.
+        // Thread 0 switches to thread 1 while thread 1 is about to park
+        // for the baton, and thread 1 passes it back the same way. Either
+        // side may get there first; both must wake holding the baton.
         for _ in 0..200 {
             let s = Arc::new(Scheduler::new(2, 0));
             s.release_start();
-            // Thread 1 at clock 5: not runnable while thread 0 is at 0.
-            let parker = {
+            let one = {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
-                    s.times[1].0.store(5, Ordering::SeqCst);
-                    if !s.is_runnable(1, 5) {
-                        s.park(1, 5);
-                    }
+                    s.park(1);
+                    s.pass(0);
                 })
             };
-            // Thread 0 races ahead to 6 and issues the directed wakeup.
-            let waker = {
+            let zero = {
                 let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    s.times[0].0.store(6, Ordering::SeqCst);
-                    s.wake_runnable(0);
-                })
+                std::thread::spawn(move || s.switch(0, Some(1)))
             };
-            waker.join().expect("waker");
-            parker.join().expect("parker must be woken");
+            zero.join().expect("thread 0 must get the baton back");
+            one.join().expect("thread 1 must be woken");
+            assert_eq!(s.turn.load(Ordering::SeqCst), 0);
         }
     }
 }

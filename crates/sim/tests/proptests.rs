@@ -76,17 +76,19 @@ proptest! {
         }
     }
 
-    /// Strict mode (window 0) is deterministic: two identical runs
-    /// produce identical per-thread interleaving fingerprints.
+    /// Every window is deterministic, strict mode (window 0) included:
+    /// two identical runs produce identical per-thread interleaving
+    /// fingerprints.
     #[test]
     fn strict_mode_is_deterministic(
         threads in 2usize..5,
         steps in 10usize..60,
+        window in prop_oneof![Just(0u64), Just(16), Just(128)],
     ) {
         let fingerprint = |_: ()| {
             let order: Arc<parking_lot::Mutex<Vec<usize>>> =
                 Arc::new(parking_lot::Mutex::new(Vec::new()));
-            SimBuilder::new(threads).window(0).run({
+            SimBuilder::new(threads).window(window).run({
                 let order = Arc::clone(&order);
                 move |ctx| {
                     for i in 0..steps {

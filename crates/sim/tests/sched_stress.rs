@@ -234,3 +234,30 @@ fn monitorable_progress_under_contention() {
     assert_eq!(total.load(Ordering::Relaxed), 4_000);
     assert!(out.results.iter().all(|&m| m == 500));
 }
+
+#[test]
+fn exactly_one_thread_runs_at_a_time() {
+    // Each thread holds a host-side "running" count across a short spin
+    // between advances: at every window only the baton holder runs, so
+    // the count never exceeds one.
+    for window in [0, 4, 16, 128] {
+        let running = Arc::new(AtomicU64::new(0));
+        let worst = Arc::new(AtomicU64::new(0));
+        SimBuilder::new(4).window(window).run({
+            let (running, worst) = (Arc::clone(&running), Arc::clone(&worst));
+            move |ctx| {
+                for i in 0..200 {
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    worst.fetch_max(now, Ordering::SeqCst);
+                    for _ in 0..200 {
+                        std::hint::spin_loop();
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    ctx.handle.advance(1 + (ctx.id as u64 + i) % 3);
+                }
+            }
+        });
+        let worst = worst.load(Ordering::SeqCst);
+        assert_eq!(worst, 1, "{worst} threads ran at once at window {window}");
+    }
+}
