@@ -1,6 +1,5 @@
-//! The `repro` command line: the flags every experiment shares plus
-//! perf_gate's own, parsed in one pass (no external dependency needed
-//! for a handful of flags).
+//! The `repro` command line: the flags every experiment shares, parsed in
+//! one pass (no external dependency needed for a handful of flags).
 
 use crate::chaos::ChaosProfile;
 use std::path::PathBuf;
@@ -45,51 +44,11 @@ impl Default for CliArgs {
     }
 }
 
-/// perf_gate's options (see `experiment::perf_gate`).
-#[derive(Debug, Clone)]
-pub struct GateArgs {
-    /// Refresh the tracked baseline instead of comparing against it.
-    pub bless: bool,
-    /// Emit metrics only, skipping the baseline comparison. For runs whose
-    /// wall clock is not comparable to the baseline's — e.g. the CI
-    /// determinism check at `--jobs 4`, where cells time-share cores and
-    /// per-cell wall times inflate (the gate proper runs at `--jobs 1`).
-    pub no_gate: bool,
-    /// Repetitions of the whole sweep; the gated ops/sec figure uses the
-    /// repetition with the *lowest* total wall time (best-of-N). Slow
-    /// outliers come from OS scheduling noise, never from the code being
-    /// faster than it is, so the minimum is the low-variance estimator of
-    /// the true cost. The metrics artifact is identical across reps (the
-    /// sweep is deterministic), so reps only spend wall clock.
-    pub reps: usize,
-    /// History label for `--bless`.
-    pub label: String,
-    /// The tracked baseline file.
-    pub baseline: PathBuf,
-}
-
-impl Default for GateArgs {
-    fn default() -> Self {
-        GateArgs {
-            bless: false,
-            no_gate: false,
-            reps: 3,
-            label: "blessed".to_string(),
-            baseline: PathBuf::from("results/BENCH_SIM_HOTPATH_BASELINE.json"),
-        }
-    }
-}
-
 /// One parsed command line.
 #[derive(Debug, Clone, Default)]
 pub struct Flags {
     /// The shared options.
     pub args: CliArgs,
-    /// perf_gate's options.
-    pub gate: GateArgs,
-    /// The perf_gate flags that were given, in order (so a run that
-    /// selects no perf_gate can name what it would ignore).
-    pub gate_flags: Vec<String>,
     /// Positional words (experiment names), in order.
     pub words: Vec<String>,
 }
@@ -100,13 +59,9 @@ pub fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Flags, Stri
     fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
         v.parse().map_err(|_| format!("{flag} needs a number, got {v:?}"))
     }
-    const GATE_FLAGS: [&str; 5] = ["--bless", "--no-gate", "--reps", "--label", "--baseline"];
     let mut out = Flags::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
-        if GATE_FLAGS.contains(&a.as_str()) {
-            out.gate_flags.push(a.clone());
-        }
         let mut value = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
         match a.as_str() {
             "--quick" => out.args.quick = true,
@@ -125,16 +80,6 @@ pub fn parse_flags(args: impl IntoIterator<Item = String>) -> Result<Flags, Stri
                     )
                 })?;
             }
-            "--bless" => out.gate.bless = true,
-            "--no-gate" => out.gate.no_gate = true,
-            "--reps" => {
-                out.gate.reps = number::<usize>(&a, value("a positive count")?)?;
-                if out.gate.reps == 0 {
-                    return Err("--reps needs a positive count".to_string());
-                }
-            }
-            "--label" => out.gate.label = value("a name")?,
-            "--baseline" => out.gate.baseline = PathBuf::from(value("a path")?),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             _ => out.words.push(a),
         }

@@ -16,8 +16,9 @@
 //!
 //! Under `--metrics DIR` an experiment writes `DIR/<artifact>.json` and
 //! `DIR/TIMING_<name>.json`; under `--csv DIR` it writes its tables.
-//! A usage error (unknown name or flag, malformed value, a flag no
-//! selected experiment applies) exits 2 before anything runs.
+//! A usage error (unknown name or flag, malformed value, a `--chaos`
+//! profile a selected experiment does not apply) exits 2 before anything
+//! runs.
 
 mod ablation_finegrained;
 mod ablation_grouped;
@@ -41,10 +42,10 @@ mod sanitize_all;
 mod service_bench;
 
 use crate::chaos::ChaosProfile;
-use crate::cli::{parse_flags, CliArgs, Flags, GateArgs};
+use crate::cli::{parse_flags, CliArgs, Flags};
 use crate::metrics::{Json, MetricsReport};
 use crate::report::Table;
-use crate::sweep::{Cell, Sweep, SweepOutcome, TimingLog};
+use crate::sweep::{Cell, Sweep, TimingLog};
 use crate::TreeBenchSpec;
 use elision_analysis::explore::{CellReport, ExploreFinding, ExploreStats};
 use elision_analysis::{AccessSite, Finding, LintId};
@@ -102,8 +103,6 @@ pub static EXPERIMENTS: [Experiment; 20] = [
 pub struct Run {
     /// The shared flags.
     pub(crate) args: CliArgs,
-    /// perf_gate's flags.
-    pub(crate) gate: GateArgs,
     /// The row report written as `<artifact>.json` under `--metrics`,
     /// unless the experiment supplies its own [`Run::document`].
     pub(crate) report: MetricsReport,
@@ -111,40 +110,27 @@ pub struct Run {
     sweep: Sweep,
     timing: RefCell<TimingLog>,
     document: Option<Json>,
-    failure: Option<String>,
 }
 
 impl Run {
-    fn new(experiment: &'static Experiment, flags: &Flags) -> Run {
-        let sweep = Sweep::new(flags.args.jobs);
+    fn new(experiment: &'static Experiment, args: &CliArgs) -> Run {
+        let sweep = Sweep::new(args.jobs);
         Run {
-            args: flags.args.clone(),
-            gate: flags.gate.clone(),
-            report: MetricsReport::new(experiment.artifact, &flags.args),
+            args: args.clone(),
+            report: MetricsReport::new(experiment.artifact, args),
             experiment,
             sweep,
             timing: RefCell::new(TimingLog::new(experiment.name, sweep.jobs())),
             document: None,
-            failure: None,
         }
     }
 
     /// Run the cells on the `--jobs` pool and return their results in
     /// canonical (submission) order; their host timing goes to the log.
     pub(crate) fn sweep<T: Send>(&self, cells: Vec<Cell<'_, T>>) -> Vec<T> {
-        let outcome = self.execute(cells);
-        self.absorb(&outcome);
+        let outcome = self.sweep.run(cells);
+        self.timing.borrow_mut().absorb(&outcome);
         outcome.results
-    }
-
-    /// Run the cells without logging their timing (see [`Run::absorb`]).
-    pub(crate) fn execute<T: Send>(&self, cells: Vec<Cell<'_, T>>) -> SweepOutcome<T> {
-        self.sweep.run(cells)
-    }
-
-    /// Add one sweep's host timing to `TIMING_<name>.json`.
-    pub(crate) fn absorb<T>(&self, outcome: &SweepOutcome<T>) {
-        self.timing.borrow_mut().absorb(outcome);
     }
 
     /// The `--chaos` profile's faults at a moderate intensity (level 2 of
@@ -166,13 +152,7 @@ impl Run {
         self.document = Some(doc);
     }
 
-    /// Mark the run failed: its artifacts are still written, then
-    /// `repro` exits 1.
-    pub(crate) fn fail(&mut self, msg: String) {
-        self.failure = Some(msg);
-    }
-
-    fn finish(self) -> Result<(), String> {
+    fn finish(self) {
         if let Some(dir) = &self.args.metrics {
             let doc = self.document.unwrap_or_else(|| self.report.to_json());
             std::fs::create_dir_all(dir).expect("creating metrics directory");
@@ -181,7 +161,6 @@ impl Run {
             eprintln!("wrote {}", path.display());
             self.timing.into_inner().write(dir);
         }
-        self.failure.map_or(Ok(()), Err)
     }
 }
 
@@ -318,7 +297,7 @@ pub(crate) fn assert_counterexamples(
 }
 
 /// Resolve the positional words to experiments and check that every
-/// given flag is applied by a selected experiment.
+/// selected experiment applies the given `--chaos` profile.
 fn select(flags: &Flags) -> Result<Vec<&'static Experiment>, String> {
     if flags.words.is_empty() {
         return Err("name an experiment, or all".to_string());
@@ -344,11 +323,6 @@ fn select(flags: &Flags) -> Result<Vec<&'static Experiment>, String> {
             ));
         }
     }
-    if let Some(flag) = flags.gate_flags.first() {
-        if !selected.iter().any(|e| e.name == "perf_gate") {
-            return Err(format!("{flag} applies only to perf_gate, which is not selected"));
-        }
-    }
     Ok(selected)
 }
 
@@ -361,16 +335,15 @@ fn usage(msg: &str) {
     eprintln!(
         "usage: repro <experiment>... [flags] | repro all [flags] | repro summary [DIR]\n\
          flags: [--quick] [--full] [--seeds N] [--threads N] [--jobs N] [--csv DIR] \
-         [--metrics DIR] [--chaos PROFILE]\n\
-         perf_gate flags: [--bless] [--no-gate] [--reps N] [--label NAME] [--baseline PATH]"
+         [--metrics DIR] [--chaos PROFILE]"
     );
     eprintln!("experiments: {}", names().join(", "));
     eprintln!("chaos profiles: {}", ChaosProfile::ALL.map(|p| p.label()).join(", "));
 }
 
 /// The `repro` command line (without the program name); returns the
-/// process exit code: 0 on success, 1 when a run or the summary fails,
-/// 2 on a usage error. A failed assertion inside an experiment panics.
+/// process exit code: 0 on success, 1 when the summary fails, 2 on a
+/// usage error. A failed assertion inside an experiment panics.
 pub fn main(argv: Vec<String>) -> u8 {
     if argv.first().map(String::as_str) == Some("summary") {
         let dir = match &argv[1..] {
@@ -397,12 +370,9 @@ pub fn main(argv: Vec<String>) -> u8 {
         }
     };
     for experiment in selected {
-        let mut run = Run::new(experiment, &flags);
+        let mut run = Run::new(experiment, &flags.args);
         (experiment.run)(&mut run);
-        if let Err(msg) = run.finish() {
-            eprintln!("error: {}: {msg}", experiment.name);
-            return 1;
-        }
+        run.finish();
     }
     0
 }
@@ -437,14 +407,14 @@ mod tests {
         }
     }
 
-    /// `all` expands in registry order, and perf_gate's flags are taken
-    /// whenever perf_gate is selected (rejections: `tests/repro_cli.rs`).
+    /// `all` expands in registry order; named experiments run in the
+    /// order given.
     #[test]
     fn all_selects_every_experiment_in_order() {
-        let names = select_names(&["all", "--quick", "--no-gate"]).expect("valid");
+        let names = select_names(&["all", "--quick"]).expect("valid");
         assert_eq!(names, super::names());
-        assert_eq!(select_names(&["fig3_dynamics", "fig2_lemming"]).unwrap().len(), 2);
-        assert!(select_names(&["perf_gate", "--no-gate", "--reps", "1"]).is_ok());
+        let names = select_names(&["fig3_dynamics", "fig2_lemming"]).expect("valid");
+        assert_eq!(names, ["fig3_dynamics", "fig2_lemming"]);
     }
 
     #[test]

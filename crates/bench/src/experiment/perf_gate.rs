@@ -1,44 +1,25 @@
-//! perf_gate — the simulated-ops/sec performance trajectory gate.
+//! perf_gate — the deterministic hot-path sweep.
 //!
 //! Runs the standard scheme × lock sweep (Standard/HLE/HLE+SCM/Opt-SLR
-//! over TTAS and MCS) through the sweep orchestrator and splits its output
-//! into two deliberately separate artifacts:
+//! over TTAS and MCS) through the sweep orchestrator and writes
+//! `BENCH_SIM_HOTPATH.json` (`--metrics DIR`) plus the stdout table: the
+//! per-cell simulated throughput, makespan, attempts and abort causes. It
+//! is a pure function of the specs, byte-identical at any `--jobs` value
+//! (CI diffs a `--jobs 4` run against `--jobs 1`) and pinned by an FNV
+//! golden in `tests/artifact_goldens.rs`. Per-cell host wall times go to
+//! `TIMING_perf_gate.json` like every other experiment's.
 //!
-//! * `BENCH_SIM_HOTPATH.json` (`--metrics DIR`) and the stdout table:
-//!   the *deterministic* per-cell metrics — simulated throughput,
-//!   makespan, attempts and abort causes. A pure function of the specs,
-//!   byte-identical at any `--jobs` value; CI diffs a `--jobs 4` run
-//!   against `--jobs 1`.
-//! * host-wall-clock **simulated ops/sec** (simulated operations
-//!   completed per host second, summed over per-cell wall times so the
-//!   figure is independent of sweep-level parallelism; best of `--reps`
-//!   sweep repetitions, default 3, to shed OS scheduling noise):
-//!   inherently nondeterministic, so it goes to stderr, never into the
-//!   metrics file or stdout. It is compared against the tracked baseline
-//!   instead; per-cell wall times are in `TIMING_perf_gate.json`.
-//!
-//! The tracked baseline lives at `results/BENCH_SIM_HOTPATH_BASELINE.json`
-//! (override with `--baseline PATH`). The gate fails (exit 1) when the
-//! measured ops/sec drops below `tolerance_frac` (0.75 = a >25% drop) of
-//! the blessed figure; `--bless` refreshes the baseline instead of
-//! comparing, appending the measurement to the file's `history` array
-//! (label it with `--label NAME`) so the perf trajectory across hot-path
-//! work stays on record; `--no-gate` skips both. See EXPERIMENTS.md for
-//! the update procedure.
+//! Host speed is not measured here: `scripts/simbench_pair.sh BASE_REV`
+//! runs simbench on a base revision and on the working tree on one host
+//! and compares them (see EXPERIMENTS.md).
 
 use super::{tree_spec, Run};
-use crate::cli::{CliArgs, GateArgs};
-use crate::metrics::{parse, Json, SCHEMA_VERSION};
+use crate::metrics::Json;
 use crate::report::{f2, Table};
 use crate::run_tree_bench_avg;
-use crate::sweep::{Cell, SweepOutcome};
+use crate::sweep::Cell;
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::OpMix;
-
-/// Fraction of the blessed ops/sec below which the gate fails. 0.75
-/// tolerates a 25% drop — generous enough to absorb host jitter between
-/// CI runners, tight enough to catch a real hot-path regression.
-const TOLERANCE_FRAC: f64 = 0.75;
 
 pub(super) fn run(run: &mut Run) {
     let args = &run.args;
@@ -50,44 +31,19 @@ pub(super) fn run(run: &mut Run) {
 
     let schemes = [SchemeKind::Standard, SchemeKind::Hle, SchemeKind::HleScm, SchemeKind::OptSlr];
     let locks = [LockKind::Ttas, LockKind::Mcs];
-    let build_cells = || {
-        let mut cells = Vec::new();
-        for &scheme in &schemes {
-            for &lock in &locks {
-                cells.push(Cell::new(
-                    format!("{scheme}/{}", lock.label()),
-                    args.threads,
-                    move || {
-                        let spec =
-                            tree_spec(scheme, lock, args.threads, size, OpMix::MODERATE, ops);
-                        (scheme, lock, run_tree_bench_avg(&spec, args.seeds))
-                    },
-                ));
-            }
-        }
-        cells
-    };
-    // Best-of-N: keep the repetition with the lowest total wall time (the
-    // results themselves are deterministic, so any rep's outcome carries
-    // the same metrics — only the wall-clock side differs).
-    fn total_wall<T>(o: &SweepOutcome<T>) -> u64 {
-        o.timings.iter().map(|t| t.wall_ms).sum()
-    }
-    let mut outcome = run.execute(build_cells());
-    for _ in 1..run.gate.reps {
-        let rerun = run.execute(build_cells());
-        if total_wall(&rerun) < total_wall(&outcome) {
-            outcome = rerun;
+    let mut cells = Vec::new();
+    for &scheme in &schemes {
+        for &lock in &locks {
+            cells.push(Cell::new(format!("{scheme}/{}", lock.label()), args.threads, move || {
+                let spec = tree_spec(scheme, lock, args.threads, size, OpMix::MODERATE, ops);
+                (scheme, lock, run_tree_bench_avg(&spec, args.seeds))
+            }));
         }
     }
-    run.absorb(&outcome);
+    let results = run.sweep(cells);
 
-    // Deterministic metrics: one row per cell, byte-identical across
-    // --jobs (the sweep merges in canonical order; nothing wall-clock
-    // based goes in here).
     let mut table = Table::new(&["scheme", "lock", "sim-throughput", "attempts/op"]);
-    let mut total_sim_ops = 0u64;
-    for (scheme, lock, r) in &outcome.results {
+    for (scheme, lock, r) in &results {
         table.row(vec![
             scheme.to_string(),
             lock.label().to_string(),
@@ -102,91 +58,6 @@ pub(super) fn run(run: &mut Run) {
             ],
             r,
         );
-        total_sim_ops += r.counters.completed();
     }
     run.table(&table, Some("perf_gate"));
-
-    // Simulated ops/sec: completed simulated operations per host second,
-    // over the *sum* of per-cell wall times so `--jobs` does not change
-    // the figure's meaning.
-    let total_wall_ms = total_wall(&outcome);
-    let ops_per_sec = total_sim_ops as f64 * 1000.0 / (total_wall_ms.max(1)) as f64;
-    eprintln!(
-        "\nsimulated ops/sec: {ops_per_sec:.0} ({total_sim_ops} ops over {total_wall_ms} ms, \
-         best of {} rep(s))",
-        run.gate.reps
-    );
-
-    let verdict = if run.gate.bless {
-        bless(&run.gate, &run.args, ops_per_sec)
-    } else if run.gate.no_gate {
-        eprintln!("baseline comparison skipped (--no-gate)");
-        Ok(())
-    } else {
-        compare(&run.gate, ops_per_sec)
-    };
-    if let Err(msg) = verdict {
-        run.fail(msg);
-    }
-}
-
-/// Write (or refresh) the tracked baseline, appending to its history.
-fn bless(gate: &GateArgs, args: &CliArgs, ops_per_sec: f64) -> Result<(), String> {
-    let mut history = match std::fs::read_to_string(&gate.baseline) {
-        Ok(text) => {
-            let doc = parse(&text).map_err(|e| format!("existing baseline must parse: {e}"))?;
-            doc.get("history").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-        }
-        Err(_) => Vec::new(),
-    };
-    history.push(Json::obj(vec![
-        ("label", Json::Str(gate.label.clone())),
-        ("ops_per_sec", Json::Float(ops_per_sec)),
-    ]));
-    let doc = Json::obj(vec![
-        ("schema_version", Json::Uint(SCHEMA_VERSION)),
-        ("kind", Json::Str("perf_baseline".to_string())),
-        ("binary", Json::Str("perf_gate".to_string())),
-        (
-            "config",
-            Json::obj(vec![
-                ("threads", Json::Uint(args.threads as u64)),
-                ("seeds", Json::Uint(args.seeds)),
-                ("quick", Json::Bool(args.quick)),
-                ("reps", Json::Uint(gate.reps as u64)),
-            ]),
-        ),
-        ("tolerance_frac", Json::Float(TOLERANCE_FRAC)),
-        ("ops_per_sec", Json::Float(ops_per_sec)),
-        ("history", Json::Arr(history)),
-    ]);
-    if let Some(dir) = gate.baseline.parent() {
-        std::fs::create_dir_all(dir).expect("creating baseline directory");
-    }
-    std::fs::write(&gate.baseline, doc.render()).expect("writing baseline");
-    eprintln!("blessed baseline {} at {ops_per_sec:.0} ops/sec", gate.baseline.display());
-    Ok(())
-}
-
-/// Compare against the tracked baseline; an error on a >25% drop.
-fn compare(gate: &GateArgs, ops_per_sec: f64) -> Result<(), String> {
-    let path = gate.baseline.display();
-    let text = std::fs::read_to_string(&gate.baseline)
-        .map_err(|e| format!("no baseline at {path} ({e}); run with --bless to create one"))?;
-    let doc = parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e}"))?;
-    let blessed = match doc.get("ops_per_sec") {
-        Some(Json::Float(x)) => *x,
-        Some(Json::Uint(x)) => *x as f64,
-        _ => return Err("baseline lacks an ops_per_sec figure".to_string()),
-    };
-    let ratio = ops_per_sec / blessed.max(f64::MIN_POSITIVE);
-    eprintln!("baseline: {blessed:.0} ops/sec -> ratio {ratio:.2}x (gate at {TOLERANCE_FRAC}x)");
-    if ratio < TOLERANCE_FRAC {
-        return Err(format!(
-            "PERF GATE FAILED: {ops_per_sec:.0} ops/sec is below {TOLERANCE_FRAC}x the \
-             blessed {blessed:.0}; investigate, or --bless a new baseline if intentional"
-        ));
-    }
-    eprintln!("perf gate passed");
-    Ok(())
 }

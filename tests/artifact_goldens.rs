@@ -101,25 +101,7 @@ fn fig2_quick_artifacts_match_pre_rewrite_goldens() {
 fn perf_gate_metrics_match_pre_rewrite_goldens() {
     let scratch = Scratch::new("perf_gate");
     let dir = scratch.0.to_str().expect("utf-8 scratch path");
-    // --baseline into the scratch dir and --bless so the run never fails
-    // on (or writes to) the tracked baseline: only the deterministic
-    // metrics file matters here.
-    let baseline = scratch.0.join("baseline.json");
-    repro(&[
-        "perf_gate",
-        "--quick",
-        "--seeds",
-        "1",
-        "--jobs",
-        "2",
-        "--metrics",
-        dir,
-        "--reps",
-        "1",
-        "--bless",
-        "--baseline",
-        baseline.to_str().expect("utf-8 baseline path"),
-    ]);
+    repro(&["perf_gate", "--quick", "--seeds", "1", "--jobs", "2", "--metrics", dir]);
     assert_golden(&scratch.0, "BENCH_SIM_HOTPATH.json", GOLDEN_PERF_GATE_JSON);
 }
 
@@ -147,7 +129,7 @@ fn summary_of_all_matches_pre_driver_golden() {
     let scratch = Scratch::new("summary");
     let dir = scratch.0.to_str().expect("utf-8 scratch path");
     let quick = ["--quick", "--seeds", "1", "--jobs", "2", "--metrics", dir];
-    repro(&[&["all"], &quick[..], &["--no-gate", "--reps", "1"]].concat());
+    repro(&[&["all"], &quick[..]].concat());
     let aside = Scratch::new("summary_aside");
     for name in ["MODELCHECK.json", "LAZY_SAFETY.json"] {
         std::fs::rename(scratch.0.join(name), aside.0.join(name)).expect("moving report aside");

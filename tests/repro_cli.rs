@@ -2,7 +2,7 @@
 //! runs, a run writes exactly its registered artifact names, and
 //! `repro summary` merges them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn repro(args: &[&str]) -> Output {
@@ -17,15 +17,18 @@ fn failure(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn usage_errors_exit_2_and_name_the_problem() {
-    let cases: [(&[&str], &[&str]); 8] = [
+    let cases: [(&[&str], &[&str]); 11] = [
         (&["no_such_figure"], &["unknown experiment no_such_figure", "fig2_lemming"]),
         (&[], &["name an experiment"]),
         (&["fig2_lemming", "--seeds", "many"], &["--seeds"]),
         (&["fig2_lemming", "--window", "16"], &["unknown flag --window"]),
-        (&["perf_gate", "--reps", "0"], &["--reps"]),
         (&["fig3_dynamics", "--chaos", "storm"], &["--chaos storm", "fig3_dynamics"]),
         (&["all", "--quick", "--chaos", "storm"], &["--chaos storm", "fig3_dynamics"]),
-        (&["fig2_lemming", "--bless"], &["--bless", "perf_gate"]),
+        (&["perf_gate", "--bless"], &["unknown flag --bless"]),
+        (&["perf_gate", "--no-gate"], &["unknown flag --no-gate"]),
+        (&["perf_gate", "--reps", "1"], &["unknown flag --reps"]),
+        (&["perf_gate", "--label", "x"], &["unknown flag --label"]),
+        (&["perf_gate", "--baseline", "b.json"], &["unknown flag --baseline"]),
     ];
     for (args, needles) in cases {
         let (code, stderr) = failure(args);
@@ -65,5 +68,28 @@ fn a_run_writes_its_registered_artifacts_and_summarizes() {
     let summary = std::fs::read_to_string(dir.join("BENCH_SUMMARY.json")).expect("summary");
     assert!(summary.contains("\"binary\": \"ablation_finegrained\""), "{summary}");
     assert!(listing().contains(&"TIMING_SUMMARY.json".to_string()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The README's recipe — write reports into `results/`, then `repro
+/// summary results` — works on a clean checkout: every JSON file the
+/// repository ships under `results/` is one the summary can merge.
+#[test]
+fn summary_merges_a_run_into_the_committed_results() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("repro_results_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("creating temp dir");
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for entry in std::fs::read_dir(&committed).expect("committed results/") {
+        let path = entry.expect("dir entry").path();
+        if path.is_file() {
+            std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+        }
+    }
+    let d = dir.to_str().expect("utf-8 temp dir");
+    let run = ["ablation_finegrained", "--quick", "--threads", "2", "--jobs", "2", "--metrics", d];
+    assert!(repro(&run).status.success());
+    let out = repro(&["summary", d]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let _ = std::fs::remove_dir_all(&dir);
 }
