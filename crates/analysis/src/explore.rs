@@ -207,44 +207,19 @@ fn exhaustive_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize
     out
 }
 
-/// Per-step footprint normalized to sorted unique `(line, write)` pairs
-/// with the write flag OR-ed per line.
-fn footprints(steps: &[StepRecord]) -> Vec<Vec<(u32, bool)>> {
-    steps
-        .iter()
-        .map(|s| {
-            let mut map: BTreeMap<u32, bool> = BTreeMap::new();
-            for a in &s.accesses {
-                *map.entry(a.line).or_insert(false) |= a.write;
-            }
-            map.into_iter().collect()
-        })
-        .collect()
-}
-
-/// Two footprints conflict when they share a line at least one side
-/// writes. Empty footprints (pure computation segments) conflict with
-/// nothing — that independence is DPOR's whole lever.
-fn conflicting(a: &[(u32, bool)], b: &[(u32, bool)]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                if a[i].1 || b[j].1 {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    false
-}
-
 /// Race-reversal children: one alternative prefix per reversible racing
-/// pair of the executed trace.
+/// pair of the executed trace, found in one forward pass.
+///
+/// Two tables hold, per line and per thread, that thread's last write and
+/// last access of the line. A step that writes a line depends on every
+/// earlier access to it, and a step that only reads it on every earlier
+/// write; per thread, the latest such step is the table entry, and the
+/// earlier ones are ordered before it by program order. So each table
+/// entry is also the peer's race frontier on that line, and joining the
+/// entries' clocks and the step's own previous one gives exactly the
+/// happens-before clock a join over every dependent earlier step would.
+/// The pass costs O(lines touched × threads²) per step, plus the
+/// reversibility check and the child per race.
 fn dpor_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
     let n = choices.len();
     let threads = steps
@@ -253,41 +228,80 @@ fn dpor_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
         .max()
         .map_or(0, |t| t + 1)
         .max(choices.iter().copied().max().map_or(0, |t| t + 1));
-    let fp = footprints(steps);
-
-    // clocks[i][t] = 1 + the largest step index of thread t that
-    // happens-before step i (0 when none), over the dependence relation
-    // (same thread, or conflicting footprints). hb(j, i) for j < i is
-    // then `clocks[i][choices[j]] > j`.
-    let mut clocks: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut c = vec![0usize; threads];
-        for j in 0..i {
-            if choices[j] == choices[i] || conflicting(&fp[j], &fp[i]) {
-                for (ct, &jt) in c.iter_mut().zip(&clocks[j]) {
-                    *ct = (*ct).max(jt);
-                }
-                c[choices[j]] = c[choices[j]].max(j + 1);
-            }
-        }
-        clocks.push(c);
-    }
-    let hb = |j: usize, i: usize| clocks[i][choices[j]] > j;
+    let lines =
+        steps.iter().flat_map(|s| &s.accesses).map(|a| a.line as usize + 1).max().unwrap_or(0);
+    // Table entries and clocks hold a step index plus one, so 0 is "none".
+    let mut last_write = vec![0usize; lines * threads];
+    let mut last_access = last_write.clone();
+    let mut last_step = vec![0usize; threads];
+    // clocks[i * threads + t] = 1 + the largest step index of thread t
+    // that happens-before step i (0 when none), over the dependence
+    // relation (same thread, or conflicting footprints). hb(j, i) for
+    // j < i is then `clocks[i * threads + choices[j]] > j`.
+    let mut clocks = vec![0usize; n * threads];
+    let mut footprint: Vec<(u32, bool)> = Vec::new();
+    let mut frontier = vec![0usize; threads];
+    let mut races: Vec<usize> = Vec::new();
 
     let mut out = Vec::new();
-    for i in 0..n {
+    for (i, step) in steps.iter().enumerate() {
+        let me = choices[i];
+        // The footprint as sorted unique lines, written if any access was.
+        footprint.clear();
+        footprint.extend(step.accesses.iter().map(|a| (a.line, a.write)));
+        footprint.sort_unstable();
+        footprint.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            kept.1 |= same && later.1;
+            same
+        });
+
+        let (earlier, rest) = clocks.split_at_mut(i * threads);
+        let clock = &mut rest[..threads];
+        let mut join = |j1: usize| {
+            let j = j1 - 1;
+            for (ct, &jt) in clock.iter_mut().zip(&earlier[j * threads..(j + 1) * threads]) {
+                *ct = (*ct).max(jt);
+            }
+            clock[choices[j]] = clock[choices[j]].max(j1);
+        };
+        if last_step[me] > 0 {
+            join(last_step[me]);
+        }
+        frontier.fill(0);
+        for &(line, write) in &footprint {
+            let row = line as usize * threads;
+            let table = if write { &last_access } else { &last_write };
+            for (p, &j1) in table[row..row + threads].iter().enumerate() {
+                if j1 > 0 {
+                    join(j1);
+                    frontier[p] = frontier[p].max(j1);
+                }
+            }
+        }
+        last_step[me] = i + 1;
+        for &(line, write) in &footprint {
+            let at = line as usize * threads + me;
+            last_access[at] = i + 1;
+            if write {
+                last_write[at] = i + 1;
+            }
+        }
+
         // For each peer thread, only its *last* conflicting step before i
         // forms the race frontier; earlier ones are ordered through it.
-        let mut seen = vec![false; threads];
-        for j in (0..i).rev() {
-            let p = choices[j];
-            if p == choices[i] || seen[p] {
-                continue;
-            }
-            if !conflicting(&fp[j], &fp[i]) {
-                continue;
-            }
-            seen[p] = true;
+        // Candidates go out latest first.
+        races.clear();
+        races.extend(
+            frontier
+                .iter()
+                .enumerate()
+                .filter(|&(p, &j1)| p != me && j1 > 0)
+                .map(|(_, &j1)| j1 - 1),
+        );
+        races.sort_unstable_by(|a, b| b.cmp(a));
+        let hb = |j: usize, k: usize| clocks[k * threads + choices[j]] > j;
+        for &j in &races {
             // The race is reversible only when nothing in between is
             // ordered after j and before i (otherwise reversing that
             // intermediate race subsumes this one).
@@ -302,7 +316,7 @@ fn dpor_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
                     child.push(ck);
                 }
             }
-            child.push(choices[i]);
+            child.push(me);
             out.push(child);
         }
     }
@@ -703,23 +717,27 @@ mod tests {
         (control.steps(), ())
     }
 
-    /// Two threads racing on one word (plus an independent work segment
-    /// each): every interleaving contains the same data race.
-    fn racy_runner(overrides: &BTreeMap<usize, usize>) -> (Vec<StepRecord>, Vec<Finding>) {
+    /// `threads` threads racing on one word (plus an independent work
+    /// segment each): even threads store it, odd threads load it, so
+    /// every interleaving contains the same data race.
+    fn racy_runner_n(
+        threads: usize,
+        overrides: &BTreeMap<usize, usize>,
+    ) -> (Vec<StepRecord>, Vec<Finding>) {
         let mut b = MemoryBuilder::new();
         b.enable_sanitizer();
         let x = b.alloc_isolated(0);
-        let mem = Arc::new(b.freeze(2));
-        let control = Arc::new(ScheduleControl::new(2, overrides.clone()));
+        let mem = Arc::new(b.freeze(threads));
+        let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
         harness::run_arc_controlled(
-            2,
+            threads,
             HtmConfig::deterministic(),
             1,
             Arc::clone(&control),
             Arc::clone(&mem),
             move |s| {
                 s.work(1).expect("non-transactional work");
-                if s.tid() == 0 {
+                if s.tid() % 2 == 0 {
                     s.store(x, 1).expect("plain store");
                 } else {
                     s.load(x).expect("plain load");
@@ -727,8 +745,12 @@ mod tests {
             },
         );
         let san = mem.san_log().expect("sanitizer enabled above");
-        let findings = detect_races(&race_cfg(&mem, 2), &san.snapshot());
+        let findings = detect_races(&race_cfg(&mem, threads), &san.snapshot());
         (control.steps(), findings)
+    }
+
+    fn racy_runner(overrides: &BTreeMap<usize, usize>) -> (Vec<StepRecord>, Vec<Finding>) {
+        racy_runner_n(2, overrides)
     }
 
     fn unbounded() -> Bounds {
@@ -749,25 +771,32 @@ mod tests {
 
     #[test]
     fn dpor_explores_no_more_than_exhaustive_with_same_findings() {
-        let collect = |mode| {
-            let mut lints: HashSet<LintId> = HashSet::new();
-            let stats = explore(mode, &unbounded(), racy_runner, |_, _, findings| {
-                lints.extend(findings.iter().map(|f| f.lint));
-            });
-            (stats, lints)
-        };
-        let (ex_stats, ex_lints) = collect(Mode::Exhaustive);
-        let (dp_stats, dp_lints) = collect(Mode::Dpor);
-        assert_eq!(ex_stats.executions, 6, "same toy shape as above");
-        assert!(
-            dp_stats.executions <= ex_stats.executions,
-            "DPOR ({}) must not exceed exhaustive ({})",
-            dp_stats.executions,
-            ex_stats.executions
-        );
-        assert!(dp_stats.executions < ex_stats.executions, "independent segments must prune");
-        assert_eq!(ex_lints, dp_lints, "reduction must preserve findings");
-        assert!(dp_lints.contains(&LintId::DataRace));
+        // Two segments per thread: (2t)! / 2^t interleavings.
+        for (threads, interleavings) in [(2, 6), (3, 90)] {
+            let collect = |mode| {
+                let mut lints: HashSet<LintId> = HashSet::new();
+                let runner = |ov: &BTreeMap<usize, usize>| racy_runner_n(threads, ov);
+                let stats = explore(mode, &unbounded(), runner, |_, _, findings| {
+                    lints.extend(findings.iter().map(|f| f.lint));
+                });
+                (stats, lints)
+            };
+            let (ex_stats, ex_lints) = collect(Mode::Exhaustive);
+            let (dp_stats, dp_lints) = collect(Mode::Dpor);
+            assert_eq!(ex_stats.executions, interleavings, "{threads} threads x 2 segments");
+            assert!(
+                dp_stats.executions <= ex_stats.executions,
+                "{threads} threads: DPOR ({}) must not exceed exhaustive ({})",
+                dp_stats.executions,
+                ex_stats.executions
+            );
+            assert!(
+                dp_stats.executions < ex_stats.executions,
+                "{threads} threads: independent segments must prune"
+            );
+            assert_eq!(ex_lints, dp_lints, "{threads} threads: reduction must preserve findings");
+            assert!(dp_lints.contains(&LintId::DataRace));
+        }
     }
 
     #[test]
@@ -970,5 +999,176 @@ mod tests {
             "correct HLE cell must verify clean: {:#?}",
             report.findings
         );
+    }
+
+    /// Per-step footprint normalized to sorted unique `(line, write)` pairs
+    /// with the write flag OR-ed per line.
+    fn footprints(steps: &[StepRecord]) -> Vec<Vec<(u32, bool)>> {
+        steps
+            .iter()
+            .map(|s| {
+                let mut map: BTreeMap<u32, bool> = BTreeMap::new();
+                for a in &s.accesses {
+                    *map.entry(a.line).or_insert(false) |= a.write;
+                }
+                map.into_iter().collect()
+            })
+            .collect()
+    }
+
+    /// Two footprints conflict when they share a line at least one side
+    /// writes.
+    fn conflicting(a: &[(u32, bool)], b: &[(u32, bool)]) -> bool {
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    if a[i].1 || b[j].1 {
+                        return true;
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        false
+    }
+
+    /// The reference for [`dpor_children`]: the same race-reversal rule
+    /// by comparing every pair of steps, O(n²) per execution.
+    fn reference_dpor_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
+        let n = choices.len();
+        let threads = steps
+            .iter()
+            .flat_map(|s| s.enabled.iter().copied())
+            .max()
+            .map_or(0, |t| t + 1)
+            .max(choices.iter().copied().max().map_or(0, |t| t + 1));
+        let fp = footprints(steps);
+
+        let mut clocks: Vec<Vec<usize>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut c = vec![0usize; threads];
+            for j in 0..i {
+                if choices[j] == choices[i] || conflicting(&fp[j], &fp[i]) {
+                    for (ct, &jt) in c.iter_mut().zip(&clocks[j]) {
+                        *ct = (*ct).max(jt);
+                    }
+                    c[choices[j]] = c[choices[j]].max(j + 1);
+                }
+            }
+            clocks.push(c);
+        }
+        let hb = |j: usize, i: usize| clocks[i][choices[j]] > j;
+
+        let mut out = Vec::new();
+        for i in 0..n {
+            let mut seen = vec![false; threads];
+            for j in (0..i).rev() {
+                let p = choices[j];
+                if p == choices[i] || seen[p] {
+                    continue;
+                }
+                if !conflicting(&fp[j], &fp[i]) {
+                    continue;
+                }
+                seen[p] = true;
+                if ((j + 1)..i).any(|k| hb(j, k) && hb(k, i)) {
+                    continue;
+                }
+                let mut child = choices[..j].to_vec();
+                for (k, &ck) in choices.iter().enumerate().take(i).skip(j + 1) {
+                    if !hb(j, k) {
+                        child.push(ck);
+                    }
+                }
+                child.push(choices[i]);
+                out.push(child);
+            }
+        }
+        out
+    }
+
+    /// A synthetic trace: step `i` runs thread `trace[i].0` and touches
+    /// the `(line, write)` accesses `trace[i].1`; every thread stays
+    /// enabled.
+    fn synthetic_steps(threads: usize, trace: &[(usize, Vec<(u32, bool)>)]) -> Vec<StepRecord> {
+        trace
+            .iter()
+            .enumerate()
+            .map(|(i, (t, accesses))| StepRecord {
+                chosen: *t,
+                default: *t,
+                enabled: (0..threads).collect(),
+                clock: i as u64,
+                accesses: accesses
+                    .iter()
+                    .map(|&(line, write)| elision_sim::StepAccess { line, write })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    fn both_children(steps: &[StepRecord]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
+        (dpor_children(steps, &choices), reference_dpor_children(steps, &choices))
+    }
+
+    #[test]
+    fn one_pass_children_match_reference_on_edge_traces() {
+        let (r, w) = (false, true);
+        // Pure computation: nothing conflicts, nothing to reverse.
+        let empty = synthetic_steps(3, &[(0, vec![]), (1, vec![]), (2, vec![]), (0, vec![])]);
+        assert_eq!(both_children(&empty), (vec![], vec![]));
+        // One step both reads and writes a line: it conflicts with a
+        // later plain read as a write would.
+        let rmw = synthetic_steps(2, &[(0, vec![(0, r), (0, w)]), (1, vec![(0, r)])]);
+        assert_eq!(both_children(&rmw), (vec![vec![1]], vec![vec![1]]));
+        // Runs of reads between writes, by three threads.
+        let reads = synthetic_steps(
+            3,
+            &[
+                (0, vec![(0, w)]),
+                (1, vec![(0, r)]),
+                (2, vec![(0, r)]),
+                (1, vec![(0, r), (1, w)]),
+                (0, vec![(0, w)]),
+                (2, vec![(0, r)]),
+                (1, vec![(0, r)]),
+                (2, vec![(0, w), (1, r)]),
+            ],
+        );
+        let (one_pass, reference) = both_children(&reads);
+        assert!(!reference.is_empty());
+        assert_eq!(one_pass, reference);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Random 2–4-thread traces over 1–6 lines, one in four accesses
+        /// a write (so reads come in runs between writes), steps with no
+        /// access and steps that read and write one line included: the
+        /// one-pass children equal the pairwise scan's, in order.
+        #[test]
+        fn one_pass_children_match_quadratic_reference(
+            threads in 2usize..5,
+            lines in 1u32..7,
+            raw in proptest::collection::vec(
+                (0usize..4, proptest::collection::vec((0u32..6, 0u8..4), 0..4)),
+                1..61,
+            ),
+        ) {
+            let trace: Vec<(usize, Vec<(u32, bool)>)> = raw
+                .iter()
+                .map(|(t, acc)| {
+                    (t % threads, acc.iter().map(|&(l, w)| (l % lines, w == 0)).collect())
+                })
+                .collect();
+            let (one_pass, reference) = both_children(&synthetic_steps(threads, &trace));
+            proptest::prop_assert_eq!(one_pass, reference);
+        }
     }
 }

@@ -65,10 +65,10 @@ struct CtlInner {
 
 /// Serializes a simulated run and records/replays its schedule.
 ///
-/// Construct one per run, hand it to
-/// [`crate::SimBuilder::control`], and read back [`ScheduleControl::steps`]
-/// after the run completes. Overrides index into the decision sequence; an
-/// override whose target thread has already finished (or whose index is
+/// Construct one per run, hand it to [`crate::SimBuilder::control`], and
+/// move the recorded schedule out with [`ScheduleControl::steps`] after the
+/// run completes. Overrides index into the decision sequence; an override
+/// whose target thread has already finished (or whose index is
 /// never reached) is silently ignored, which keeps schedule minimization
 /// robust when dropping earlier forced choices shortens the run.
 pub struct ScheduleControl {
@@ -205,10 +205,12 @@ impl ScheduleControl {
         self.inner.lock().steps.len()
     }
 
-    /// The recorded schedule (one entry per decision point).
+    /// Move the recorded schedule (one entry per decision point) out of
+    /// the control. Call it once, after the run: the control keeps no
+    /// copy, so a later call returns what was recorded since.
     #[must_use]
     pub fn steps(&self) -> Vec<StepRecord> {
-        self.inner.lock().steps.clone()
+        std::mem::take(&mut self.inner.lock().steps)
     }
 
     /// How many decisions differed from the window-0 default choice.

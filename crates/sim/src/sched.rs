@@ -146,8 +146,11 @@ impl Scheduler {
     /// feeds the default min-clock choice and the final makespan), but the
     /// control decides who holds the baton.
     ///
-    /// Each simulated thread of such a scheduler runs on its own OS thread
-    /// and parks until it holds the baton.
+    /// Used as is, each simulated thread runs on its own OS thread and
+    /// parks until it holds the baton. The crate's `Scheduler::with_fibers`
+    /// builds on it to run the threads as fibers on the calling thread
+    /// instead, which is what [`crate::SimBuilder::run`] does for
+    /// controlled runs on x86_64 Linux.
     pub fn with_control(threads: usize, control: Arc<ScheduleControl>) -> Self {
         assert_eq!(control.threads(), threads, "control sized for a different thread count");
         let mut s = Self::with_faults(threads, 0, FaultPlan::none());
