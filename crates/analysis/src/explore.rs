@@ -3,8 +3,9 @@
 //!
 //! The sampling passes in [`crate::driver`] check *one* schedule per
 //! cell. This module instead drives [`elision_sim::ScheduleControl`]
-//! through *every* interleaving of a small configuration (2–4 threads,
-//! a handful of critical sections), replaying each schedule
+//! through the interleavings of a small configuration (2–4 threads, a
+//! handful of critical sections), up to the [`Bounds`] on executions,
+//! runs, steps and divergences, replaying each schedule
 //! deterministically and feeding each execution through the full
 //! sanitizer pipeline (races, opacity, lock lints, residual bits) plus
 //! the [`crate::linearize`] history oracle.
@@ -28,14 +29,15 @@
 //!   against).
 //! * [`Mode::Dpor`] — dynamic partial-order reduction: two scheduling
 //!   steps are *dependent* when they touch a common cache line with at
-//!   least one write (the [`StepRecord::accesses`] footprints the
-//!   instrumented stack reports) or belong to the same thread. For each
-//!   executed trace, each racing pair `(j, i)` of dependent steps of
-//!   different threads generates one child prefix that runs `i`'s thread
-//!   up to the race *before* `j` — the standard race-reversal rule. Steps
-//!   with disjoint footprints never generate children, which is where the
-//!   (often exponential) savings come from; a visited-prefix set makes
-//!   the redundancy of over-approximate reversal harmless.
+//!   least one write (the footprints the instrumented stack reports,
+//!   read back with [`Schedule::accesses`]) or belong to the same
+//!   thread. For each executed trace, each racing pair `(j, i)` of
+//!   dependent steps of different threads generates one child prefix
+//!   that runs `i`'s thread up to the race *before* `j` — the standard
+//!   race-reversal rule. Steps with disjoint footprints never generate
+//!   children, which is where the (often exponential) savings come from;
+//!   a visited-prefix set makes the redundancy of over-approximate
+//!   reversal harmless.
 //!
 //! The context-switch bound in [`Bounds::divergence`] limits how many
 //! decisions may differ from the default rule before an execution stops
@@ -60,7 +62,7 @@ use crate::testkit::race_cfg;
 use crate::{AccessSite, Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, MemoryBuilder, Strand};
-use elision_sim::{GlobalTrace, ScheduleControl, StepRecord};
+use elision_sim::{GlobalTrace, Schedule, ScheduleControl};
 use elision_structures::{
     HashTable, HistoryRecorder, OpAction, OpRecord, OpResponse, RbTree, SeqModel, SimQueue,
     SortedList, StructureKind,
@@ -140,8 +142,8 @@ pub struct ExploreStats {
 pub fn explore<T>(
     mode: Mode,
     bounds: &Bounds,
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (Vec<StepRecord>, T),
-    mut on_exec: impl FnMut(&[StepRecord], &BTreeMap<usize, usize>, T),
+    runner: impl Fn(&BTreeMap<usize, usize>) -> (Schedule, T),
+    mut on_exec: impl FnMut(&Schedule, &BTreeMap<usize, usize>, T),
 ) -> ExploreStats {
     let mut stats = ExploreStats::default();
     let mut queued: HashSet<Vec<usize>> = HashSet::new();
@@ -193,10 +195,10 @@ pub fn explore<T>(
 }
 
 /// Every alternative enabled choice at every decision point.
-fn exhaustive_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
+fn exhaustive_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     for (i, step) in steps.iter().enumerate() {
-        for &t in &step.enabled {
+        for t in step.enabled_threads() {
             if t != choices[i] {
                 let mut child = choices[..i].to_vec();
                 child.push(t);
@@ -220,16 +222,16 @@ fn exhaustive_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize
 /// happens-before clock a join over every dependent earlier step would.
 /// The pass costs O(lines touched × threads²) per step, plus the
 /// reversibility check and the child per race.
-fn dpor_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
+fn dpor_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
     let n = choices.len();
     let threads = steps
         .iter()
-        .flat_map(|s| s.enabled.iter().copied())
+        .map(|s| (u64::BITS - s.enabled.leading_zeros()) as usize)
         .max()
-        .map_or(0, |t| t + 1)
+        .unwrap_or(0)
         .max(choices.iter().copied().max().map_or(0, |t| t + 1));
     let lines =
-        steps.iter().flat_map(|s| &s.accesses).map(|a| a.line as usize + 1).max().unwrap_or(0);
+        (0..n).flat_map(|i| steps.accesses(i)).map(|a| a.line as usize + 1).max().unwrap_or(0);
     // Table entries and clocks hold a step index plus one, so 0 is "none".
     let mut last_write = vec![0usize; lines * threads];
     let mut last_access = last_write.clone();
@@ -244,11 +246,11 @@ fn dpor_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
     let mut races: Vec<usize> = Vec::new();
 
     let mut out = Vec::new();
-    for (i, step) in steps.iter().enumerate() {
+    for i in 0..n {
         let me = choices[i];
         // The footprint as sorted unique lines, written if any access was.
         footprint.clear();
-        footprint.extend(step.accesses.iter().map(|a| (a.line, a.write)));
+        footprint.extend(steps.accesses(i).iter().map(|a| (a.line, a.write)));
         footprint.sort_unstable();
         footprint.dedup_by(|later, kept| {
             let same = later.0 == kept.0;
@@ -344,11 +346,11 @@ pub struct ExploreFinding {
 /// minimized overrides, the schedule they produce, and the surviving
 /// finding.
 pub fn minimize(
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (Vec<StepRecord>, Vec<Finding>),
+    runner: impl Fn(&BTreeMap<usize, usize>) -> (Schedule, Vec<Finding>),
     forced: &BTreeMap<usize, usize>,
     lint: LintId,
-) -> Option<(BTreeMap<usize, usize>, Vec<StepRecord>, Finding)> {
-    let reproduces = |f: &BTreeMap<usize, usize>| -> Option<(Vec<StepRecord>, Finding)> {
+) -> Option<(BTreeMap<usize, usize>, Schedule, Finding)> {
+    let reproduces = |f: &BTreeMap<usize, usize>| -> Option<(Schedule, Finding)> {
         let (steps, findings) = runner(f);
         findings.into_iter().find(|x| x.lint == lint).map(|x| (steps, x))
     };
@@ -398,7 +400,7 @@ pub fn minimize(
 /// `step  12: t1* [rL3 wL5] (default t0) <- forced`, where `*` marks a
 /// decision differing from the default rule. Long schedules elide their
 /// middle.
-pub fn render_diagram(steps: &[StepRecord], forced: &BTreeMap<usize, usize>) -> Vec<String> {
+pub fn render_diagram(steps: &Schedule, forced: &BTreeMap<usize, usize>) -> Vec<String> {
     const MAX_LINES: usize = 60;
     const HEAD: usize = 40;
     let mut lines: Vec<String> = steps
@@ -406,8 +408,8 @@ pub fn render_diagram(steps: &[StepRecord], forced: &BTreeMap<usize, usize>) -> 
         .enumerate()
         .map(|(i, s)| {
             let mark = if s.chosen != s.default { "*" } else { " " };
-            let accesses = s
-                .accesses
+            let accesses = steps
+                .accesses(i)
                 .iter()
                 .map(|a| format!("{}L{}", if a.write { "w" } else { "r" }, a.line))
                 .collect::<Vec<_>>()
@@ -432,7 +434,7 @@ pub fn render_diagram(steps: &[StepRecord], forced: &BTreeMap<usize, usize>) -> 
 pub fn explore_and_minimize(
     mode: Mode,
     bounds: &Bounds,
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (Vec<StepRecord>, Vec<Finding>),
+    runner: impl Fn(&BTreeMap<usize, usize>) -> (Schedule, Vec<Finding>),
 ) -> (ExploreStats, Vec<ExploreFinding>) {
     let mut witnesses: Vec<(LintId, BTreeMap<usize, usize>)> = Vec::new();
     let mut seen: HashSet<LintId> = HashSet::new();
@@ -589,7 +591,7 @@ fn apply_action(
 fn run_cell_once(
     spec: &ExploreSpec,
     overrides: &BTreeMap<usize, usize>,
-) -> (Vec<StepRecord>, Vec<Finding>) {
+) -> (Schedule, Vec<Finding>) {
     assert!(
         spec.scheme != SchemeKind::NoLock && spec.scheme != SchemeKind::GroupedScm,
         "{:?} is not explorable: see SchemeConfig::explore()",
@@ -675,9 +677,10 @@ fn run_cell_once(
     (control.steps(), findings)
 }
 
-/// Model-check one scheme × lock × structure cell: explore all
-/// interleavings within the spec's bounds, run every execution through
-/// the full analysis pipeline, and minimize whatever fails.
+/// Model-check one scheme × lock × structure cell: explore its
+/// interleavings up to the spec's bounds (a bounded search, reported as
+/// truncated when a bound cuts it short), run every execution through the
+/// full analysis pipeline, and minimize whatever fails.
 pub fn explore_cell(spec: &ExploreSpec) -> CellReport {
     let (stats, findings) =
         explore_and_minimize(spec.mode, &spec.bounds, |ov| run_cell_once(spec, ov));
@@ -699,7 +702,7 @@ mod tests {
 
     /// Two threads, two pure-computation segments each: C(4,2) = 6
     /// interleavings, matching the hand-computed count.
-    fn toy_runner(overrides: &BTreeMap<usize, usize>) -> (Vec<StepRecord>, ()) {
+    fn toy_runner(overrides: &BTreeMap<usize, usize>) -> (Schedule, ()) {
         let b = MemoryBuilder::new();
         let mem = Arc::new(b.freeze(2));
         let control = Arc::new(ScheduleControl::new(2, overrides.clone()));
@@ -723,7 +726,7 @@ mod tests {
     fn racy_runner_n(
         threads: usize,
         overrides: &BTreeMap<usize, usize>,
-    ) -> (Vec<StepRecord>, Vec<Finding>) {
+    ) -> (Schedule, Vec<Finding>) {
         let mut b = MemoryBuilder::new();
         b.enable_sanitizer();
         let x = b.alloc_isolated(0);
@@ -749,7 +752,7 @@ mod tests {
         (control.steps(), findings)
     }
 
-    fn racy_runner(overrides: &BTreeMap<usize, usize>) -> (Vec<StepRecord>, Vec<Finding>) {
+    fn racy_runner(overrides: &BTreeMap<usize, usize>) -> (Schedule, Vec<Finding>) {
         racy_runner_n(2, overrides)
     }
 
@@ -972,15 +975,10 @@ mod tests {
 
     #[test]
     fn diagram_marks_divergences_and_elides_long_schedules() {
-        let steps: Vec<StepRecord> = (0..100)
-            .map(|i| StepRecord {
-                chosen: i % 2,
-                default: 0,
-                enabled: vec![0, 1],
-                clock: i as u64,
-                accesses: Vec::new(),
-            })
-            .collect();
+        let mut steps = Schedule::default();
+        for i in 0..100 {
+            steps.push_step(i % 2, 0, 0b11);
+        }
         let forced: BTreeMap<usize, usize> = [(1usize, 1usize)].into_iter().collect();
         let lines = render_diagram(&steps, &forced);
         assert!(lines.len() <= 60, "diagram must stay readable: {}", lines.len());
@@ -1003,12 +1001,11 @@ mod tests {
 
     /// Per-step footprint normalized to sorted unique `(line, write)` pairs
     /// with the write flag OR-ed per line.
-    fn footprints(steps: &[StepRecord]) -> Vec<Vec<(u32, bool)>> {
-        steps
-            .iter()
-            .map(|s| {
+    fn footprints(steps: &Schedule) -> Vec<Vec<(u32, bool)>> {
+        (0..steps.len())
+            .map(|i| {
                 let mut map: BTreeMap<u32, bool> = BTreeMap::new();
-                for a in &s.accesses {
+                for a in steps.accesses(i) {
                     *map.entry(a.line).or_insert(false) |= a.write;
                 }
                 map.into_iter().collect()
@@ -1038,11 +1035,11 @@ mod tests {
 
     /// The reference for [`dpor_children`]: the same race-reversal rule
     /// by comparing every pair of steps, O(n²) per execution.
-    fn reference_dpor_children(steps: &[StepRecord], choices: &[usize]) -> Vec<Vec<usize>> {
+    fn reference_dpor_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
         let n = choices.len();
         let threads = steps
             .iter()
-            .flat_map(|s| s.enabled.iter().copied())
+            .flat_map(|s| s.enabled_threads())
             .max()
             .map_or(0, |t| t + 1)
             .max(choices.iter().copied().max().map_or(0, |t| t + 1));
@@ -1094,24 +1091,18 @@ mod tests {
     /// A synthetic trace: step `i` runs thread `trace[i].0` and touches
     /// the `(line, write)` accesses `trace[i].1`; every thread stays
     /// enabled.
-    fn synthetic_steps(threads: usize, trace: &[(usize, Vec<(u32, bool)>)]) -> Vec<StepRecord> {
-        trace
-            .iter()
-            .enumerate()
-            .map(|(i, (t, accesses))| StepRecord {
-                chosen: *t,
-                default: *t,
-                enabled: (0..threads).collect(),
-                clock: i as u64,
-                accesses: accesses
-                    .iter()
-                    .map(|&(line, write)| elision_sim::StepAccess { line, write })
-                    .collect(),
-            })
-            .collect()
+    fn synthetic_steps(threads: usize, trace: &[(usize, Vec<(u32, bool)>)]) -> Schedule {
+        let mut steps = Schedule::default();
+        for (t, accesses) in trace {
+            steps.push_step(*t, *t, (1 << threads) - 1);
+            for &(line, write) in accesses {
+                steps.push_access(elision_sim::StepAccess { line, write });
+            }
+        }
+        steps
     }
 
-    fn both_children(steps: &[StepRecord]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    fn both_children(steps: &Schedule) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
         let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
         (dpor_children(steps, &choices), reference_dpor_children(steps, &choices))
     }

@@ -26,9 +26,10 @@
 //! tests).
 //!
 //! On top of the sampling passes, [`explore`] turns the sanitizer into a
-//! bounded *model checker*: it drives the controlled scheduler through all
-//! interleavings of small configurations (with dynamic partial-order
-//! reduction), runs every execution through the passes above plus the
+//! bounded *model checker*: it drives the controlled scheduler through the
+//! interleavings of small configurations, up to bounds on executions,
+//! runs, steps and preemptions (with dynamic partial-order reduction),
+//! runs every execution through the passes above plus the
 //! [`linearize`] history oracle, and minimizes any failing schedule into a
 //! counterexample small enough to read.
 

@@ -71,8 +71,9 @@ fn join(into: &mut Vc, other: &Vc) {
 struct VarState {
     /// Last write: `(tid, writer clock, site)`.
     last_write: Option<(usize, u64, AccessSite)>,
-    /// Reads since the last write: `tid -> (reader clock, site)`.
-    reads: HashMap<usize, (u64, AccessSite)>,
+    /// Reads since the last write, at most one per thread (its latest),
+    /// in thread-id order: `(tid, reader clock, site)`.
+    reads: Vec<(usize, u64, AccessSite)>,
 }
 
 /// One transaction's buffered accesses, held until commit (then ordered)
@@ -135,21 +136,25 @@ impl<'a> Detector<'a> {
     }
 
     fn check_read(&mut self, tid: usize, var: u32, site: AccessSite) {
-        let clock = self.vc[tid].clone();
+        let clock = &self.vc[tid];
         let state = self.vars.entry(var).or_default();
         let racy = state
             .last_write
             .as_ref()
             .filter(|&&(w, wclk, _)| w != tid && clock[w] < wclk)
             .map(|&(_, _, wsite)| wsite);
-        state.reads.insert(tid, (clock[tid], site));
+        let read = (tid, clock[tid], site);
+        match state.reads.binary_search_by_key(&tid, |r| r.0) {
+            Ok(at) => state.reads[at] = read,
+            Err(at) => state.reads.insert(at, read),
+        }
         if let Some(wsite) = racy {
             self.report(var, "write/read", wsite, site);
         }
     }
 
     fn check_write(&mut self, tid: usize, var: u32, site: AccessSite) {
-        let clock = self.vc[tid].clone();
+        let clock = &self.vc[tid];
         let state = self.vars.entry(var).or_default();
         let mut racy: Vec<(AccessSite, &'static str)> = Vec::new();
         if let Some(&(w, wclk, wsite)) = state.last_write.as_ref() {
@@ -157,7 +162,7 @@ impl<'a> Detector<'a> {
                 racy.push((wsite, "write/write"));
             }
         }
-        for (&r, &(rclk, rsite)) in &state.reads {
+        for &(r, rclk, rsite) in &state.reads {
             if r != tid && clock[r] < rclk {
                 racy.push((rsite, "read/write"));
             }
@@ -183,11 +188,10 @@ impl<'a> Detector<'a> {
 
     fn commit(&mut self, tid: usize, publishes: &[(u32, u64, AccessSite)]) {
         let Some(buf) = self.txn[tid].take() else { return };
-        join(&mut self.vc[tid], &self.commit_clock.clone());
+        join(&mut self.vc[tid], &self.commit_clock);
         for var in &buf.sub_reads {
             if let Some(clock) = self.lock_clocks.get(var) {
-                let clock = clock.clone();
-                join(&mut self.vc[tid], &clock);
+                join(&mut self.vc[tid], clock);
             }
         }
         for &(var, site) in &buf.reads {
@@ -202,8 +206,7 @@ impl<'a> Detector<'a> {
                 self.check_write(tid, var, site);
             }
         }
-        let vc = self.vc[tid].clone();
-        join(&mut self.commit_clock, &vc);
+        join(&mut self.commit_clock, &self.vc[tid]);
         self.vc[tid][tid] += 1;
     }
 }
@@ -253,7 +256,7 @@ pub fn detect_races(cfg: &RaceConfig, events: &[SanEvent]) -> Vec<Finding> {
                 } else if cfg.is_lock_word(idx) {
                     d.lock_word_sync(tid, idx, false);
                 } else {
-                    join(&mut d.vc[tid], &d.commit_clock.clone());
+                    join(&mut d.vc[tid], &d.commit_clock);
                     d.check_read(tid, idx, site);
                 }
             }
@@ -265,7 +268,7 @@ pub fn detect_races(cfg: &RaceConfig, events: &[SanEvent]) -> Vec<Finding> {
                 } else if cfg.is_lock_word(idx) {
                     d.lock_word_sync(tid, idx, true);
                 } else {
-                    join(&mut d.vc[tid], &d.commit_clock.clone());
+                    join(&mut d.vc[tid], &d.commit_clock);
                     d.check_write(tid, idx, site);
                 }
             }
@@ -396,6 +399,21 @@ mod tests {
             write(0, 9, X, false),
         ];
         assert!(detect_races(&cfg(), &events).is_empty());
+    }
+
+    #[test]
+    fn read_write_races_are_reported_in_reader_order() {
+        // t0 and t1 read X, then t2 writes it: two races, reported in
+        // reader-tid order on every call.
+        let cfg = RaceConfig { threads: 3, words_per_line: 8, lock_lines: vec![true, false] };
+        let events = vec![read(0, 1, X, false), read(1, 2, X, false), write(2, 3, X, false)];
+        let first = detect_races(&cfg, &events);
+        let pairs: Vec<(usize, usize)> =
+            first.iter().map(|f| (f.sites[0].tid, f.sites[1].tid)).collect();
+        assert_eq!(pairs, vec![(0, 2), (1, 2)]);
+        for _ in 0..64 {
+            assert_eq!(detect_races(&cfg, &events), first);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::Finding;
 use elision_core::{make_scheme, LazyMode, LockKind, SchemeConfig, SchemeKind};
 use elision_htm::{codes, harness, HtmConfig, HwSubscription, Memory, MemoryBuilder, VarId};
 use elision_locks::{RawLock, TtasLock};
-use elision_sim::{GlobalTrace, ScheduleControl, StepRecord};
+use elision_sim::{GlobalTrace, Schedule, ScheduleControl};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -158,9 +158,9 @@ pub fn double_release_schedule() -> Vec<Finding> {
 }
 
 /// A controlled run's observable outcome: the schedule that was executed
-/// (one [`StepRecord`] per decision) and everything the analysis passes
-/// found on it.
-pub type ExploreRun = (Vec<StepRecord>, Vec<Finding>);
+/// (one [`elision_sim::StepRecord`] per decision) and everything the
+/// analysis passes found on it.
+pub type ExploreRun = (Schedule, Vec<Finding>);
 
 /// Schedule-dependent broken SLR: an unsubscribed read-only transaction
 /// racing a non-speculative lock holder, arranged so the *default*
@@ -657,13 +657,7 @@ mod tests {
     fn explore_fixtures_replay_deterministically() {
         let (a_steps, a_findings) = broken_slr_explore(&BTreeMap::new());
         let (b_steps, b_findings) = broken_slr_explore(&BTreeMap::new());
-        assert_eq!(a_steps.len(), b_steps.len());
-        for (a, b) in a_steps.iter().zip(&b_steps) {
-            assert_eq!(a.chosen, b.chosen);
-            assert_eq!(a.default, b.default);
-            assert_eq!(a.enabled, b.enabled);
-            assert_eq!(a.accesses, b.accesses);
-        }
+        assert_eq!(a_steps, b_steps);
         assert_eq!(a_findings, b_findings);
     }
 }

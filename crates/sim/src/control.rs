@@ -12,8 +12,13 @@
 //! The explorer in `elision-analysis` replays many such schedules to
 //! enumerate interleavings. To make that sound, instrumented code reports
 //! the shared cache lines each segment touches via
-//! [`crate::SimHandle::note_access`]; the per-step footprints are stored
-//! on the [`StepRecord`] and drive dynamic partial-order reduction.
+//! [`crate::SimHandle::note_access`]; those per-step footprints drive
+//! dynamic partial-order reduction.
+//!
+//! The recorded [`Schedule`] is flat: a [`StepRecord`] holds no heap
+//! data (its enabled threads are a bit set, its footprint a range of the
+//! schedule's one access buffer), so a run allocates amortized O(1)
+//! times for its schedule however many decisions it takes.
 //!
 //! The control only decides and records: it is the scheduler's decision
 //! function in a controlled run, and the scheduler's baton carries out
@@ -26,8 +31,13 @@
 //! preemption hooks are bypassed) — chaos explores timing, the model
 //! checker explores orderings, and mixing the two would double-count.
 
+use crate::sched::MAX_THREADS;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::ops::{Deref, Range};
+
+// Thread sets are `u64` bit sets.
+const _: () = assert!(MAX_THREADS <= u64::BITS as usize);
 
 /// One shared-memory access performed during a schedule step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,18 +49,84 @@ pub struct StepAccess {
 }
 
 /// One scheduling decision and the execution segment that followed it.
+///
+/// A record holds no heap data: the enabled threads are a bit set, and
+/// the segment's accesses live in the owning [`Schedule`]'s one access
+/// buffer, read back with [`Schedule::accesses`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepRecord {
     /// Thread granted at this decision point.
     pub chosen: usize,
     /// Thread the window-0 `(clock, id)`-minimal rule would have picked.
     pub default: usize,
-    /// Threads that had not yet finished at this decision point (sorted).
-    pub enabled: Vec<usize>,
-    /// Simulated clock of the chosen thread at grant time.
-    pub clock: u64,
-    /// Shared lines touched by the granted segment, in program order.
-    pub accesses: Vec<StepAccess>,
+    /// Threads that had not yet finished at this decision point: bit `t`
+    /// is thread `t` (a run has at most 64 threads).
+    pub enabled: u64,
+    /// The granted segment's accesses, as a range of the schedule's
+    /// access buffer.
+    pub accesses: Range<usize>,
+}
+
+impl StepRecord {
+    /// The enabled threads, in ascending id.
+    pub fn enabled_threads(&self) -> impl Iterator<Item = usize> {
+        threads_in(self.enabled)
+    }
+}
+
+/// The threads of a bit set (bit `t` is thread `t`), in ascending id.
+fn threads_in(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let t = set.trailing_zeros() as usize;
+            set &= set - 1;
+            t
+        })
+    })
+}
+
+/// A recorded schedule: one [`StepRecord`] per decision point, in
+/// decision order (it dereferences to that slice), plus the one buffer
+/// holding every step's accesses in program order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Schedule {
+    steps: Vec<StepRecord>,
+    accesses: Vec<StepAccess>,
+}
+
+impl Schedule {
+    /// Append a decision: `chosen` was granted where the default rule
+    /// picked `default`, with the threads of the `enabled` bit set live.
+    /// Its segment has no accesses until [`Schedule::push_access`] adds
+    /// some.
+    pub fn push_step(&mut self, chosen: usize, default: usize, enabled: u64) {
+        let at = self.accesses.len();
+        self.steps.push(StepRecord { chosen, default, enabled, accesses: at..at });
+    }
+
+    /// Append an access to the last step's segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no step was pushed yet.
+    pub fn push_access(&mut self, access: StepAccess) {
+        let step = self.steps.last_mut().expect("an access belongs to a step");
+        self.accesses.push(access);
+        step.accesses.end = self.accesses.len();
+    }
+
+    /// The accesses of step `i`'s segment, in program order.
+    pub fn accesses(&self, i: usize) -> &[StepAccess] {
+        &self.accesses[self.steps[i].accesses.clone()]
+    }
+}
+
+impl Deref for Schedule {
+    type Target = [StepRecord];
+
+    fn deref(&self) -> &[StepRecord] {
+        &self.steps
+    }
 }
 
 struct CtlInner {
@@ -58,8 +134,9 @@ struct CtlInner {
     started: bool,
     /// Thread currently allowed to run, if any.
     granted: Option<usize>,
-    done: Vec<bool>,
-    steps: Vec<StepRecord>,
+    /// Threads that have not finished: bit `t` is thread `t`.
+    live: u64,
+    schedule: Schedule,
     divergences: u32,
 }
 
@@ -105,7 +182,10 @@ impl ScheduleControl {
         overrides: BTreeMap<usize, usize>,
         max_steps: usize,
     ) -> Self {
-        assert!(threads >= 1, "controlled run needs at least one thread");
+        assert!(
+            (1..=MAX_THREADS).contains(&threads),
+            "controlled run needs 1 to {MAX_THREADS} threads, not {threads}"
+        );
         for (&idx, &tid) in &overrides {
             assert!(tid < threads, "override at step {idx} targets out-of-range thread {tid}");
         }
@@ -113,8 +193,8 @@ impl ScheduleControl {
             inner: Mutex::new(CtlInner {
                 started: false,
                 granted: None,
-                done: vec![false; threads],
-                steps: Vec::new(),
+                live: u64::MAX >> (64 - threads),
+                schedule: Schedule::default(),
                 divergences: 0,
             }),
             threads,
@@ -127,11 +207,10 @@ impl ScheduleControl {
     /// live thread other than the caller is suspended or waiting for its
     /// turn.
     fn decide(&self, g: &mut CtlInner, clock_of: &dyn Fn(usize) -> u64) {
-        let enabled: Vec<usize> = (0..self.threads).filter(|&t| !g.done[t]).collect();
-        debug_assert!(!enabled.is_empty(), "decide called with no live threads");
+        debug_assert!(g.live != 0, "decide called with no live threads");
         let default =
-            enabled.iter().copied().min_by_key(|&t| (clock_of(t), t)).expect("nonempty enabled");
-        let idx = g.steps.len();
+            threads_in(g.live).min_by_key(|&t| (clock_of(t), t)).expect("nonempty enabled");
+        let idx = g.schedule.len();
         assert!(
             idx < self.max_steps,
             "controlled run exceeded {} decision steps (runaway schedule?)",
@@ -139,20 +218,14 @@ impl ScheduleControl {
         );
         let mut chosen = default;
         if let Some(&want) = self.overrides.get(&idx) {
-            if !g.done[want] {
+            if g.live & (1 << want) != 0 {
                 chosen = want;
             }
         }
         if chosen != default {
             g.divergences += 1;
         }
-        g.steps.push(StepRecord {
-            chosen,
-            default,
-            enabled,
-            clock: clock_of(chosen),
-            accesses: Vec::new(),
-        });
+        g.schedule.push_step(chosen, default, g.live);
         g.granted = Some(chosen);
     }
 
@@ -170,7 +243,7 @@ impl ScheduleControl {
     ) -> Option<usize> {
         let mut g = self.inner.lock();
         if finished {
-            g.done[id] = true;
+            g.live &= !(1 << id);
         }
         if g.started {
             // Only the granted thread can be executing; it just ended its
@@ -182,7 +255,7 @@ impl ScheduleControl {
         } else {
             g.started = true;
         }
-        if g.done.iter().all(|&d| d) {
+        if g.live == 0 {
             return None;
         }
         self.decide(&mut g, clock_of);
@@ -192,9 +265,9 @@ impl ScheduleControl {
     /// Record a shared-line access by the currently granted thread.
     pub(crate) fn note_access(&self, id: usize, line: u32, write: bool) {
         let mut g = self.inner.lock();
-        if let Some(step) = g.steps.last_mut() {
+        if let Some(step) = g.schedule.last() {
             debug_assert_eq!(step.chosen, id, "access noted by non-granted thread");
-            step.accesses.push(StepAccess { line, write });
+            g.schedule.push_access(StepAccess { line, write });
         }
     }
 
@@ -202,15 +275,15 @@ impl ScheduleControl {
     /// execution, so usable as a logical timestamp for history recording.
     #[must_use]
     pub fn steps_taken(&self) -> usize {
-        self.inner.lock().steps.len()
+        self.inner.lock().schedule.len()
     }
 
     /// Move the recorded schedule (one entry per decision point) out of
     /// the control. Call it once, after the run: the control keeps no
     /// copy, so a later call returns what was recorded since.
     #[must_use]
-    pub fn steps(&self) -> Vec<StepRecord> {
-        std::mem::take(&mut self.inner.lock().steps)
+    pub fn steps(&self) -> Schedule {
+        std::mem::take(&mut self.inner.lock().schedule)
     }
 
     /// How many decisions differed from the window-0 default choice.
@@ -235,11 +308,7 @@ mod tests {
 
     /// Two threads, two advances each: run one controlled schedule and
     /// return the per-step chosen/default/enabled records.
-    fn run_toy(
-        threads: usize,
-        advances: usize,
-        overrides: BTreeMap<usize, usize>,
-    ) -> Vec<StepRecord> {
+    fn run_toy(threads: usize, advances: usize, overrides: BTreeMap<usize, usize>) -> Schedule {
         let ctl = Arc::new(ScheduleControl::new(threads, overrides));
         let ctl_body = Arc::clone(&ctl);
         SimBuilder::new(threads).control(Arc::clone(&ctl)).run(move |ctx| {
@@ -259,7 +328,7 @@ mod tests {
         advances: usize,
         overrides: BTreeMap<usize, usize>,
         on_threads: bool,
-    ) -> (Vec<StepRecord>, Vec<u64>) {
+    ) -> (Schedule, Vec<u64>) {
         let ctl = Arc::new(ScheduleControl::new(threads, overrides));
         let builder = SimBuilder::new(threads).control(Arc::clone(&ctl));
         let body = move |ctx: crate::ThreadCtx| {
@@ -292,7 +361,7 @@ mod tests {
                 assert_eq!(fibers, os_threads, "{threads}x{advances} under {overrides:?}");
                 let steps = fibers.0;
                 for (i, step) in steps.iter().enumerate().skip(overrides.len()) {
-                    for &t in step.enabled.iter().filter(|&&t| t != step.chosen) {
+                    for t in step.enabled_threads().filter(|&t| t != step.chosen) {
                         let mut child: BTreeMap<usize, usize> =
                             steps[..i].iter().map(|s| s.chosen).enumerate().collect();
                         child.insert(i, t);
@@ -310,7 +379,7 @@ mod tests {
     fn empty_schedule_matches_window0_defaults() {
         let steps = run_toy(2, 2, BTreeMap::new());
         assert_eq!(steps.len(), 4);
-        for s in &steps {
+        for s in steps.iter() {
             assert_eq!(s.chosen, s.default, "unforced run must follow defaults");
         }
         // Equal costs: min-(clock, id) alternates t0, t1, t0, t1.
@@ -335,7 +404,7 @@ mod tests {
             assert_eq!(&choices[..prefix.len()], &prefix[..], "prefix must replay verbatim");
             seen.insert(choices.clone());
             for i in prefix.len()..steps.len() {
-                for &t in &steps[i].enabled {
+                for t in steps[i].enabled_threads() {
                     if t == choices[i] {
                         continue;
                     }
@@ -386,8 +455,9 @@ mod tests {
     fn three_thread_enabled_sets_shrink_as_threads_finish() {
         let steps = run_toy(3, 1, BTreeMap::new());
         assert_eq!(steps.len(), 3);
-        assert_eq!(steps[0].enabled, vec![0, 1, 2]);
-        assert_eq!(steps[1].enabled, vec![1, 2]);
-        assert_eq!(steps[2].enabled, vec![2]);
+        let enabled = |i: usize| steps[i].enabled_threads().collect::<Vec<_>>();
+        assert_eq!(enabled(0), vec![0, 1, 2]);
+        assert_eq!(enabled(1), vec![1, 2]);
+        assert_eq!(enabled(2), vec![2]);
     }
 }

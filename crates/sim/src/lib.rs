@@ -63,7 +63,7 @@ mod stats;
 mod trace;
 
 pub use arrivals::{generate_arrivals, Arrival, ArrivalPhase, Zipf};
-pub use control::{ScheduleControl, StepAccess, StepRecord};
+pub use control::{Schedule, ScheduleControl, StepAccess, StepRecord};
 pub use cost::CostModel;
 pub use fault::{FaultPlan, FaultStats, PreemptSpec};
 pub use rng::DetRng;

@@ -47,8 +47,9 @@ impl fmt::Display for TraceEvent {
 
 /// A bounded ring of timestamped [`TraceEvent`]s.
 ///
-/// Older events are dropped once `capacity` is reached; `dropped()`
-/// reports how many.
+/// The ring starts empty and grows on demand up to `capacity` events, so
+/// a generous bound costs nothing until it is used. Older events are
+/// dropped once `capacity` is reached; `dropped()` reports how many.
 #[derive(Debug, Clone)]
 pub struct TraceRing {
     capacity: usize,
@@ -57,21 +58,25 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
-    /// Create a ring holding at most `capacity` events.
+    /// Create an empty ring that will hold at most `capacity` events.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a trace ring needs room for at least one event");
-        TraceRing { capacity, events: VecDeque::with_capacity(capacity), dropped: 0 }
+        TraceRing { capacity, events: VecDeque::new(), dropped: 0 }
     }
 
     /// Record `event` at logical time `now`.
     pub fn record(&mut self, now: u64, event: TraceEvent) {
-        if self.events.len() == self.capacity {
+        let len = self.events.len();
+        if len == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
+        } else if len == self.events.capacity() {
+            // Double, but never past the bound.
+            self.events.reserve_exact(len.max(4).min(self.capacity - len));
         }
         self.events.push_back((now, event));
     }

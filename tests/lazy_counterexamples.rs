@@ -58,7 +58,7 @@ fn canon(forced: &[(usize, usize)], findings: &[Finding]) -> String {
 /// Search for the class marker, then replay its minimized schedule and
 /// check the golden. Returns the replayed lint set for extra assertions.
 fn check_counterexample(
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (Vec<elision_sim::StepRecord>, Vec<Finding>),
+    runner: impl Fn(&BTreeMap<usize, usize>) -> (elision_sim::Schedule, Vec<Finding>),
     marker: LintId,
     golden: u64,
 ) -> HashSet<LintId> {
