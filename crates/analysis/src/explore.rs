@@ -6,19 +6,29 @@
 //! through the interleavings of a small configuration (2–4 threads, a
 //! handful of critical sections), up to the [`Bounds`] on executions,
 //! runs, steps and divergences, replaying each schedule
-//! deterministically and feeding each execution through the full
+//! deterministically and feeding each new execution through the full
 //! sanitizer pipeline (races, opacity, lock lints, residual bits) plus
 //! the [`crate::linearize`] history oracle.
 //!
 //! # Schedules as override prefixes
 //!
-//! A schedule is identified by a *dense prefix of forced choices*:
-//! overrides `{0: c0, 1: c1, ..., k: ck}` pin the first `k + 1`
-//! scheduling decisions and every later decision follows the default
-//! `(clock, id)`-minimal rule (so the empty prefix is exactly the
+//! A schedule is identified by a *dense prefix of forced choices*: the
+//! override slice `[Some(c0), Some(c1), ..., Some(ck)]` pins the first
+//! `k + 1` scheduling decisions and every later decision follows the
+//! default `(clock, id)`-minimal rule (so the empty prefix is exactly the
 //! standard window-0 run). Re-executing the same prefix reproduces the
 //! same execution bit for bit, which is what makes stateless search and
-//! counterexample minimization possible.
+//! counterexample minimization possible. The minimizer's sparse sets are
+//! the same slices with holes: a `None` entry follows the default rule.
+//!
+//! # Search state
+//!
+//! Every prefix the search queued and every choice sequence it executed
+//! is a path in one trie of thread choices, flagged at its last node.
+//! Children go straight into the trie as they are found, the search stack
+//! holds trie nodes, and a popped node's prefix is rebuilt by following
+//! parent links; an execution is new exactly when its path was not
+//! flagged executed yet.
 //!
 //! # Enumeration modes
 //!
@@ -36,7 +46,7 @@
 //!   that runs `i`'s thread up to the race *before* `j` — the standard
 //!   race-reversal rule. Steps with disjoint footprints never generate
 //!   children, which is where the (often exponential) savings come from;
-//!   a visited-prefix set makes the redundancy of over-approximate
+//!   the trie's queued flags make the redundancy of over-approximate
 //!   reversal harmless.
 //!
 //! The context-switch bound in [`Bounds::divergence`] limits how many
@@ -61,13 +71,13 @@ use crate::race::detect_races;
 use crate::testkit::race_cfg;
 use crate::{AccessSite, Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, HtmConfig, MemoryBuilder, Strand};
-use elision_sim::{GlobalTrace, Schedule, ScheduleControl};
+use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, Strand};
+use elision_sim::{GlobalTrace, Schedule, ScheduleControl, TraceRing};
 use elision_structures::{
     HashTable, HistoryRecorder, OpAction, OpRecord, OpResponse, RbTree, SeqModel, SimQueue,
     SortedList, StructureKind,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// How the explorer enumerates schedules.
@@ -142,32 +152,43 @@ pub struct ExploreStats {
 pub fn explore<T>(
     mode: Mode,
     bounds: &Bounds,
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (Schedule, T),
-    mut on_exec: impl FnMut(&Schedule, &BTreeMap<usize, usize>, T),
+    runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
+    mut on_exec: impl FnMut(&Schedule, &[Option<usize>], T),
 ) -> ExploreStats {
     let mut stats = ExploreStats::default();
-    let mut queued: HashSet<Vec<usize>> = HashSet::new();
-    let mut executed: HashSet<Vec<usize>> = HashSet::new();
-    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
-    queued.insert(Vec::new());
+    let mut trie = PrefixTrie::new();
+    trie.mark(PrefixTrie::ROOT, QUEUED);
+    let mut stack = vec![PrefixTrie::ROOT];
+    // Reused by every run: the forced prefix, the executed choices, and
+    // the trie node of each executed prefix (`path[d]` is `choices[..d]`).
+    let mut prefix: Vec<Option<usize>> = Vec::new();
+    let mut choices: Vec<usize> = Vec::new();
+    let mut path: Vec<u32> = Vec::new();
 
-    while let Some(prefix) = stack.pop() {
+    while let Some(node) = stack.pop() {
         if stats.executions >= bounds.max_schedules || stats.runs >= bounds.max_runs {
             stats.truncated = true;
             break;
         }
-        let overrides: BTreeMap<usize, usize> = prefix.iter().copied().enumerate().collect();
-        let (steps, payload) = runner(&overrides);
+        trie.prefix_into(node, &mut prefix);
+        let (steps, payload) = runner(&prefix);
         stats.runs += 1;
-        let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
-        if !executed.insert(choices.clone()) {
+        choices.clear();
+        choices.extend(steps.iter().map(|s| s.chosen));
+        path.clear();
+        path.push(PrefixTrie::ROOT);
+        for &t in &choices {
+            let next = trie.child(path[path.len() - 1], t);
+            path.push(next);
+        }
+        if !trie.mark(path[choices.len()], EXECUTED) {
             // A forced prefix can replay to an execution another prefix
             // already produced (e.g. after a forced-but-finished thread
             // fell back to the default); its children were generated then.
             continue;
         }
         stats.executions += 1;
-        on_exec(&steps, &overrides, payload);
+        on_exec(&steps, &prefix, payload);
 
         if steps.len() > bounds.max_steps {
             stats.truncated = true;
@@ -181,36 +202,110 @@ pub fn explore<T>(
             }
         }
 
-        let children = match mode {
-            Mode::Exhaustive => exhaustive_children(&steps, &choices),
-            Mode::Dpor => dpor_children(&steps, &choices),
-        };
-        for child in children {
-            if queued.insert(child.clone()) {
+        let queue = |depth: usize, tail: &[usize]| {
+            let child = tail.iter().fold(path[depth], |at, &t| trie.child(at, t));
+            if trie.mark(child, QUEUED) {
                 stack.push(child);
             }
+        };
+        match mode {
+            Mode::Exhaustive => exhaustive_children(&steps, &choices, queue),
+            Mode::Dpor => dpor_children(&steps, &choices, queue),
         }
     }
     stats
 }
 
-/// Every alternative enabled choice at every decision point.
-fn exhaustive_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    for (i, step) in steps.iter().enumerate() {
-        for t in step.enabled_threads() {
-            if t != choices[i] {
-                let mut child = choices[..i].to_vec();
-                child.push(t);
-                out.push(child);
+/// The prefix was pushed on the search stack.
+const QUEUED: u8 = 1;
+/// A run executed exactly this choice sequence.
+const EXECUTED: u8 = 2;
+
+/// The explorer's search state: a trie of thread choices whose nodes
+/// live in one arena. A node stands for the choice sequence on its path
+/// from the root, which is the empty prefix.
+struct PrefixTrie {
+    nodes: Vec<TrieNode>,
+}
+
+#[derive(Clone, Copy)]
+struct TrieNode {
+    parent: u32,
+    /// Links of the child list; [`PrefixTrie::ROOT`] ends it (the root
+    /// is nobody's child).
+    first_child: u32,
+    next_sibling: u32,
+    /// The thread this node's last decision chose.
+    choice: u8,
+    /// [`QUEUED`] and [`EXECUTED`] bits.
+    flags: u8,
+}
+
+impl PrefixTrie {
+    const ROOT: u32 = 0;
+
+    fn new() -> Self {
+        let root = TrieNode { parent: 0, first_child: 0, next_sibling: 0, choice: 0, flags: 0 };
+        PrefixTrie { nodes: vec![root] }
+    }
+
+    /// The node extending `node` by a decision for thread `t`, created if
+    /// absent.
+    fn child(&mut self, node: u32, t: usize) -> u32 {
+        let choice = u8::try_from(t).expect("thread ids fit a byte");
+        let mut at = self.nodes[node as usize].first_child;
+        while at != Self::ROOT {
+            let n = &self.nodes[at as usize];
+            if n.choice == choice {
+                return at;
             }
+            at = n.next_sibling;
+        }
+        let id = u32::try_from(self.nodes.len()).expect("trie nodes fit u32 ids");
+        let next_sibling = std::mem::replace(&mut self.nodes[node as usize].first_child, id);
+        self.nodes.push(TrieNode { parent: node, first_child: 0, next_sibling, choice, flags: 0 });
+        id
+    }
+
+    /// Set `flag` on `node`; false when it was set already.
+    fn mark(&mut self, node: u32, flag: u8) -> bool {
+        let flags = &mut self.nodes[node as usize].flags;
+        let new = *flags & flag == 0;
+        *flags |= flag;
+        new
+    }
+
+    /// Rewrite `out` as the dense override prefix `node` stands for.
+    fn prefix_into(&self, node: u32, out: &mut Vec<Option<usize>>) {
+        out.clear();
+        let mut at = node;
+        while at != Self::ROOT {
+            let n = &self.nodes[at as usize];
+            out.push(Some(usize::from(n.choice)));
+            at = n.parent;
+        }
+        out.reverse();
+    }
+}
+
+/// Every alternative enabled choice at every decision point, handed to
+/// `child` as `(i, [t])`: the prefix `choices[..i]` followed by `t`.
+fn exhaustive_children(
+    steps: &Schedule,
+    choices: &[usize],
+    mut child: impl FnMut(usize, &[usize]),
+) {
+    for (i, step) in steps.iter().enumerate() {
+        for t in step.enabled_threads().filter(|&t| t != choices[i]) {
+            child(i, &[t]);
         }
     }
-    out
 }
 
 /// Race-reversal children: one alternative prefix per reversible racing
-/// pair of the executed trace, found in one forward pass.
+/// pair of the executed trace, found in one forward pass and handed to
+/// `child` as `(j, tail)`: the child prefix is `choices[..j]` followed by
+/// `tail`. Children go out by step, and a step's races by descending `j`.
 ///
 /// Two tables hold, per line and per thread, that thread's last write and
 /// last access of the line. A step that writes a line depends on every
@@ -222,7 +317,7 @@ fn exhaustive_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
 /// happens-before clock a join over every dependent earlier step would.
 /// The pass costs O(lines touched × threads²) per step, plus the
 /// reversibility check and the child per race.
-fn dpor_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
+fn dpor_children(steps: &Schedule, choices: &[usize], mut child: impl FnMut(usize, &[usize])) {
     let n = choices.len();
     let threads = steps
         .iter()
@@ -244,8 +339,8 @@ fn dpor_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
     let mut footprint: Vec<(u32, bool)> = Vec::new();
     let mut frontier = vec![0usize; threads];
     let mut races: Vec<usize> = Vec::new();
+    let mut tail: Vec<usize> = Vec::new();
 
-    let mut out = Vec::new();
     for i in 0..n {
         let me = choices[i];
         // The footprint as sorted unique lines, written if any access was.
@@ -312,18 +407,16 @@ fn dpor_children(steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
             }
             // Run everything not ordered after j, then i's thread, and
             // only then (by default continuation) j's — the reversal.
-            let mut child = choices[..j].to_vec();
-            for (k, &ck) in choices.iter().enumerate().take(i).skip(j + 1) {
-                if !hb(j, k) {
-                    child.push(ck);
-                }
-            }
-            child.push(me);
-            out.push(child);
+            tail.clear();
+            tail.extend(((j + 1)..i).filter(|&k| !hb(j, k)).map(|k| choices[k]));
+            tail.push(me);
+            child(j, &tail);
         }
     }
-    out
 }
+
+/// Forced decisions as `(step index, thread)` pairs, in step order.
+pub type Forced = Vec<(usize, usize)>;
 
 /// One schedule-dependent violation with its minimized reproduction.
 #[derive(Debug, Clone)]
@@ -331,10 +424,37 @@ pub struct ExploreFinding {
     /// The violation, as produced on the minimized schedule.
     pub finding: Finding,
     /// Minimized forced decisions, `(step index, thread)` — replaying
-    /// exactly these overrides reproduces the violation.
-    pub forced: Vec<(usize, usize)>,
+    /// exactly these overrides ([`overrides_for`]) reproduces the
+    /// violation.
+    pub forced: Forced,
     /// Human-readable interleaving diagram of the minimized schedule.
     pub diagram: Vec<String>,
+}
+
+/// The override slice that forces exactly the `(step index, thread)`
+/// pairs of `forced` and leaves every other decision to the default rule.
+pub fn overrides_for(forced: &[(usize, usize)]) -> Vec<Option<usize>> {
+    let mut out = vec![None; forced.iter().map(|&(i, _)| i + 1).max().unwrap_or(0)];
+    for &(i, t) in forced {
+        out[i] = Some(t);
+    }
+    out
+}
+
+/// A run's payload that yields the run's findings when asked.
+/// [`explore_and_minimize`] asks only for the executions the search
+/// keeps, so a runner can return its raw run and leave the analysis
+/// passes to [`Analyze::findings`]; a runner that analyzes eagerly
+/// returns the findings themselves.
+pub trait Analyze {
+    /// Run the analysis passes still to go and return every finding.
+    fn findings(self) -> Vec<Finding>;
+}
+
+impl Analyze for Vec<Finding> {
+    fn findings(self) -> Vec<Finding> {
+        self
+    }
 }
 
 /// Shrink a failing forced schedule to a minimal one still exhibiting a
@@ -343,31 +463,31 @@ pub struct ExploreFinding {
 /// Returns `None` if the schedule does not reproduce the finding at all
 /// (callers pass schedules that just did, so this indicates
 /// nondeterminism and is worth treating as a bug). Otherwise returns the
-/// minimized overrides, the schedule they produce, and the surviving
-/// finding.
-pub fn minimize(
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (Schedule, Vec<Finding>),
-    forced: &BTreeMap<usize, usize>,
+/// minimized forced decisions as `(step index, thread)` pairs, the
+/// schedule they produce, and the surviving finding.
+pub fn minimize<T: Analyze>(
+    runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
+    forced: &[Option<usize>],
     lint: LintId,
-) -> Option<(BTreeMap<usize, usize>, Schedule, Finding)> {
-    let reproduces = |f: &BTreeMap<usize, usize>| -> Option<(Schedule, Finding)> {
-        let (steps, findings) = runner(f);
-        findings.into_iter().find(|x| x.lint == lint).map(|x| (steps, x))
+) -> Option<(Forced, Schedule, Finding)> {
+    let reproduces = |f: &[Option<usize>]| -> Option<(Schedule, Finding)> {
+        let (steps, payload) = runner(f);
+        payload.findings().into_iter().find(|x| x.lint == lint).map(|x| (steps, x))
     };
     let (mut steps, mut witness) = reproduces(forced)?;
-    let mut forced = forced.clone();
+    let mut forced = forced.to_vec();
 
     // Pass 1: drop, in one shot, every override that was a no-op — it
     // agreed with the default decision or fell back to it (forced thread
     // already finished). The remaining run is decision-for-decision
     // identical, so the finding necessarily survives; re-run to get the
     // (identical) steps anyway and keep the code honest.
-    let diverging: BTreeMap<usize, usize> = forced
+    let diverging: Vec<Option<usize>> = forced
         .iter()
-        .filter(|&(&i, &t)| steps.get(i).is_some_and(|s| s.chosen == t && s.default != t))
-        .map(|(&i, &t)| (i, t))
+        .enumerate()
+        .map(|(i, &t)| t.filter(|&t| steps.get(i).is_some_and(|s| s.chosen == t && s.default != t)))
         .collect();
-    if diverging.len() < forced.len() {
+    if diverging != forced {
         if let Some((s, w)) = reproduces(&diverging) {
             forced = diverging;
             steps = s;
@@ -379,9 +499,12 @@ pub fn minimize(
     // each override; keep any removal under which the finding persists.
     loop {
         let mut progress = false;
-        for key in forced.keys().copied().collect::<Vec<_>>() {
+        for i in 0..forced.len() {
+            if forced[i].is_none() {
+                continue;
+            }
             let mut trial = forced.clone();
-            trial.remove(&key);
+            trial[i] = None;
             if let Some((s, w)) = reproduces(&trial) {
                 forced = trial;
                 steps = s;
@@ -393,14 +516,15 @@ pub fn minimize(
             break;
         }
     }
-    Some((forced, steps, witness))
+    let pairs = forced.iter().enumerate().filter_map(|(i, t)| t.map(|t| (i, t))).collect();
+    Some((pairs, steps, witness))
 }
 
 /// Render a schedule as one line per decision:
 /// `step  12: t1* [rL3 wL5] (default t0) <- forced`, where `*` marks a
-/// decision differing from the default rule. Long schedules elide their
-/// middle.
-pub fn render_diagram(steps: &Schedule, forced: &BTreeMap<usize, usize>) -> Vec<String> {
+/// decision differing from the default rule and `forced` holds the
+/// `(step index, thread)` overrides. Long schedules elide their middle.
+pub fn render_diagram(steps: &Schedule, forced: &[(usize, usize)]) -> Vec<String> {
     const MAX_LINES: usize = 60;
     const HEAD: usize = 40;
     let mut lines: Vec<String> = steps
@@ -414,7 +538,7 @@ pub fn render_diagram(steps: &Schedule, forced: &BTreeMap<usize, usize>) -> Vec<
                 .map(|a| format!("{}L{}", if a.write { "w" } else { "r" }, a.line))
                 .collect::<Vec<_>>()
                 .join(" ");
-            let forced_note = if forced.contains_key(&i) { " <- forced" } else { "" };
+            let forced_note = if forced.iter().any(|&(j, _)| j == i) { " <- forced" } else { "" };
             format!(
                 "step {i:>3}: t{}{mark} [{accesses}] (default t{}){forced_note}",
                 s.chosen, s.default
@@ -430,18 +554,20 @@ pub fn render_diagram(steps: &Schedule, forced: &BTreeMap<usize, usize>) -> Vec<
 }
 
 /// Explore and, for the first execution exhibiting each distinct lint,
-/// minimize that schedule into an [`ExploreFinding`].
-pub fn explore_and_minimize(
+/// minimize that schedule into an [`ExploreFinding`]. Only the
+/// executions the search keeps are analyzed; the minimizer analyzes
+/// every run it makes.
+pub fn explore_and_minimize<T: Analyze>(
     mode: Mode,
     bounds: &Bounds,
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (Schedule, Vec<Finding>),
+    runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
 ) -> (ExploreStats, Vec<ExploreFinding>) {
-    let mut witnesses: Vec<(LintId, BTreeMap<usize, usize>)> = Vec::new();
+    let mut witnesses: Vec<(LintId, Vec<Option<usize>>)> = Vec::new();
     let mut seen: HashSet<LintId> = HashSet::new();
-    let stats = explore(mode, bounds, &runner, |_steps, overrides, findings: Vec<Finding>| {
-        for f in &findings {
+    let stats = explore(mode, bounds, &runner, |_steps, overrides, payload: T| {
+        for f in &payload.findings() {
             if seen.insert(f.lint) {
-                witnesses.push((f.lint, overrides.clone()));
+                witnesses.push((f.lint, overrides.to_vec()));
             }
         }
     });
@@ -450,7 +576,7 @@ pub fn explore_and_minimize(
         let (forced, steps, finding) = minimize(&runner, &overrides, lint)
             .expect("a finding observed during exploration must replay deterministically");
         let diagram = render_diagram(&steps, &forced);
-        out.push(ExploreFinding { finding, forced: forced.into_iter().collect(), diagram });
+        out.push(ExploreFinding { finding, forced, diagram });
     }
     (stats, out)
 }
@@ -586,12 +712,22 @@ fn apply_action(
     }
 }
 
-/// Execute one cell run under the given schedule overrides and analyze
-/// it with every pass.
-fn run_cell_once(
-    spec: &ExploreSpec,
-    overrides: &BTreeMap<usize, usize>,
-) -> (Schedule, Vec<Finding>) {
+/// One cell run whose analysis passes have not run yet.
+struct CellRun<'a> {
+    spec: &'a ExploreSpec,
+    scheme: Arc<Scheme>,
+    mem: Arc<Memory>,
+    /// Per thread: its trace ring and its operation history.
+    outs: Vec<(TraceRing, Vec<OpRecord>)>,
+    makespan: u64,
+}
+
+/// Execute one cell run under the given schedule overrides; its analysis
+/// waits in the returned [`CellRun`].
+fn run_cell_once<'a>(
+    spec: &'a ExploreSpec,
+    overrides: &[Option<usize>],
+) -> (Schedule, CellRun<'a>) {
     assert!(
         spec.scheme != SchemeKind::NoLock && spec.scheme != SchemeKind::GroupedScm,
         "{:?} is not explorable: see SchemeConfig::explore()",
@@ -614,7 +750,7 @@ fn run_cell_once(
         CellStructure::Fifo(_) => {}
     }
     let structure = Arc::new(structure);
-    let control = Arc::new(ScheduleControl::new(spec.threads, overrides.clone()));
+    let control = Arc::new(ScheduleControl::new(spec.threads, overrides));
 
     let (outs, makespan) = {
         let scheme = Arc::clone(&scheme);
@@ -642,45 +778,54 @@ fn run_cell_once(
         )
     };
 
-    let trace = GlobalTrace::merge(outs.iter().map(|(ring, _)| ring).enumerate());
-    assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow the ring capacity");
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
+    (control.steps(), CellRun { spec, scheme, mem, outs, makespan })
+}
 
-    let mut findings = detect_races(&race_cfg(&mem, spec.threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: policy_for(spec.scheme),
-            main_lock: Some(scheme.main_lock().lock_word().index()),
-        },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(&lint_config_for(&scheme, spec.threads), &trace));
-    for line in mem.residual_lines() {
-        findings.push(Finding {
-            lint: LintId::ResidualConflictBits,
-            message: format!("line {} kept reader/writer bits after quiescence", line.raw()),
-            sites: vec![AccessSite {
-                tid: 0,
-                var: None,
-                line: Some(line.raw()),
-                time: makespan,
-                seq: events.len(),
-            }],
-        });
+impl Analyze for CellRun<'_> {
+    /// Every pass: races, opacity, lock lints, residual conflict bits and
+    /// the linearizability oracle.
+    fn findings(self) -> Vec<Finding> {
+        let CellRun { spec, scheme, mem, outs, makespan } = self;
+        let trace = GlobalTrace::merge(outs.iter().map(|(ring, _)| ring).enumerate());
+        assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow the ring capacity");
+        let san = mem.san_log().expect("sanitizer enabled above");
+        let events = san.snapshot();
+
+        let mut findings = detect_races(&race_cfg(&mem, spec.threads), &events);
+        findings.extend(check_opacity(
+            &OpacityConfig {
+                policy: policy_for(spec.scheme),
+                main_lock: Some(scheme.main_lock().lock_word().index()),
+            },
+            san.initial_values(),
+            &events,
+        ));
+        findings.extend(lint_trace(&lint_config_for(&scheme, spec.threads), &trace));
+        for line in mem.residual_lines() {
+            findings.push(Finding {
+                lint: LintId::ResidualConflictBits,
+                message: format!("line {} kept reader/writer bits after quiescence", line.raw()),
+                sites: vec![AccessSite {
+                    tid: 0,
+                    var: None,
+                    line: Some(line.raw()),
+                    time: makespan,
+                    seq: events.len(),
+                }],
+            });
+        }
+        let ops: Vec<OpRecord> = outs.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+        let model = SeqModel::for_kind(spec.structure, QUEUE_CAP);
+        findings.extend(check_linearizable(&model, &ops));
+
+        findings
     }
-    let ops: Vec<OpRecord> = outs.iter().flat_map(|(_, r)| r.iter().copied()).collect();
-    let model = SeqModel::for_kind(spec.structure, QUEUE_CAP);
-    findings.extend(check_linearizable(&model, &ops));
-
-    (control.steps(), findings)
 }
 
 /// Model-check one scheme × lock × structure cell: explore its
 /// interleavings up to the spec's bounds (a bounded search, reported as
-/// truncated when a bound cuts it short), run every execution through the
-/// full analysis pipeline, and minimize whatever fails.
+/// truncated when a bound cuts it short), run every new execution through
+/// the full analysis pipeline, and minimize whatever fails.
 pub fn explore_cell(spec: &ExploreSpec) -> CellReport {
     let (stats, findings) =
         explore_and_minimize(spec.mode, &spec.bounds, |ov| run_cell_once(spec, ov));
@@ -699,13 +844,14 @@ mod tests {
         broken_slr_explore, double_release_explore, lazy_race_explore, lazy_zombie_explore,
         LazyFixes,
     };
+    use std::collections::BTreeMap;
 
     /// Two threads, two pure-computation segments each: C(4,2) = 6
     /// interleavings, matching the hand-computed count.
-    fn toy_runner(overrides: &BTreeMap<usize, usize>) -> (Schedule, ()) {
+    fn toy_runner(overrides: &[Option<usize>]) -> (Schedule, ()) {
         let b = MemoryBuilder::new();
         let mem = Arc::new(b.freeze(2));
-        let control = Arc::new(ScheduleControl::new(2, overrides.clone()));
+        let control = Arc::new(ScheduleControl::new(2, overrides));
         harness::run_arc_controlled(
             2,
             HtmConfig::deterministic(),
@@ -723,15 +869,12 @@ mod tests {
     /// `threads` threads racing on one word (plus an independent work
     /// segment each): even threads store it, odd threads load it, so
     /// every interleaving contains the same data race.
-    fn racy_runner_n(
-        threads: usize,
-        overrides: &BTreeMap<usize, usize>,
-    ) -> (Schedule, Vec<Finding>) {
+    fn racy_runner_n(threads: usize, overrides: &[Option<usize>]) -> (Schedule, Vec<Finding>) {
         let mut b = MemoryBuilder::new();
         b.enable_sanitizer();
         let x = b.alloc_isolated(0);
         let mem = Arc::new(b.freeze(threads));
-        let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
+        let control = Arc::new(ScheduleControl::new(threads, overrides));
         harness::run_arc_controlled(
             threads,
             HtmConfig::deterministic(),
@@ -752,7 +895,7 @@ mod tests {
         (control.steps(), findings)
     }
 
-    fn racy_runner(overrides: &BTreeMap<usize, usize>) -> (Schedule, Vec<Finding>) {
+    fn racy_runner(overrides: &[Option<usize>]) -> (Schedule, Vec<Finding>) {
         racy_runner_n(2, overrides)
     }
 
@@ -778,7 +921,7 @@ mod tests {
         for (threads, interleavings) in [(2, 6), (3, 90)] {
             let collect = |mode| {
                 let mut lints: HashSet<LintId> = HashSet::new();
-                let runner = |ov: &BTreeMap<usize, usize>| racy_runner_n(threads, ov);
+                let runner = |ov: &[Option<usize>]| racy_runner_n(threads, ov);
                 let stats = explore(mode, &unbounded(), runner, |_, _, findings| {
                     lints.extend(findings.iter().map(|f| f.lint));
                 });
@@ -958,19 +1101,61 @@ mod tests {
 
     #[test]
     fn minimizer_drops_noop_overrides() {
-        // Seed the minimizer with a deliberately bloated override map:
+        // Seed the minimizer with a deliberately bloated override slice:
         // whatever the search found plus a stack of no-op entries.
         let (_, findings) = explore_and_minimize(Mode::Dpor, &unbounded(), racy_runner);
         let witness = &findings[0];
-        let mut bloated: BTreeMap<usize, usize> = witness.forced.iter().copied().collect();
-        let (steps, _) = racy_runner(&bloated);
-        for (i, s) in steps.iter().enumerate() {
-            bloated.entry(i).or_insert(s.chosen); // agree with what ran
-        }
+        let bloated = bloat(racy_runner, &witness.forced);
         let (minimized, _, finding) =
             minimize(racy_runner, &bloated, LintId::DataRace).expect("race must reproduce");
         assert!(minimized.len() <= witness.forced.len());
         assert_eq!(finding.lint, LintId::DataRace);
+    }
+
+    /// `forced` as an override slice with every other decision the run
+    /// took under it filled in: the same schedule, bloated with no-ops.
+    fn bloat(
+        runner: impl Fn(&[Option<usize>]) -> (Schedule, Vec<Finding>),
+        forced: &[(usize, usize)],
+    ) -> Vec<Option<usize>> {
+        let mut bloated = overrides_for(forced);
+        let (steps, _) = runner(&bloated);
+        bloated.resize(bloated.len().max(steps.len()), None);
+        for (slot, s) in bloated.iter_mut().zip(steps.iter()) {
+            slot.get_or_insert(s.chosen); // agree with what ran
+        }
+        bloated
+    }
+
+    #[test]
+    fn minimized_pairs_are_those_the_sparse_map_minimizer_found() {
+        // The pairs below are what the minimizer produced when its sparse
+        // sets were ordered maps; the slice with holes must find the same.
+        type Runner = fn(&[Option<usize>]) -> (Schedule, Vec<Finding>);
+        let cases: [(Runner, Vec<(LintId, Forced)>); 3] = [
+            (racy_runner, vec![(LintId::DataRace, vec![])]),
+            (
+                broken_slr_explore,
+                vec![
+                    (LintId::DataRace, vec![(3, 0), (4, 0), (5, 0), (6, 0)]),
+                    (LintId::CommitWhileLockHeld, vec![(3, 0), (4, 0), (5, 0)]),
+                ],
+            ),
+            (
+                double_release_explore,
+                vec![(LintId::ReleaseWithoutAcquire, vec![(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)])],
+            ),
+        ];
+        for (runner, want) in cases {
+            let (_, findings) = explore_and_minimize(Mode::Dpor, &unbounded(), runner);
+            let got: Vec<_> = findings.iter().map(|f| (f.finding.lint, f.forced.clone())).collect();
+            assert_eq!(got, want);
+            // Minimizing the bloated first witness lands on it again.
+            let (lint, forced) = &want[0];
+            let (minimized, _, finding) =
+                minimize(runner, &bloat(runner, forced), *lint).expect("witness must reproduce");
+            assert_eq!((&minimized, finding.lint), (forced, *lint));
+        }
     }
 
     #[test]
@@ -979,8 +1164,7 @@ mod tests {
         for i in 0..100 {
             steps.push_step(i % 2, 0, 0b11);
         }
-        let forced: BTreeMap<usize, usize> = [(1usize, 1usize)].into_iter().collect();
-        let lines = render_diagram(&steps, &forced);
+        let lines = render_diagram(&steps, &[(1, 1)]);
         assert!(lines.len() <= 60, "diagram must stay readable: {}", lines.len());
         assert!(lines.iter().any(|l| l.contains("elided")));
         assert!(lines.iter().any(|l| l.contains("t1*")));
@@ -997,6 +1181,66 @@ mod tests {
             "correct HLE cell must verify clean: {:#?}",
             report.findings
         );
+    }
+
+    /// The children `mode` generates for one execution, as whole prefixes
+    /// in generation order.
+    fn child_lists(mode: Mode, steps: &Schedule, choices: &[usize]) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        let collect = |j: usize, tail: &[usize]| out.push([&choices[..j], tail].concat());
+        match mode {
+            Mode::Exhaustive => exhaustive_children(steps, choices, collect),
+            Mode::Dpor => dpor_children(steps, choices, collect),
+        }
+        out
+    }
+
+    /// The search loop the prefix trie replaced: hashed sets of prefix
+    /// and choice vectors. [`explore`] must make the same runs in the same
+    /// order and report the same executions and stats.
+    fn reference_explore<T>(
+        mode: Mode,
+        bounds: &Bounds,
+        runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
+        mut on_exec: impl FnMut(&Schedule, &[Option<usize>], T),
+    ) -> ExploreStats {
+        let mut stats = ExploreStats::default();
+        let mut queued: HashSet<Vec<usize>> = HashSet::new();
+        let mut executed: HashSet<Vec<usize>> = HashSet::new();
+        let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
+        queued.insert(Vec::new());
+
+        while let Some(prefix) = stack.pop() {
+            if stats.executions >= bounds.max_schedules || stats.runs >= bounds.max_runs {
+                stats.truncated = true;
+                break;
+            }
+            let overrides: Vec<Option<usize>> = prefix.iter().copied().map(Some).collect();
+            let (steps, payload) = runner(&overrides);
+            stats.runs += 1;
+            let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
+            if !executed.insert(choices.clone()) {
+                continue;
+            }
+            stats.executions += 1;
+            on_exec(&steps, &overrides, payload);
+
+            if steps.len() > bounds.max_steps {
+                stats.truncated = true;
+                continue;
+            }
+            let divergences = steps.iter().filter(|s| s.chosen != s.default).count() as u32;
+            if bounds.divergence.is_some_and(|limit| divergences > limit) {
+                stats.truncated = true;
+                continue;
+            }
+            for child in child_lists(mode, &steps, &choices) {
+                if queued.insert(child.clone()) {
+                    stack.push(child);
+                }
+            }
+        }
+        stats
     }
 
     /// Per-step footprint normalized to sorted unique `(line, write)` pairs
@@ -1104,7 +1348,7 @@ mod tests {
 
     fn both_children(steps: &Schedule) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
         let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
-        (dpor_children(steps, &choices), reference_dpor_children(steps, &choices))
+        (child_lists(Mode::Dpor, steps, &choices), reference_dpor_children(steps, &choices))
     }
 
     #[test]
@@ -1134,6 +1378,58 @@ mod tests {
         let (one_pass, reference) = both_children(&reads);
         assert!(!reference.is_empty());
         assert_eq!(one_pass, reference);
+    }
+
+    /// Every execution `explore_with` hands to `on_exec`, as its choices
+    /// and the overrides that produced it, plus the stats.
+    type Trail = (Vec<(Vec<usize>, Vec<Option<usize>>)>, ExploreStats);
+
+    fn trail<R: Fn(&[Option<usize>]) -> (Schedule, Vec<Finding>)>(
+        explore_with: impl FnOnce(
+            Mode,
+            &Bounds,
+            R,
+            &mut dyn FnMut(&Schedule, &[Option<usize>], Vec<Finding>),
+        ) -> ExploreStats,
+        mode: Mode,
+        bounds: &Bounds,
+        runner: R,
+    ) -> Trail {
+        let mut execs = Vec::new();
+        let stats = explore_with(mode, bounds, runner, &mut |steps, overrides, _| {
+            execs.push((steps.iter().map(|s| s.chosen).collect(), overrides.to_vec()));
+        });
+        (execs, stats)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Racing toys of 2–4 threads under both modes and random bounds,
+        /// down to ones that cut the search after one run: the trie
+        /// explorer makes the hashed-set loop's runs, in its order, and
+        /// reports the same stats.
+        #[test]
+        fn trie_explorer_matches_the_hashed_set_loop(
+            threads in 2usize..5,
+            exhaustive in proptest::any::<bool>(),
+            divergence in 0u32..5,
+            max_schedules in 1usize..120,
+            max_runs in 1usize..240,
+            steps_slack in 0usize..4,
+        ) {
+            let mode = if exhaustive { Mode::Exhaustive } else { Mode::Dpor };
+            // Divergence 4 stands for no context-switch bound.
+            let divergence = (divergence < 4).then_some(divergence);
+            // Every execution takes two steps per thread; slack 0 stops
+            // the search after the first.
+            let max_steps = 2 * threads - 1 + steps_slack;
+            let bounds = Bounds { divergence, max_schedules, max_runs, max_steps };
+            let runner = |ov: &[Option<usize>]| racy_runner_n(threads, ov);
+            let got = trail(|m, b, r, on| explore(m, b, r, on), mode, &bounds, runner);
+            let want = trail(|m, b, r, on| reference_explore(m, b, r, on), mode, &bounds, runner);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     proptest::proptest! {

@@ -29,7 +29,7 @@
 //! bounded *model checker*: it drives the controlled scheduler through the
 //! interleavings of small configurations, up to bounds on executions,
 //! runs, steps and preemptions (with dynamic partial-order reduction),
-//! runs every execution through the passes above plus the
+//! runs every new execution through the passes above plus the
 //! [`linearize`] history oracle, and minimizes any failing schedule into a
 //! counterexample small enough to read.
 

@@ -33,7 +33,7 @@
 
 use crate::{AccessSite, Finding, LintId};
 use elision_htm::{SanAccess, SanEvent};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Static facts the race detector needs about the run.
 #[derive(Debug, Clone)]
@@ -66,6 +66,40 @@ fn join(into: &mut Vc, other: &Vc) {
     }
 }
 
+/// Per-word state, kept in first-touch order and found through a
+/// word → slot table that grows to the largest word seen.
+struct WordTable<T> {
+    /// `slot_of[var]` indexes `states`; [`WordTable::NONE`] when `var`
+    /// has no state yet.
+    slot_of: Vec<u32>,
+    states: Vec<T>,
+}
+
+impl<T> WordTable<T> {
+    const NONE: u32 = u32::MAX;
+
+    fn new() -> Self {
+        WordTable { slot_of: Vec::new(), states: Vec::new() }
+    }
+
+    fn get(&self, var: u32) -> Option<&T> {
+        let slot = *self.slot_of.get(var as usize)?;
+        self.states.get(slot as usize)
+    }
+
+    fn get_or_insert_with(&mut self, var: u32, make: impl FnOnce() -> T) -> &mut T {
+        let at = var as usize;
+        if at >= self.slot_of.len() {
+            self.slot_of.resize(at + 1, Self::NONE);
+        }
+        if self.slot_of[at] == Self::NONE {
+            self.slot_of[at] = u32::try_from(self.states.len()).expect("word slots fit u32");
+            self.states.push(make());
+        }
+        &mut self.states[self.slot_of[at] as usize]
+    }
+}
+
 /// Last-access state of one data word.
 #[derive(Debug, Default)]
 struct VarState {
@@ -93,8 +127,8 @@ struct Detector<'a> {
     /// Global commit clock.
     commit_clock: Vc,
     /// Per lock-line word clock.
-    lock_clocks: HashMap<u32, Vc>,
-    vars: HashMap<u32, VarState>,
+    lock_clocks: WordTable<Vc>,
+    vars: WordTable<VarState>,
     txn: Vec<Option<TxnBuf>>,
     findings: Vec<Finding>,
     /// Dedup: one report per (var, tid, tid) pair.
@@ -111,8 +145,8 @@ impl<'a> Detector<'a> {
             cfg,
             vc,
             commit_clock: vec![0; cfg.threads],
-            lock_clocks: HashMap::new(),
-            vars: HashMap::new(),
+            lock_clocks: WordTable::new(),
+            vars: WordTable::new(),
             txn: (0..cfg.threads).map(|_| None).collect(),
             findings: Vec::new(),
             seen: HashSet::new(),
@@ -137,7 +171,7 @@ impl<'a> Detector<'a> {
 
     fn check_read(&mut self, tid: usize, var: u32, site: AccessSite) {
         let clock = &self.vc[tid];
-        let state = self.vars.entry(var).or_default();
+        let state = self.vars.get_or_insert_with(var, VarState::default);
         let racy = state
             .last_write
             .as_ref()
@@ -155,7 +189,7 @@ impl<'a> Detector<'a> {
 
     fn check_write(&mut self, tid: usize, var: u32, site: AccessSite) {
         let clock = &self.vc[tid];
-        let state = self.vars.entry(var).or_default();
+        let state = self.vars.get_or_insert_with(var, VarState::default);
         let mut racy: Vec<(AccessSite, &'static str)> = Vec::new();
         if let Some(&(w, wclk, wsite)) = state.last_write.as_ref() {
             if w != tid && clock[w] < wclk {
@@ -178,7 +212,7 @@ impl<'a> Detector<'a> {
     /// write (callers pass `write = true` for stores and RMW halves).
     fn lock_word_sync(&mut self, tid: usize, var: u32, write: bool) {
         let threads = self.cfg.threads;
-        let clock = self.lock_clocks.entry(var).or_insert_with(|| vec![0; threads]);
+        let clock = self.lock_clocks.get_or_insert_with(var, || vec![0; threads]);
         join(&mut self.vc[tid], clock);
         if write {
             join(clock, &self.vc[tid]);
@@ -189,7 +223,7 @@ impl<'a> Detector<'a> {
     fn commit(&mut self, tid: usize, publishes: &[(u32, u64, AccessSite)]) {
         let Some(buf) = self.txn[tid].take() else { return };
         join(&mut self.vc[tid], &self.commit_clock);
-        for var in &buf.sub_reads {
+        for &var in &buf.sub_reads {
             if let Some(clock) = self.lock_clocks.get(var) {
                 join(&mut self.vc[tid], clock);
             }
@@ -200,7 +234,7 @@ impl<'a> Detector<'a> {
         for &(var, _, site) in publishes {
             if self.cfg.is_lock_word(var) {
                 let threads = self.cfg.threads;
-                let clock = self.lock_clocks.entry(var).or_insert_with(|| vec![0; threads]);
+                let clock = self.lock_clocks.get_or_insert_with(var, || vec![0; threads]);
                 join(clock, &self.vc[tid]);
             } else {
                 self.check_write(tid, var, site);

@@ -37,7 +37,6 @@ use elision_core::{make_scheme, LazyMode, LockKind, SchemeConfig, SchemeKind};
 use elision_htm::{codes, harness, HtmConfig, HwSubscription, Memory, MemoryBuilder, VarId};
 use elision_locks::{RawLock, TtasLock};
 use elision_sim::{GlobalTrace, Schedule, ScheduleControl};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Build the [`RaceConfig`] describing `mem`'s layout.
@@ -180,7 +179,7 @@ pub type ExploreRun = (Schedule, Vec<Finding>);
 /// The lint pass runs with `require_subscription: false` on purpose: the
 /// always-firing subscription lint would otherwise mask the
 /// schedule-dependence this fixture exists to demonstrate.
-pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
+pub fn broken_slr_explore(overrides: &[Option<usize>]) -> ExploreRun {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
@@ -188,7 +187,7 @@ pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
     let y = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(2));
     let threads = 2;
-    let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
+    let control = Arc::new(ScheduleControl::new(threads, overrides));
 
     let (rings, _makespan) = {
         let lock = Arc::clone(&lock);
@@ -270,7 +269,7 @@ pub fn broken_slr_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
 /// [`LintId::ReleaseWithoutAcquire`](crate::LintId::ReleaseWithoutAcquire)
 /// — and only on interleavings where thread 1's transaction commits
 /// before thread 0 samples the probe.
-pub fn double_release_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun {
+pub fn double_release_explore(overrides: &[Option<usize>]) -> ExploreRun {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
@@ -278,7 +277,7 @@ pub fn double_release_explore(overrides: &BTreeMap<usize, usize>) -> ExploreRun 
     let probe = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(2));
     let threads = 2;
-    let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
+    let control = Arc::new(ScheduleControl::new(threads, overrides));
 
     let (rings, _makespan) = {
         let lock = Arc::clone(&lock);
@@ -463,7 +462,7 @@ fn analyze_lazy_run(
 pub fn lazy_zombie_explore(
     lock: LockKind,
     fixes: LazyFixes,
-    overrides: &BTreeMap<usize, usize>,
+    overrides: &[Option<usize>],
 ) -> ExploreRun {
     assert!(lock != LockKind::Mcs, "MCS wild store wedges the victim; not explorable");
     let threads = 2;
@@ -476,7 +475,7 @@ pub fn lazy_zombie_explore(
     let scratch = b.alloc_isolated(0);
     let (wild_target, wild_value) = zombie_wild_store(scheme.main_lock().as_ref(), threads);
     let mem = Arc::new(b.freeze(threads));
-    let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
+    let control = Arc::new(ScheduleControl::new(threads, overrides));
 
     let (rings, _makespan) = {
         let scheme = Arc::clone(&scheme);
@@ -534,7 +533,7 @@ pub fn lazy_zombie_explore(
 pub fn lazy_race_explore(
     lock: LockKind,
     fixes: LazyFixes,
-    overrides: &BTreeMap<usize, usize>,
+    overrides: &[Option<usize>],
 ) -> ExploreRun {
     let threads = 2;
     let mut b = MemoryBuilder::new();
@@ -549,7 +548,7 @@ pub fn lazy_race_explore(
     let x = b.alloc_isolated(0);
     let y = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(threads));
-    let control = Arc::new(ScheduleControl::new(threads, overrides.clone()));
+    let control = Arc::new(ScheduleControl::new(threads, overrides));
 
     let (rings, _makespan) = {
         let scheme = Arc::clone(&scheme);
@@ -613,11 +612,11 @@ mod tests {
 
     #[test]
     fn explore_fixtures_are_clean_on_the_default_schedule() {
-        let (steps, findings) = broken_slr_explore(&BTreeMap::new());
+        let (steps, findings) = broken_slr_explore(&[]);
         assert!(!steps.is_empty(), "controlled run recorded no decisions");
         assert!(findings.is_empty(), "default broken-SLR schedule must be clean: {findings:#?}");
 
-        let (steps, findings) = double_release_explore(&BTreeMap::new());
+        let (steps, findings) = double_release_explore(&[]);
         assert!(!steps.is_empty(), "controlled run recorded no decisions");
         assert!(
             findings.is_empty(),
@@ -631,7 +630,7 @@ mod tests {
         // on the default schedule — the unsafety is schedule-dependent.
         for fixes in LazyFixes::ALL {
             for lock in [LockKind::Ttas, LockKind::Ticket, LockKind::Clh] {
-                let (steps, findings) = lazy_zombie_explore(lock, fixes, &BTreeMap::new());
+                let (steps, findings) = lazy_zombie_explore(lock, fixes, &[]);
                 assert!(!steps.is_empty(), "controlled run recorded no decisions");
                 assert!(
                     findings.is_empty(),
@@ -641,7 +640,7 @@ mod tests {
                 );
             }
             for lock in [LockKind::Ttas, LockKind::Mcs, LockKind::Ticket, LockKind::Clh] {
-                let (steps, findings) = lazy_race_explore(lock, fixes, &BTreeMap::new());
+                let (steps, findings) = lazy_race_explore(lock, fixes, &[]);
                 assert!(!steps.is_empty(), "controlled run recorded no decisions");
                 assert!(
                     findings.is_empty(),
@@ -655,8 +654,8 @@ mod tests {
 
     #[test]
     fn explore_fixtures_replay_deterministically() {
-        let (a_steps, a_findings) = broken_slr_explore(&BTreeMap::new());
-        let (b_steps, b_findings) = broken_slr_explore(&BTreeMap::new());
+        let (a_steps, a_findings) = broken_slr_explore(&[]);
+        let (b_steps, b_findings) = broken_slr_explore(&[]);
         assert_eq!(a_steps, b_steps);
         assert_eq!(a_findings, b_findings);
     }

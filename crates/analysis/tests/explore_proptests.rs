@@ -15,12 +15,12 @@
 //! `lazy_safety` sweep gates on, so the explorer is exercised exactly
 //! where its counterexamples carry the most weight.
 
-use elision_analysis::explore::{explore_and_minimize, minimize, Bounds, Mode};
+use elision_analysis::explore::{explore_and_minimize, minimize, overrides_for, Bounds, Mode};
 use elision_analysis::testkit::{lazy_race_explore, lazy_zombie_explore, LazyFixes};
 use elision_analysis::LintId;
 use elision_core::LockKind;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 proptest! {
     // Each case runs a full (bounded) model-checking search; keep the
@@ -45,7 +45,7 @@ proptest! {
             max_runs,
             max_steps,
         };
-        let runner = |ov: &BTreeMap<usize, usize>| {
+        let runner = |ov: &[Option<usize>]| {
             lazy_race_explore(LockKind::Ttas, fixes, ov)
         };
         let (stats, findings) = explore_and_minimize(Mode::Dpor, &bounds, runner);
@@ -90,15 +90,14 @@ proptest! {
         choices in proptest::collection::vec(0usize..2, 1..14),
         use_zombie in any::<bool>(),
     ) {
-        let runner = move |ov: &BTreeMap<usize, usize>| {
+        let runner = move |ov: &[Option<usize>]| {
             if use_zombie {
                 lazy_zombie_explore(LockKind::Ttas, LazyFixes::default(), ov)
             } else {
                 lazy_race_explore(LockKind::Ttas, LazyFixes::default(), ov)
             }
         };
-        let overrides: BTreeMap<usize, usize> =
-            choices.iter().copied().enumerate().collect();
+        let overrides: Vec<Option<usize>> = choices.iter().copied().map(Some).collect();
         let (_, findings) = runner(&overrides);
         if let Some(first) = findings.first() {
             let original: HashSet<LintId> = findings.iter().map(|f| f.lint).collect();
@@ -111,7 +110,7 @@ proptest! {
                 overrides.len(),
                 minimized.len()
             );
-            let (_, replayed) = runner(&minimized);
+            let (_, replayed) = runner(&overrides_for(&minimized));
             prop_assert!(
                 replayed.iter().any(|f| original.contains(&f.lint)),
                 "minimized schedule trips none of the original lints \
@@ -126,20 +125,16 @@ proptest! {
 /// exercised on real counterexamples of both unsafe classes every run.
 #[test]
 fn minimization_is_sound_on_both_unsafe_classes() {
-    type Runner = fn(&BTreeMap<usize, usize>) -> elision_analysis::testkit::ExploreRun;
+    type Runner = fn(&[Option<usize>]) -> elision_analysis::testkit::ExploreRun;
     let cases: [(&str, Runner, LintId); 2] = [
         (
             "zombie",
-            |ov: &BTreeMap<usize, usize>| {
-                lazy_zombie_explore(LockKind::Ttas, LazyFixes::default(), ov)
-            },
+            |ov: &[Option<usize>]| lazy_zombie_explore(LockKind::Ttas, LazyFixes::default(), ov),
             LintId::LazyDangerousInstruction,
         ),
         (
             "subscription race",
-            |ov: &BTreeMap<usize, usize>| {
-                lazy_race_explore(LockKind::Ttas, LazyFixes::default(), ov)
-            },
+            |ov: &[Option<usize>]| lazy_race_explore(LockKind::Ttas, LazyFixes::default(), ov),
             LintId::ZombieCommit,
         ),
     ];
@@ -153,10 +148,11 @@ fn minimization_is_sound_on_both_unsafe_classes() {
         // Bloat the witness with every decision the run actually took,
         // then demand the minimizer strip it back down without losing
         // the lint.
-        let mut bloated: BTreeMap<usize, usize> = hit.forced.iter().copied().collect();
+        let mut bloated = overrides_for(&hit.forced);
         let (steps, _) = runner(&bloated);
-        for (i, s) in steps.iter().enumerate() {
-            bloated.entry(i).or_insert(s.chosen);
+        bloated.resize(bloated.len().max(steps.len()), None);
+        for (slot, s) in bloated.iter_mut().zip(steps.iter()) {
+            slot.get_or_insert(s.chosen);
         }
         let (minimized, _, witness) =
             minimize(runner, &bloated, marker).expect("bloated witness must reproduce");
@@ -169,7 +165,7 @@ fn minimization_is_sound_on_both_unsafe_classes() {
             minimized.len(),
             hit.forced.len()
         );
-        let (_, replayed) = runner(&minimized);
+        let (_, replayed) = runner(&overrides_for(&minimized));
         assert!(
             replayed.iter().any(|f| f.lint == marker),
             "{name}: minimized schedule no longer trips {marker}: {replayed:#?}"

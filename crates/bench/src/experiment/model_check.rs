@@ -1,8 +1,8 @@
 //! Bounded model checking over the scheme × lock matrix: drive every
-//! cell through *all* interleavings of a small configuration (DPOR with
-//! the explorer's divergence/step bounds), run every execution through
-//! the race/opacity/lint passes plus the linearizability oracle, and
-//! fail on any finding.
+//! cell through the interleavings of a small configuration (DPOR up to
+//! the explorer's schedule, run, divergence and step bounds), run every
+//! new execution through the race/opacity/lint passes plus the
+//! linearizability oracle, and fail on any finding.
 //!
 //! Two seeded known-bad workloads (an eager/unsubscribed SLR commit and
 //! a double lock release) are swept alongside the correct cells; each
@@ -27,7 +27,6 @@ use elision_analysis::testkit::{broken_slr_explore, double_release_explore, Expl
 use elision_analysis::LintId;
 use elision_core::{LockKind, SchemeKind};
 use elision_structures::history::StructureKind;
-use std::collections::BTreeMap;
 
 /// Acceptance bound on a minimized counterexample: replaying at most
 /// this many forced decisions must reproduce a seeded violation.
@@ -36,13 +35,13 @@ const MAX_COUNTEREXAMPLE_STEPS: usize = 12;
 /// A seeded known-bad workload: its name, its explorer runner, and the
 /// lints at least one of which it must trip (the explorer may
 /// legitimately surface several).
-type SeededCell = (&'static str, fn(&BTreeMap<usize, usize>) -> ExploreRun, Vec<LintId>);
+type SeededCell = (&'static str, fn(&[Option<usize>]) -> ExploreRun, Vec<LintId>);
 
 fn seeded_cells() -> Vec<SeededCell> {
     vec![
         (
             "seeded/broken-slr",
-            broken_slr_explore as fn(&BTreeMap<usize, usize>) -> ExploreRun,
+            broken_slr_explore as fn(&[Option<usize>]) -> ExploreRun,
             vec![LintId::CommitWhileLockHeld, LintId::DataRace],
         ),
         ("seeded/double-release", double_release_explore, vec![LintId::ReleaseWithoutAcquire]),

@@ -5,9 +5,11 @@
 //! [`ScheduleControl`] picks which thread executes the next segment. The
 //! default choice is the same `(clock, id)`-minimal rule the window-0
 //! scheduler uses, so a run with no overrides reproduces the standard
-//! window-0 execution exactly. A schedule is a sparse map from decision
-//! index to thread id; forcing a choice different from the default is a
-//! *divergence* (a preemption the free-running scheduler would not take).
+//! window-0 execution exactly. A schedule is a slice of overrides indexed
+//! by decision: entry `i` forces decision `i`'s thread, and a hole
+//! (`None`) or a missing entry leaves it to the default rule. Forcing a
+//! choice different from the default is a *divergence* (a preemption the
+//! free-running scheduler would not take).
 //!
 //! The explorer in `elision-analysis` replays many such schedules to
 //! enumerate interleavings. To make that sound, instrumented code reports
@@ -33,7 +35,6 @@
 
 use crate::sched::MAX_THREADS;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::ops::{Deref, Range};
 
 // Thread sets are `u64` bit sets.
@@ -144,14 +145,16 @@ struct CtlInner {
 ///
 /// Construct one per run, hand it to [`crate::SimBuilder::control`], and
 /// move the recorded schedule out with [`ScheduleControl::steps`] after the
-/// run completes. Overrides index into the decision sequence; an override
-/// whose target thread has already finished (or whose index is
-/// never reached) is silently ignored, which keeps schedule minimization
-/// robust when dropping earlier forced choices shortens the run.
+/// run completes. Overrides index into the decision sequence: entry `i`
+/// forces decision `i`, and a `None` entry or one past the slice's end
+/// follows the default rule. An override whose target thread has already
+/// finished (or whose index is never reached) is silently ignored, which
+/// keeps schedule minimization robust when dropping earlier forced
+/// choices shortens the run.
 pub struct ScheduleControl {
     inner: Mutex<CtlInner>,
     threads: usize,
-    overrides: BTreeMap<usize, usize>,
+    overrides: Box<[Option<usize>]>,
     max_steps: usize,
 }
 
@@ -169,25 +172,29 @@ impl ScheduleControl {
     /// Default runaway backstop on the number of decision steps.
     pub const DEFAULT_MAX_STEPS: usize = 200_000;
 
-    /// New control for `threads` simulated threads replaying `overrides`.
+    /// New control for `threads` simulated threads replaying `overrides`
+    /// (entry `i` forces decision `i`; `None` follows the default rule).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is 0 or above the simulator's limit, or if an
+    /// override names a thread id not below `threads`.
     #[must_use]
-    pub fn new(threads: usize, overrides: BTreeMap<usize, usize>) -> Self {
+    pub fn new(threads: usize, overrides: &[Option<usize>]) -> Self {
         Self::with_max_steps(threads, overrides, Self::DEFAULT_MAX_STEPS)
     }
 
     /// As [`ScheduleControl::new`] with an explicit step backstop.
     #[must_use]
-    pub fn with_max_steps(
-        threads: usize,
-        overrides: BTreeMap<usize, usize>,
-        max_steps: usize,
-    ) -> Self {
+    pub fn with_max_steps(threads: usize, overrides: &[Option<usize>], max_steps: usize) -> Self {
         assert!(
             (1..=MAX_THREADS).contains(&threads),
             "controlled run needs 1 to {MAX_THREADS} threads, not {threads}"
         );
-        for (&idx, &tid) in &overrides {
-            assert!(tid < threads, "override at step {idx} targets out-of-range thread {tid}");
+        for (idx, tid) in overrides.iter().enumerate() {
+            if let &Some(tid) = tid {
+                assert!(tid < threads, "override at step {idx} targets out-of-range thread {tid}");
+            }
         }
         Self {
             inner: Mutex::new(CtlInner {
@@ -198,7 +205,7 @@ impl ScheduleControl {
                 divergences: 0,
             }),
             threads,
-            overrides,
+            overrides: overrides.into(),
             max_steps,
         }
     }
@@ -217,7 +224,7 @@ impl ScheduleControl {
             self.max_steps
         );
         let mut chosen = default;
-        if let Some(&want) = self.overrides.get(&idx) {
+        if let Some(&Some(want)) = self.overrides.get(idx) {
             if g.live & (1 << want) != 0 {
                 chosen = want;
             }
@@ -308,7 +315,7 @@ mod tests {
 
     /// Two threads, two advances each: run one controlled schedule and
     /// return the per-step chosen/default/enabled records.
-    fn run_toy(threads: usize, advances: usize, overrides: BTreeMap<usize, usize>) -> Schedule {
+    fn run_toy(threads: usize, advances: usize, overrides: &[Option<usize>]) -> Schedule {
         let ctl = Arc::new(ScheduleControl::new(threads, overrides));
         let ctl_body = Arc::clone(&ctl);
         SimBuilder::new(threads).control(Arc::clone(&ctl)).run(move |ctx| {
@@ -326,7 +333,7 @@ mod tests {
     fn run_toy_on(
         threads: usize,
         advances: usize,
-        overrides: BTreeMap<usize, usize>,
+        overrides: &[Option<usize>],
         on_threads: bool,
     ) -> (Schedule, Vec<u64>) {
         let ctl = Arc::new(ScheduleControl::new(threads, overrides));
@@ -348,24 +355,24 @@ mod tests {
         // every step (as the explorer does); both executors must record
         // the same steps and return the same results for each.
         for (threads, advances) in [(2, 2), (3, 2), (2, 4)] {
-            let mut stack: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new()];
-            let mut queued: HashSet<Vec<(usize, usize)>> = HashSet::new();
+            let mut stack: Vec<Vec<Option<usize>>> = vec![Vec::new()];
+            let mut queued: HashSet<Vec<Option<usize>>> = HashSet::new();
             let mut runs = 0;
             while let Some(overrides) = stack.pop() {
                 runs += 1;
                 if runs > 120 {
                     break;
                 }
-                let fibers = run_toy_on(threads, advances, overrides.clone(), false);
-                let os_threads = run_toy_on(threads, advances, overrides.clone(), true);
+                let fibers = run_toy_on(threads, advances, &overrides, false);
+                let os_threads = run_toy_on(threads, advances, &overrides, true);
                 assert_eq!(fibers, os_threads, "{threads}x{advances} under {overrides:?}");
                 let steps = fibers.0;
                 for (i, step) in steps.iter().enumerate().skip(overrides.len()) {
                     for t in step.enabled_threads().filter(|&t| t != step.chosen) {
-                        let mut child: BTreeMap<usize, usize> =
-                            steps[..i].iter().map(|s| s.chosen).enumerate().collect();
-                        child.insert(i, t);
-                        if queued.insert(child.iter().map(|(&k, &v)| (k, v)).collect()) {
+                        let mut child: Vec<Option<usize>> =
+                            steps[..i].iter().map(|s| Some(s.chosen)).collect();
+                        child.push(Some(t));
+                        if queued.insert(child.clone()) {
                             stack.push(child);
                         }
                     }
@@ -377,7 +384,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_matches_window0_defaults() {
-        let steps = run_toy(2, 2, BTreeMap::new());
+        let steps = run_toy(2, 2, &[]);
         assert_eq!(steps.len(), 4);
         for s in steps.iter() {
             assert_eq!(s.chosen, s.default, "unforced run must follow defaults");
@@ -396,8 +403,8 @@ mod tests {
         queued.insert(Vec::new());
         let mut runs = 0;
         while let Some(prefix) = stack.pop() {
-            let overrides: BTreeMap<usize, usize> = prefix.iter().copied().enumerate().collect();
-            let steps = run_toy(2, 2, overrides);
+            let overrides: Vec<Option<usize>> = prefix.iter().copied().map(Some).collect();
+            let steps = run_toy(2, 2, &overrides);
             runs += 1;
             assert!(runs <= 64, "toy DFS exploded");
             let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
@@ -427,8 +434,7 @@ mod tests {
     #[test]
     fn overrides_divergences_are_counted_and_replayed() {
         // Force t1 to run both its segments first.
-        let overrides: BTreeMap<usize, usize> = [(0, 1), (1, 1)].into_iter().collect();
-        let ctl = Arc::new(ScheduleControl::new(2, overrides));
+        let ctl = Arc::new(ScheduleControl::new(2, &[Some(1), Some(1)]));
         SimBuilder::new(2).control(Arc::clone(&ctl)).run(move |ctx| {
             for _ in 0..2 {
                 ctx.handle.advance(10);
@@ -445,19 +451,56 @@ mod tests {
     #[test]
     fn override_of_finished_thread_falls_back_to_default() {
         // t1 has only finished segments by step 3; forcing it is ignored.
-        let overrides: BTreeMap<usize, usize> = [(0, 1), (1, 1), (2, 1)].into_iter().collect();
-        let steps = run_toy(2, 2, overrides);
+        let steps = run_toy(2, 2, &[Some(1), Some(1), Some(1)]);
         let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
         assert_eq!(choices, vec![1, 1, 0, 0], "step 2 override must fall back to t0");
     }
 
     #[test]
     fn three_thread_enabled_sets_shrink_as_threads_finish() {
-        let steps = run_toy(3, 1, BTreeMap::new());
+        let steps = run_toy(3, 1, &[]);
         assert_eq!(steps.len(), 3);
         let enabled = |i: usize| steps[i].enabled_threads().collect::<Vec<_>>();
         assert_eq!(enabled(0), vec![0, 1, 2]);
         assert_eq!(enabled(1), vec![1, 2]);
         assert_eq!(enabled(2), vec![2]);
+    }
+
+    /// The choices a 2-thread, 2-advance toy run makes under `overrides`,
+    /// and how many of them diverged from the default rule.
+    fn toy_choices(overrides: &[Option<usize>]) -> (Vec<usize>, u32) {
+        let ctl = Arc::new(ScheduleControl::new(2, overrides));
+        SimBuilder::new(2).control(Arc::clone(&ctl)).run(|ctx| {
+            for _ in 0..2 {
+                ctx.handle.advance(10);
+            }
+        });
+        (ctl.steps().iter().map(|s| s.chosen).collect(), ctl.divergences())
+    }
+
+    #[test]
+    fn a_hole_follows_the_default_and_only_set_entries_force() {
+        // The default order is t0, t1, t0, t1.
+        assert_eq!(toy_choices(&[]), (vec![0, 1, 0, 1], 0));
+        // Forcing decision 1 to the thread the rule picks anyway changes
+        // nothing; the hole at 0 is not a forced t1.
+        assert_eq!(toy_choices(&[None, Some(1)]), (vec![0, 1, 0, 1], 0));
+        assert_eq!(toy_choices(&[Some(1), Some(1)]), (vec![1, 1, 0, 0], 2));
+        // Decision 0 follows the rule, decision 1 alone is forced.
+        assert_eq!(toy_choices(&[None, Some(0)]), (vec![0, 0, 1, 1], 1));
+    }
+
+    #[test]
+    fn overrides_past_the_run_or_to_finished_threads_are_ignored() {
+        // The run has four decisions: index 4 is never reached.
+        assert_eq!(toy_choices(&[None, None, None, None, Some(1)]), (vec![0, 1, 0, 1], 0));
+        // t0 has finished by decision 3, so forcing it there falls back.
+        assert_eq!(toy_choices(&[None, Some(0), None, Some(0)]), (vec![0, 0, 1, 1], 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "override at step 1 targets out-of-range thread 2")]
+    fn an_out_of_range_override_panics() {
+        let _ = ScheduleControl::new(2, &[None, Some(2)]);
     }
 }

@@ -475,8 +475,7 @@ mod tests {
     }
 
     fn controlled(threads: usize) -> SimBuilder {
-        SimBuilder::new(threads)
-            .control(Arc::new(ScheduleControl::new(threads, std::collections::BTreeMap::new())))
+        SimBuilder::new(threads).control(Arc::new(ScheduleControl::new(threads, &[])))
     }
 
     #[test]
@@ -501,7 +500,7 @@ mod tests {
 
     #[test]
     fn controlled_64_thread_run_is_round_robin() {
-        let ctl = Arc::new(ScheduleControl::new(64, std::collections::BTreeMap::new()));
+        let ctl = Arc::new(ScheduleControl::new(64, &[]));
         let out = SimBuilder::new(64).control(Arc::clone(&ctl)).run(|ctx| {
             for _ in 0..3 {
                 ctx.handle.advance(10);

@@ -67,11 +67,10 @@ fn live_bytes() -> i64 {
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn controlled_run_allocs(advances: usize) -> u64 {
     use elision_sim::{ScheduleControl, SimBuilder};
-    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     let before = allocs();
-    let ctl = Arc::new(ScheduleControl::new(2, BTreeMap::new()));
+    let ctl = Arc::new(ScheduleControl::new(2, &[]));
     SimBuilder::new(2).control(Arc::clone(&ctl)).run(move |ctx| {
         for i in 0..advances {
             ctx.handle.note_access(((ctx.id + i) % 3) as u32, i % 2 == 0);

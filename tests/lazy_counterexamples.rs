@@ -16,11 +16,11 @@
 //! the fixtures, or the analysis passes, regenerate the constants from
 //! the failure message — the test prints the actual hash.
 
-use elision_analysis::explore::{explore_and_minimize, Bounds, Mode};
+use elision_analysis::explore::{explore_and_minimize, overrides_for, Bounds, Mode};
 use elision_analysis::testkit::{lazy_race_explore, lazy_zombie_explore, LazyFixes};
 use elision_analysis::{Finding, LintId};
 use elision_core::LockKind;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// FNV-1a 64-bit, as in `artifact_goldens.rs`: an equality gate, not
 /// security.
@@ -58,7 +58,7 @@ fn canon(forced: &[(usize, usize)], findings: &[Finding]) -> String {
 /// Search for the class marker, then replay its minimized schedule and
 /// check the golden. Returns the replayed lint set for extra assertions.
 fn check_counterexample(
-    runner: impl Fn(&BTreeMap<usize, usize>) -> (elision_sim::Schedule, Vec<Finding>),
+    runner: impl Fn(&[Option<usize>]) -> (elision_sim::Schedule, Vec<Finding>),
     marker: LintId,
     golden: u64,
 ) -> HashSet<LintId> {
@@ -76,7 +76,7 @@ fn check_counterexample(
     // The minimized schedule is a complete reproduction recipe: forcing
     // exactly these decisions must yield exactly these findings, run
     // after run.
-    let overrides: BTreeMap<usize, usize> = hit.forced.iter().copied().collect();
+    let overrides = overrides_for(&hit.forced);
     let (_, replay_a) = runner(&overrides);
     let (_, replay_b) = runner(&overrides);
     assert_eq!(replay_a, replay_b, "replaying the minimized schedule must be bit-identical");
