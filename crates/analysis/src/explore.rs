@@ -1,5 +1,5 @@
-//! Bounded exhaustive-interleaving model checker over the controlled
-//! scheduler.
+//! Bounded model checker over the controlled scheduler, by dynamic
+//! partial-order reduction.
 //!
 //! The sampling passes in [`crate::driver`] check *one* schedule per
 //! cell. This module instead drives [`elision_sim::ScheduleControl`]
@@ -24,30 +24,32 @@
 //! # Search state
 //!
 //! Every prefix the search queued and every choice sequence it executed
-//! is a path in one trie of thread choices, flagged at its last node.
-//! Children go straight into the trie as they are found, the search stack
-//! holds trie nodes, and a popped node's prefix is rebuilt by following
-//! parent links; an execution is new exactly when its path was not
-//! flagged executed yet.
+//! is a path in one trie of thread choices. Children go straight into the
+//! trie as they are found, the search stack holds trie nodes, and a
+//! popped node's prefix is rebuilt by following parent links.
 //!
-//! # Enumeration modes
+//! After each new execution, every node of its path from which the rest
+//! of the path took the default choice is flagged *covered*: running that
+//! node's prefix would replay the execution decision for decision. A
+//! popped node that is covered is skipped without a run, so a run
+//! replays a known execution only when its forced prefix could not be
+//! followed (a forced thread had already finished, and the control fell
+//! back to the default rule; [`ExploreStats::fallback_runs`]). Such a
+//! replay is caught after the run, because its leaf is covered already.
 //!
-//! * [`Mode::Exhaustive`] — classic stateless DFS: after executing a
-//!   prefix, branch at every decision point on every other enabled
-//!   thread. Visits every interleaving of the configuration (feasible
-//!   only for toys; it is also the ground truth the DPOR mode is tested
-//!   against).
-//! * [`Mode::Dpor`] — dynamic partial-order reduction: two scheduling
-//!   steps are *dependent* when they touch a common cache line with at
-//!   least one write (the footprints the instrumented stack reports,
-//!   read back with [`Schedule::accesses`]) or belong to the same
-//!   thread. For each executed trace, each racing pair `(j, i)` of
-//!   dependent steps of different threads generates one child prefix
-//!   that runs `i`'s thread up to the race *before* `j` — the standard
-//!   race-reversal rule. Steps with disjoint footprints never generate
-//!   children, which is where the (often exponential) savings come from;
-//!   the trie's queued flags make the redundancy of over-approximate
-//!   reversal harmless.
+//! # Dynamic partial-order reduction
+//!
+//! Two scheduling steps are *dependent* when they touch a common cache
+//! line with at least one write (the footprints the instrumented stack
+//! reports, read back with [`Schedule::accesses`]) or belong to the same
+//! thread. For each executed trace, each racing pair `(j, i)` of
+//! dependent steps of different threads generates one child prefix that
+//! runs `i`'s thread up to the race *before* `j` — the standard
+//! race-reversal rule. Steps with disjoint footprints never generate
+//! children, which is where the (often exponential) savings come from;
+//! the trie's flags make the redundancy of over-approximate reversal
+//! harmless. The tests keep an exhaustive enumeration (every enabled
+//! thread at every decision point) as the oracle DPOR is checked against.
 //!
 //! The context-switch bound in [`Bounds::divergence`] limits how many
 //! decisions may differ from the default rule before an execution stops
@@ -80,15 +82,6 @@ use elision_structures::{
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// How the explorer enumerates schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Branch on every enabled thread at every decision point.
-    Exhaustive,
-    /// Branch only to reverse dependent (racing) step pairs.
-    Dpor,
-}
-
 /// Exploration limits. Every bound is a *truncation*, reported via
 /// [`ExploreStats::truncated`] — never a silent claim of full coverage.
 #[derive(Debug, Clone)]
@@ -99,10 +92,12 @@ pub struct Bounds {
     pub divergence: Option<u32>,
     /// Maximum unique executions to analyze.
     pub max_schedules: usize,
-    /// Maximum runner invocations. Distinct forced prefixes can replay
-    /// to the same execution (deduplicated, so they do not count towards
-    /// `max_schedules`); this caps that redundancy so the search always
-    /// terminates promptly.
+    /// Maximum runner invocations. A queued prefix whose default
+    /// continuation already ran is skipped without a run, but a prefix
+    /// that could not be followed can still replay a known execution
+    /// (deduplicated, so it does not count towards `max_schedules`; see
+    /// [`ExploreStats::fallback_runs`]); this caps that redundancy so the
+    /// search always terminates promptly.
     pub max_runs: usize,
     /// Executions longer than this many decisions are analyzed but not
     /// branched from.
@@ -133,14 +128,19 @@ impl Bounds {
 pub struct ExploreStats {
     /// Unique executions analyzed.
     pub executions: usize,
-    /// Total runner invocations, including replays that deduplicated to
-    /// an already-analyzed execution.
+    /// Runner invocations: one per new execution, plus the replays of
+    /// an already-analyzed one. Every replay is also a fallback run.
     pub runs: usize,
+    /// Runs whose forced prefix could not be followed: a forced thread
+    /// had already finished, so the control fell back to its default
+    /// rule. Only these can replay a known execution, so `runs -
+    /// executions` never exceeds this count.
+    pub fallback_runs: usize,
     /// True when some bound in [`Bounds`] cut the search short.
     pub truncated: bool,
 }
 
-/// Drive `runner` through the interleaving space.
+/// Drive `runner` through the interleaving space by DPOR.
 ///
 /// `runner` executes the workload once under the given forced-choice
 /// overrides and returns the recorded schedule plus an arbitrary
@@ -150,10 +150,21 @@ pub struct ExploreStats {
 /// at the search level (each run itself uses the serialized controlled
 /// scheduler).
 pub fn explore<T>(
-    mode: Mode,
+    bounds: &Bounds,
+    runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
+    on_exec: impl FnMut(&Schedule, &[Option<usize>], T),
+) -> ExploreStats {
+    search(bounds, runner, on_exec, |steps, choices, child| dpor_children(steps, choices, child))
+}
+
+/// [`explore`] with the rule that turns an execution into child prefixes
+/// as a parameter: `children(steps, choices, child)` hands each child to
+/// `child` as `(j, tail)`, the prefix `choices[..j]` followed by `tail`.
+fn search<T>(
     bounds: &Bounds,
     runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
     mut on_exec: impl FnMut(&Schedule, &[Option<usize>], T),
+    children: impl Fn(&Schedule, &[usize], &mut dyn FnMut(usize, &[usize])),
 ) -> ExploreStats {
     let mut stats = ExploreStats::default();
     let mut trie = PrefixTrie::new();
@@ -170,6 +181,11 @@ pub fn explore<T>(
             stats.truncated = true;
             break;
         }
+        if trie.has(node, COVERED) {
+            // The prefix with its default continuation is an execution
+            // already analyzed, and its children were generated then.
+            continue;
+        }
         trie.prefix_into(node, &mut prefix);
         let (steps, payload) = runner(&prefix);
         stats.runs += 1;
@@ -181,11 +197,19 @@ pub fn explore<T>(
             let next = trie.child(path[path.len() - 1], t);
             path.push(next);
         }
-        if !trie.mark(path[choices.len()], EXECUTED) {
-            // A forced prefix can replay to an execution another prefix
-            // already produced (e.g. after a forced-but-finished thread
-            // fell back to the default); its children were generated then.
+        // A run that followed its forced prefix passes through its node.
+        if path.get(prefix.len()) != Some(&node) {
+            stats.fallback_runs += 1;
+        }
+        if !trie.mark(path[choices.len()], COVERED) {
+            // Only a prefix that fell back can replay a known execution:
+            // one that was followed would have been covered.
             continue;
+        }
+        // Every prefix from which the rest of this path is the default
+        // continuation replays this execution.
+        for (d, _) in steps.iter().enumerate().rev().take_while(|(_, s)| s.chosen == s.default) {
+            trie.mark(path[d], COVERED);
         }
         stats.executions += 1;
         on_exec(&steps, &prefix, payload);
@@ -202,24 +226,22 @@ pub fn explore<T>(
             }
         }
 
-        let queue = |depth: usize, tail: &[usize]| {
+        children(&steps, &choices, &mut |depth, tail| {
             let child = tail.iter().fold(path[depth], |at, &t| trie.child(at, t));
             if trie.mark(child, QUEUED) {
                 stack.push(child);
             }
-        };
-        match mode {
-            Mode::Exhaustive => exhaustive_children(&steps, &choices, queue),
-            Mode::Dpor => dpor_children(&steps, &choices, queue),
-        }
+        });
     }
     stats
 }
 
 /// The prefix was pushed on the search stack.
 const QUEUED: u8 = 1;
-/// A run executed exactly this choice sequence.
-const EXECUTED: u8 = 2;
+/// Running the prefix replays an analyzed execution: the node is on that
+/// execution's path, and the rest of the path is the default
+/// continuation. An execution's leaf is always covered.
+const COVERED: u8 = 2;
 
 /// The explorer's search state: a trie of thread choices whose nodes
 /// live in one arena. A node stands for the choice sequence on its path
@@ -237,7 +259,7 @@ struct TrieNode {
     next_sibling: u32,
     /// The thread this node's last decision chose.
     choice: u8,
-    /// [`QUEUED`] and [`EXECUTED`] bits.
+    /// [`QUEUED`] and [`COVERED`] bits.
     flags: u8,
 }
 
@@ -267,11 +289,15 @@ impl PrefixTrie {
         id
     }
 
+    /// Whether `flag` is set on `node`.
+    fn has(&self, node: u32, flag: u8) -> bool {
+        self.nodes[node as usize].flags & flag != 0
+    }
+
     /// Set `flag` on `node`; false when it was set already.
     fn mark(&mut self, node: u32, flag: u8) -> bool {
-        let flags = &mut self.nodes[node as usize].flags;
-        let new = *flags & flag == 0;
-        *flags |= flag;
+        let new = !self.has(node, flag);
+        self.nodes[node as usize].flags |= flag;
         new
     }
 
@@ -285,20 +311,6 @@ impl PrefixTrie {
             at = n.parent;
         }
         out.reverse();
-    }
-}
-
-/// Every alternative enabled choice at every decision point, handed to
-/// `child` as `(i, [t])`: the prefix `choices[..i]` followed by `t`.
-fn exhaustive_children(
-    steps: &Schedule,
-    choices: &[usize],
-    mut child: impl FnMut(usize, &[usize]),
-) {
-    for (i, step) in steps.iter().enumerate() {
-        for t in step.enabled_threads().filter(|&t| t != choices[i]) {
-            child(i, &[t]);
-        }
     }
 }
 
@@ -558,13 +570,12 @@ pub fn render_diagram(steps: &Schedule, forced: &[(usize, usize)]) -> Vec<String
 /// executions the search keeps are analyzed; the minimizer analyzes
 /// every run it makes.
 pub fn explore_and_minimize<T: Analyze>(
-    mode: Mode,
     bounds: &Bounds,
     runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
 ) -> (ExploreStats, Vec<ExploreFinding>) {
     let mut witnesses: Vec<(LintId, Vec<Option<usize>>)> = Vec::new();
     let mut seen: HashSet<LintId> = HashSet::new();
-    let stats = explore(mode, bounds, &runner, |_steps, overrides, payload: T| {
+    let stats = explore(bounds, &runner, |_steps, overrides, payload: T| {
         for f in &payload.findings() {
             if seen.insert(f.lint) {
                 witnesses.push((f.lint, overrides.to_vec()));
@@ -596,8 +607,6 @@ pub struct ExploreSpec {
     pub sections: usize,
     /// RNG seed for the HTM layer.
     pub seed: u64,
-    /// Enumeration mode.
-    pub mode: Mode,
     /// Exploration limits.
     pub bounds: Bounds,
 }
@@ -613,7 +622,6 @@ impl ExploreSpec {
             threads: 2,
             sections: 3,
             seed: 0xE11D,
-            mode: Mode::Dpor,
             bounds: Bounds::quick(),
         }
     }
@@ -626,6 +634,8 @@ pub struct CellReport {
     pub executions: usize,
     /// Total runner invocations.
     pub runs: usize,
+    /// Runs whose forced prefix could not be followed.
+    pub fallback_runs: usize,
     /// True when a bound cut the search short.
     pub truncated: bool,
     /// Minimized schedule-dependent violations (empty for correct cells).
@@ -827,11 +837,11 @@ impl Analyze for CellRun<'_> {
 /// truncated when a bound cuts it short), run every new execution through
 /// the full analysis pipeline, and minimize whatever fails.
 pub fn explore_cell(spec: &ExploreSpec) -> CellReport {
-    let (stats, findings) =
-        explore_and_minimize(spec.mode, &spec.bounds, |ov| run_cell_once(spec, ov));
+    let (stats, findings) = explore_and_minimize(&spec.bounds, |ov| run_cell_once(spec, ov));
     CellReport {
         executions: stats.executions,
         runs: stats.runs,
+        fallback_runs: stats.fallback_runs,
         truncated: stats.truncated,
         findings,
     }
@@ -845,6 +855,45 @@ mod tests {
         LazyFixes,
     };
     use std::collections::BTreeMap;
+
+    /// How a test enumerates schedules: the explorer's DPOR, or the
+    /// exhaustive oracle DPOR is checked against.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Mode {
+        /// Branch on every enabled thread at every decision point.
+        Exhaustive,
+        /// Branch only to reverse dependent (racing) step pairs.
+        Dpor,
+    }
+
+    /// [`explore`], or the same search with [`exhaustive_children`].
+    fn explore_in<T>(
+        mode: Mode,
+        bounds: &Bounds,
+        runner: impl Fn(&[Option<usize>]) -> (Schedule, T),
+        on_exec: impl FnMut(&Schedule, &[Option<usize>], T),
+    ) -> ExploreStats {
+        match mode {
+            Mode::Exhaustive => search(bounds, runner, on_exec, |steps, choices, child| {
+                exhaustive_children(steps, choices, child)
+            }),
+            Mode::Dpor => explore(bounds, runner, on_exec),
+        }
+    }
+
+    /// Every alternative enabled choice at every decision point, handed to
+    /// `child` as `(i, [t])`: the prefix `choices[..i]` followed by `t`.
+    fn exhaustive_children(
+        steps: &Schedule,
+        choices: &[usize],
+        mut child: impl FnMut(usize, &[usize]),
+    ) {
+        for (i, step) in steps.iter().enumerate() {
+            for t in step.enabled_threads().filter(|&t| t != choices[i]) {
+                child(i, &[t]);
+            }
+        }
+    }
 
     /// Two threads, two pure-computation segments each: C(4,2) = 6
     /// interleavings, matching the hand-computed count.
@@ -906,7 +955,7 @@ mod tests {
     #[test]
     fn exhaustive_enumerates_all_toy_interleavings() {
         let mut seen = 0usize;
-        let stats = explore(Mode::Exhaustive, &unbounded(), toy_runner, |steps, _, ()| {
+        let stats = explore_in(Mode::Exhaustive, &unbounded(), toy_runner, |steps, _, ()| {
             assert_eq!(steps.len(), 4, "two threads x two segments = four decisions");
             seen += 1;
         });
@@ -922,7 +971,7 @@ mod tests {
             let collect = |mode| {
                 let mut lints: HashSet<LintId> = HashSet::new();
                 let runner = |ov: &[Option<usize>]| racy_runner_n(threads, ov);
-                let stats = explore(mode, &unbounded(), runner, |_, _, findings| {
+                let stats = explore_in(mode, &unbounded(), runner, |_, _, findings| {
                     lints.extend(findings.iter().map(|f| f.lint));
                 });
                 (stats, lints)
@@ -947,7 +996,7 @@ mod tests {
 
     #[test]
     fn dpor_catches_schedule_dependent_broken_slr() {
-        let (stats, findings) = explore_and_minimize(Mode::Dpor, &unbounded(), broken_slr_explore);
+        let (stats, findings) = explore_and_minimize(&unbounded(), broken_slr_explore);
         assert!(stats.executions > 1, "must explore beyond the (clean) default schedule");
         let hit = findings
             .iter()
@@ -960,8 +1009,7 @@ mod tests {
 
     #[test]
     fn dpor_catches_schedule_dependent_double_release() {
-        let (stats, findings) =
-            explore_and_minimize(Mode::Dpor, &unbounded(), double_release_explore);
+        let (stats, findings) = explore_and_minimize(&unbounded(), double_release_explore);
         assert!(stats.executions > 1);
         let hit = findings
             .iter()
@@ -983,7 +1031,6 @@ mod tests {
                 let mut lints: HashSet<LintId> = HashSet::new();
                 let mut max_len = 0usize;
                 let stats = explore(
-                    Mode::Dpor,
                     &bounds,
                     |ov| lazy_zombie_explore(lock, fixes, ov),
                     |steps, _, findings| {
@@ -1001,7 +1048,6 @@ mod tests {
                 let mut lints: HashSet<LintId> = HashSet::new();
                 let mut max_len = 0usize;
                 let stats = explore(
-                    Mode::Dpor,
                     &bounds,
                     |ov| lazy_race_explore(lock, fixes, ov),
                     |steps, _, findings| {
@@ -1022,7 +1068,7 @@ mod tests {
     fn dpor_catches_lazy_zombie_dangerous_instruction() {
         // Class A of arXiv 1407.6968: unfixed lazy subscription lets a
         // zombie publish a wild store to the lock word itself.
-        let (stats, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), |ov| {
+        let (stats, findings) = explore_and_minimize(&Bounds::lazy_safety(), |ov| {
             lazy_zombie_explore(LockKind::Ttas, LazyFixes::default(), ov)
         });
         assert!(stats.executions > 1, "must explore beyond the (clean) default schedule");
@@ -1043,7 +1089,7 @@ mod tests {
     fn dpor_catches_lazy_subscription_commit_race() {
         // Class B of arXiv 1407.6968: the lock is acquired between the
         // unfenced subscription check and the commit.
-        let (stats, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), |ov| {
+        let (stats, findings) = explore_and_minimize(&Bounds::lazy_safety(), |ov| {
             lazy_race_explore(LockKind::Ttas, LazyFixes::default(), ov)
         });
         assert!(stats.executions > 1, "must explore beyond the (clean) default schedule");
@@ -1061,13 +1107,13 @@ mod tests {
         // bounded search that finds the counterexamples above must come
         // back empty.
         let both = LazyFixes { dangerous_abort: true, hardware_commit: true };
-        let (stats, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), |ov| {
+        let (stats, findings) = explore_and_minimize(&Bounds::lazy_safety(), |ov| {
             lazy_zombie_explore(LockKind::Ttas, both, ov)
         });
         assert!(stats.executions > 1, "the fixed cell must actually be searched");
         assert!(findings.is_empty(), "fixed zombie cell must verify clean: {findings:#?}");
 
-        let (stats, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), |ov| {
+        let (stats, findings) = explore_and_minimize(&Bounds::lazy_safety(), |ov| {
             lazy_race_explore(LockKind::Ttas, both, ov)
         });
         assert!(stats.executions > 1, "the fixed cell must actually be searched");
@@ -1079,7 +1125,7 @@ mod tests {
         // The dangerous-instruction screen stops the wild store at the
         // offending access...
         let screen_only = LazyFixes { dangerous_abort: true, hardware_commit: false };
-        let (stats, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), |ov| {
+        let (stats, findings) = explore_and_minimize(&Bounds::lazy_safety(), |ov| {
             lazy_zombie_explore(LockKind::Ttas, screen_only, ov)
         });
         assert!(stats.executions > 1, "the screened cell must actually be searched");
@@ -1087,7 +1133,7 @@ mod tests {
 
         // ...but is no help against the check-to-commit window, which
         // involves no dangerous instruction at all.
-        let (_, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), |ov| {
+        let (_, findings) = explore_and_minimize(&Bounds::lazy_safety(), |ov| {
             lazy_race_explore(LockKind::Ttas, screen_only, ov)
         });
         assert!(
@@ -1103,7 +1149,7 @@ mod tests {
     fn minimizer_drops_noop_overrides() {
         // Seed the minimizer with a deliberately bloated override slice:
         // whatever the search found plus a stack of no-op entries.
-        let (_, findings) = explore_and_minimize(Mode::Dpor, &unbounded(), racy_runner);
+        let (_, findings) = explore_and_minimize(&unbounded(), racy_runner);
         let witness = &findings[0];
         let bloated = bloat(racy_runner, &witness.forced);
         let (minimized, _, finding) =
@@ -1147,7 +1193,7 @@ mod tests {
             ),
         ];
         for (runner, want) in cases {
-            let (_, findings) = explore_and_minimize(Mode::Dpor, &unbounded(), runner);
+            let (_, findings) = explore_and_minimize(&unbounded(), runner);
             let got: Vec<_> = findings.iter().map(|f| (f.finding.lint, f.forced.clone())).collect();
             assert_eq!(got, want);
             // Minimizing the bloated first witness lands on it again.
@@ -1407,8 +1453,10 @@ mod tests {
 
         /// Racing toys of 2–4 threads under both modes and random bounds,
         /// down to ones that cut the search after one run: the trie
-        /// explorer makes the hashed-set loop's runs, in its order, and
-        /// reports the same stats.
+        /// explorer analyzes the hashed-set loop's executions, in its
+        /// order, and reports the same stats, in no more runs. Where the
+        /// loop stopped on its run bound, the explorer (which skips the
+        /// loop's replays) may go on to analyze more.
         #[test]
         fn trie_explorer_matches_the_hashed_set_loop(
             threads in 2usize..5,
@@ -1426,9 +1474,38 @@ mod tests {
             let max_steps = 2 * threads - 1 + steps_slack;
             let bounds = Bounds { divergence, max_schedules, max_runs, max_steps };
             let runner = |ov: &[Option<usize>]| racy_runner_n(threads, ov);
-            let got = trail(|m, b, r, on| explore(m, b, r, on), mode, &bounds, runner);
-            let want = trail(|m, b, r, on| reference_explore(m, b, r, on), mode, &bounds, runner);
-            proptest::prop_assert_eq!(got, want);
+            let (got, stats) = trail(|m, b, r, on| explore_in(m, b, r, on), mode, &bounds, runner);
+            let (want, reference) =
+                trail(|m, b, r, on| reference_explore(m, b, r, on), mode, &bounds, runner);
+            if reference.runs >= max_runs {
+                proptest::prop_assert!(got.starts_with(&want));
+            } else {
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(
+                    (stats.executions, stats.truncated),
+                    (reference.executions, reference.truncated)
+                );
+            }
+            proptest::prop_assert!(stats.runs <= reference.runs);
+            proptest::prop_assert!(stats.runs - stats.executions <= stats.fallback_runs);
+        }
+
+        /// On the racing toys every run of either enumeration, under any
+        /// bounds, is a new execution: no prefix falls back, so none
+        /// replays one.
+        #[test]
+        fn racy_toys_run_only_new_executions(
+            threads in 2usize..5,
+            exhaustive in proptest::any::<bool>(),
+            divergence in 0u32..5,
+            max_schedules in 1usize..120,
+        ) {
+            let mode = if exhaustive { Mode::Exhaustive } else { Mode::Dpor };
+            let divergence = (divergence < 4).then_some(divergence);
+            let bounds = Bounds { divergence, max_schedules, ..unbounded() };
+            let runner = |ov: &[Option<usize>]| racy_runner_n(threads, ov);
+            let stats = explore_in(mode, &bounds, runner, |_, _, _| {});
+            proptest::prop_assert_eq!(stats.runs, stats.executions);
         }
     }
 

@@ -15,7 +15,7 @@
 //! `lazy_safety` sweep gates on, so the explorer is exercised exactly
 //! where its counterexamples carry the most weight.
 
-use elision_analysis::explore::{explore_and_minimize, minimize, overrides_for, Bounds, Mode};
+use elision_analysis::explore::{explore_and_minimize, minimize, overrides_for, Bounds};
 use elision_analysis::testkit::{lazy_race_explore, lazy_zombie_explore, LazyFixes};
 use elision_analysis::LintId;
 use elision_core::LockKind;
@@ -48,7 +48,7 @@ proptest! {
         let runner = |ov: &[Option<usize>]| {
             lazy_race_explore(LockKind::Ttas, fixes, ov)
         };
-        let (stats, findings) = explore_and_minimize(Mode::Dpor, &bounds, runner);
+        let (stats, findings) = explore_and_minimize(&bounds, runner);
         prop_assert!(stats.executions >= 1, "the default schedule always runs");
         prop_assert!(
             stats.executions <= max_schedules,
@@ -70,7 +70,7 @@ proptest! {
                 max_runs: max_runs + 32,
                 max_steps: max_steps + 128,
             };
-            let (_, more) = explore_and_minimize(Mode::Dpor, &bigger, runner);
+            let (_, more) = explore_and_minimize(&bigger, runner);
             let lints: HashSet<LintId> = findings.iter().map(|f| f.finding.lint).collect();
             let more_lints: HashSet<LintId> = more.iter().map(|f| f.finding.lint).collect();
             prop_assert_eq!(
@@ -139,7 +139,7 @@ fn minimization_is_sound_on_both_unsafe_classes() {
         ),
     ];
     for (name, runner, marker) in cases {
-        let (_, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), runner);
+        let (_, findings) = explore_and_minimize(&Bounds::lazy_safety(), runner);
         let hit = findings
             .iter()
             .find(|f| f.finding.lint == marker)

@@ -198,6 +198,7 @@ pub(crate) fn cell_report((stats, findings): (ExploreStats, Vec<ExploreFinding>)
     CellReport {
         executions: stats.executions,
         runs: stats.runs,
+        fallback_runs: stats.fallback_runs,
         truncated: stats.truncated,
         findings,
     }
@@ -241,6 +242,7 @@ pub(crate) fn cell_report_json(
     labels.extend([
         ("executions", Json::Uint(r.executions as u64)),
         ("runs", Json::Uint(r.runs as u64)),
+        ("fallback_runs", Json::Uint(r.fallback_runs as u64)),
         ("truncated", Json::Bool(r.truncated)),
         (
             "findings",
@@ -266,6 +268,20 @@ fn counterexample_json(f: &ExploreFinding, with_sites: bool) -> Json {
         pairs.push(("sites", sites_json(&f.finding.sites)));
     }
     Json::obj(pairs)
+}
+
+/// Assert that every run of a cell beyond its executions, each a replay
+/// of an execution already analyzed, is one whose forced prefix could
+/// not be followed: the search skips every other replay before running
+/// it.
+pub(crate) fn assert_replays_fell_back(key: &str, r: &CellReport) {
+    assert!(
+        r.runs - r.executions <= r.fallback_runs,
+        "{key}: {} runs for {} executions, but only {} fell back from their forced prefix",
+        r.runs,
+        r.executions,
+        r.fallback_runs
+    );
 }
 
 /// Assert that a cell which must fail did: at least one finding, one of

@@ -36,11 +36,11 @@
 //! [`LintId::ZombieCommit`]: LintId::ZombieCommit
 //! [`LintId::CommitWhileLockHeld`]: LintId::CommitWhileLockHeld
 
-use super::{assert_counterexamples, cell_report, cell_report_json, Run};
+use super::{assert_counterexamples, assert_replays_fell_back, cell_report, cell_report_json, Run};
 use crate::metrics::{Json, SCHEMA_VERSION};
 use crate::report::Table;
 use crate::sweep::Cell;
-use elision_analysis::explore::{explore_and_minimize, Bounds, CellReport, Mode};
+use elision_analysis::explore::{explore_and_minimize, Bounds, CellReport};
 use elision_analysis::testkit::{lazy_race_explore, lazy_zombie_explore, LazyFixes};
 use elision_analysis::LintId;
 use elision_core::LockKind;
@@ -100,10 +100,10 @@ impl UnsafeClass {
         let bounds = Bounds::lazy_safety();
         cell_report(match self {
             UnsafeClass::Zombie => {
-                explore_and_minimize(Mode::Dpor, &bounds, |ov| lazy_zombie_explore(lock, fixes, ov))
+                explore_and_minimize(&bounds, |ov| lazy_zombie_explore(lock, fixes, ov))
             }
             UnsafeClass::SubscriptionRace => {
-                explore_and_minimize(Mode::Dpor, &bounds, |ov| lazy_race_explore(lock, fixes, ov))
+                explore_and_minimize(&bounds, |ov| lazy_race_explore(lock, fixes, ov))
             }
         })
     }
@@ -142,6 +142,7 @@ pub(super) fn run(run: &mut Run) {
             r.runs.to_string(),
             r.findings.len().to_string(),
         ]);
+        assert_replays_fell_back(&key, r);
         let labels = vec![
             ("class", Json::Str(class.label().to_string())),
             ("lock", Json::Str(lock.label().to_string())),

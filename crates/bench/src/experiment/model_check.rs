@@ -16,12 +16,12 @@
 //! `--jobs` values (host timing goes to `TIMING_model_check.json`,
 //! which the determinism gates exclude).
 
-use super::{assert_counterexamples, cell_report, cell_report_json, Run};
+use super::{assert_counterexamples, assert_replays_fell_back, cell_report, cell_report_json, Run};
 use crate::metrics::{Json, SCHEMA_VERSION};
 use crate::report::Table;
 use crate::sweep::Cell;
 use elision_analysis::explore::{
-    explore_and_minimize, explore_cell, Bounds, CellReport, ExploreSpec, Mode,
+    explore_and_minimize, explore_cell, Bounds, CellReport, ExploreSpec,
 };
 use elision_analysis::testkit::{broken_slr_explore, double_release_explore, ExploreRun};
 use elision_analysis::LintId;
@@ -83,7 +83,7 @@ pub(super) fn run(run: &mut Run) {
         // budget.
         keys.push((name.to_string(), true, expected));
         cells.push(Cell::new(name, 2, move || {
-            cell_report(explore_and_minimize(Mode::Dpor, &Bounds::quick(), runner))
+            cell_report(explore_and_minimize(&Bounds::quick(), runner))
         }));
     }
 
@@ -106,6 +106,7 @@ pub(super) fn run(run: &mut Run) {
                 println!("    {line}");
             }
         }
+        assert_replays_fell_back(key, r);
         let labels = vec![("cell", Json::Str(key.clone())), ("seeded", Json::Bool(*seeded))];
         rows.push(cell_report_json(labels, r, true));
         if *seeded {

@@ -117,6 +117,19 @@ fn modelcheck_quick_artifact_matches_pre_rewrite_golden() {
     assert_golden(&scratch.0, "MODELCHECK.json", GOLDEN_MODELCHECK_JSON);
 }
 
+/// LAZY_SAFETY.json from the lazy-subscription fix matrix: the search
+/// statistics of every cell as well as the counterexamples that
+/// `lazy_counterexamples.rs` pins. `#[ignore]`d by default with the
+/// model-check golden; CI runs both in the model-check job.
+#[test]
+#[ignore = "runs the --quick lazy-safety sweep; exercised by CI's model-check job"]
+fn lazy_safety_quick_artifact_matches_golden() {
+    let scratch = Scratch::new("ls");
+    let dir = scratch.0.to_str().expect("utf-8 scratch path");
+    repro(&["lazy_safety", "--quick", "--jobs", "2", "--metrics", dir]);
+    assert_golden(&scratch.0, "LAZY_SAFETY.json", GOLDEN_LAZY_SAFETY_JSON);
+}
+
 /// `repro summary` over the reports of `repro all` must reproduce the
 /// BENCH_SUMMARY.json the per-figure binaries and `bench_summary` wrote
 /// before the single driver, and must also merge the two explorer
@@ -161,7 +174,14 @@ fn summary_of_all_matches_pre_driver_golden() {
 const GOLDEN_FIG2_CSV: u64 = 0xd6cc_7b01_f6ed_1939;
 const GOLDEN_FIG2_JSON: u64 = 0xfa0d_86b0_a82f_33e6;
 const GOLDEN_PERF_GATE_JSON: u64 = 0xa36d_d358_d5f5_4d7f;
-const GOLDEN_MODELCHECK_JSON: u64 = 0x1331_dd5f_75c2_f000;
+// MODELCHECK.json was re-blessed when the explorer began skipping every
+// queued prefix whose default continuation had already run: each cell's
+// `runs` fell (40,256 to 33,720 in all) and gained a `fallback_runs`
+// count, while executions, truncation and findings stayed the same.
+const GOLDEN_MODELCHECK_JSON: u64 = 0x16ec_3ecc_ac91_4717;
+// Captured when the explorer began skipping covered prefixes, which is
+// also when the artifact gained its `fallback_runs` counts.
+const GOLDEN_LAZY_SAFETY_JSON: u64 = 0x72ea_ba2d_e6f2_e28d;
 // Captured from `bench_summary` over the 18 row reports that the
 // per-figure binaries wrote at `--quick --seeds 1` (all but the two
 // explorer reports, which it could not merge).

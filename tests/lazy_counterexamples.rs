@@ -16,7 +16,7 @@
 //! the fixtures, or the analysis passes, regenerate the constants from
 //! the failure message — the test prints the actual hash.
 
-use elision_analysis::explore::{explore_and_minimize, overrides_for, Bounds, Mode};
+use elision_analysis::explore::{explore_and_minimize, overrides_for, Bounds};
 use elision_analysis::testkit::{lazy_race_explore, lazy_zombie_explore, LazyFixes};
 use elision_analysis::{Finding, LintId};
 use elision_core::LockKind;
@@ -62,7 +62,7 @@ fn check_counterexample(
     marker: LintId,
     golden: u64,
 ) -> HashSet<LintId> {
-    let (_, findings) = explore_and_minimize(Mode::Dpor, &Bounds::lazy_safety(), |ov| runner(ov));
+    let (_, findings) = explore_and_minimize(&Bounds::lazy_safety(), |ov| runner(ov));
     let hit = findings
         .iter()
         .find(|f| f.finding.lint == marker)
