@@ -1,6 +1,15 @@
-//! End-to-end sanitize mode: run one scheme × lock cell of the paper's
-//! matrix with the sanitizer log and per-thread traces enabled, then
-//! feed the logs through all three analysis passes.
+//! The analysis pipeline and end-to-end sanitize mode.
+//!
+//! [`analyze`] is the one path every finished run takes, whether it is a
+//! sanitized cell, an explorer execution or a known-bad fixture: it
+//! merges the run's trace rings (refusing a ring that dropped events),
+//! then runs the race, opacity and lock-discipline passes and the
+//! residual conflict-bit check. A [`Checks`] value says what the run
+//! promises: [`Checks::for_scheme`] derives it from a scheme instance,
+//! [`Checks::for_lock`] from a bare lock.
+//!
+//! [`sanitize_run`] runs one scheme × lock cell of the paper's matrix
+//! with the sanitizer log and per-thread traces enabled and analyzes it.
 //!
 //! The workload is a shared counter plus a small array of contended
 //! words, all mutated through [`elision_core::Scheme::execute`] — small
@@ -22,8 +31,8 @@ use crate::opacity::{check_opacity, OpacityConfig, OpacityPolicy};
 use crate::race::{detect_races, RaceConfig};
 use crate::{AccessSite, Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, HtmConfig, MemoryBuilder, VarId};
-use elision_sim::{FaultPlan, GlobalTrace};
+use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, VarId};
+use elision_sim::{FaultPlan, GlobalTrace, TraceRing};
 use std::sync::Arc;
 
 /// Number of contended data words in the workload array.
@@ -94,33 +103,111 @@ impl SanReport {
     }
 }
 
-/// The opacity policy a scheme promises (see [`OpacityPolicy`]).
-pub fn policy_for(kind: SchemeKind) -> OpacityPolicy {
-    match kind {
-        // Lazy subscription: zombies are expected, commits are not.
-        SchemeKind::OptSlr | SchemeKind::SlrScm => OpacityPolicy::Sandboxed,
-        _ => OpacityPolicy::Strict,
+/// What [`analyze`] checks beyond the race pass and the residual-bit
+/// check, which every run gets.
+#[derive(Debug)]
+pub struct Checks {
+    /// The opacity pass's policy and main lock.
+    pub opacity: OpacityConfig,
+    /// The lock-discipline lints; its `threads` also sizes the race pass.
+    pub lint: LintConfig,
+}
+
+impl Checks {
+    /// The checks a scheme instance run by `threads` threads must pass.
+    /// Lazy subscription (SLR) tolerates zombie reads but not zombie
+    /// commits; every other scheme promises opacity (see
+    /// [`OpacityPolicy`]).
+    pub fn for_scheme(scheme: &Scheme, threads: usize) -> Self {
+        let kind = scheme.kind();
+        let main_lock = Some(scheme.main_lock().lock_word().index());
+        let policy = match kind {
+            SchemeKind::OptSlr | SchemeKind::SlrScm => OpacityPolicy::Sandboxed,
+            _ => OpacityPolicy::Strict,
+        };
+        Checks {
+            opacity: OpacityConfig { policy, main_lock },
+            lint: LintConfig {
+                require_subscription: kind != SchemeKind::Standard,
+                aux_discipline: kind.uses_aux(),
+                main_lock,
+                aux_locks: scheme.aux_locks().iter().map(|l| l.lock_word().index()).collect(),
+                threads,
+            },
+        }
+    }
+
+    /// The checks for a bare lock whose word is `word`, with no auxiliary
+    /// locks, run by `threads` threads.
+    pub fn for_lock(
+        word: VarId,
+        policy: OpacityPolicy,
+        require_subscription: bool,
+        threads: usize,
+    ) -> Self {
+        let main_lock = Some(word.index());
+        Checks {
+            opacity: OpacityConfig { policy, main_lock },
+            lint: LintConfig {
+                require_subscription,
+                aux_discipline: false,
+                main_lock,
+                aux_locks: Vec::new(),
+                threads,
+            },
+        }
     }
 }
 
-/// Build the lint configuration matching a scheme instance.
-pub fn lint_config_for(scheme: &Scheme, threads: usize) -> LintConfig {
-    LintConfig {
-        require_subscription: scheme.kind() != SchemeKind::Standard,
-        aux_discipline: scheme.kind().uses_aux(),
-        main_lock: Some(scheme.main_lock().lock_word().index()),
-        aux_locks: scheme.aux_locks().iter().map(|l| l.lock_word().index()).collect(),
-        threads,
+/// Run every pass over one finished run: merge its trace `rings`, then
+/// check `mem`'s sanitizer log for races and opacity, the merged trace
+/// for lock discipline, and `mem`'s conflict bitmap for bits that
+/// survived quiescence (reported at time `makespan`).
+///
+/// # Panics
+///
+/// Panics if a trace ring dropped events (lints over a truncated trace
+/// would be unsound, so this fails loudly instead) or if `mem` was built
+/// without the sanitizer.
+pub fn analyze<'a>(
+    checks: &Checks,
+    mem: &Memory,
+    rings: impl IntoIterator<Item = &'a TraceRing>,
+    makespan: u64,
+) -> Vec<Finding> {
+    let trace = GlobalTrace::merge(rings.into_iter().enumerate());
+    assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow the ring capacity");
+    let san = mem.san_log().expect("analyze needs a run with the sanitizer enabled");
+    let events = san.snapshot();
+
+    let mut findings = detect_races(&RaceConfig::of(mem, checks.lint.threads), &events);
+    findings.extend(check_opacity(&checks.opacity, san.initial_values(), &events));
+    findings.extend(lint_trace(&checks.lint, &trace));
+
+    // Post-run leak check: after quiescence every conflict-bitmap bit
+    // must be cleared.
+    for line in mem.residual_lines() {
+        findings.push(Finding {
+            lint: LintId::ResidualConflictBits,
+            message: format!("line {} kept reader/writer bits after quiescence", line.raw()),
+            sites: vec![AccessSite {
+                tid: 0,
+                var: None,
+                line: Some(line.raw()),
+                time: makespan,
+                seq: events.len(),
+            }],
+        });
     }
+    findings
 }
 
-/// Run one cell under the sanitizer and analyse its logs.
+/// Run one cell under the sanitizer and [`analyze`] it.
 ///
 /// # Panics
 ///
 /// Panics if a trace ring overflowed (the rings are sized so this
-/// cannot happen for sane `ops_per_thread`) — lints over a truncated
-/// trace would be unsound, so this fails loudly instead.
+/// cannot happen for sane `ops_per_thread`).
 pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
@@ -164,47 +251,12 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
         )
     };
 
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow ring_capacity");
-
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let race_cfg = RaceConfig {
-        threads: spec.threads,
-        words_per_line: mem.words_per_line() as u32,
-        lock_lines: (0..mem.line_count()).map(|l| mem.is_lock_line(l as u32)).collect(),
-    };
-    let opacity_cfg = OpacityConfig {
-        policy: policy_for(spec.scheme),
-        main_lock: Some(scheme.main_lock().lock_word().index()),
-    };
-
-    let mut findings = detect_races(&race_cfg, &events);
-    findings.extend(check_opacity(&opacity_cfg, san.initial_values(), &events));
-    findings.extend(lint_trace(&lint_config_for(&scheme, spec.threads), &trace));
-
-    // Post-run leak check: after quiescence every conflict-bitmap bit
-    // must be cleared.
-    for line in mem.residual_lines() {
-        findings.push(Finding {
-            lint: LintId::ResidualConflictBits,
-            message: format!("line {} kept reader/writer bits after quiescence", line.raw()),
-            sites: vec![AccessSite {
-                tid: 0,
-                var: None,
-                line: Some(line.raw()),
-                time: makespan,
-                seq: events.len(),
-            }],
-        });
-    }
-
+    let findings = analyze(&Checks::for_scheme(&scheme, spec.threads), &mem, &rings, makespan);
     let expected = (spec.threads * spec.ops_per_thread) as u64;
     SanReport {
         findings,
-        san_events: events.len(),
-        trace_events: trace.len(),
+        san_events: mem.san_log().expect("sanitizer enabled above").len(),
+        trace_events: rings.iter().map(TraceRing::len).sum(),
         hot_total: mem.read_direct(hot),
         target_sum: targets.iter().map(|&t| mem.read_direct(t)).sum(),
         expected_total: expected,
@@ -215,6 +267,7 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elision_locks::{RawLock, TtasLock};
 
     fn assert_clean(scheme: SchemeKind, lock: LockKind) {
         let report = sanitize_run(&SanitizeSpec::new(scheme, lock));
@@ -228,6 +281,31 @@ mod tests {
         );
         assert!(report.san_events > 0, "sanitizer log was empty");
         assert!(report.trace_events > 0, "trace was empty");
+    }
+
+    #[test]
+    #[should_panic(expected = "trace ring overflowed")]
+    fn analyze_refuses_a_ring_that_dropped_events() {
+        let mut b = MemoryBuilder::new();
+        b.enable_sanitizer();
+        let lock = Arc::new(TtasLock::new(&mut b));
+        let data = b.alloc_isolated(0);
+        let mem = Arc::new(b.freeze(1));
+        let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Strict, false, 1);
+        let (rings, makespan) =
+            harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
+                // Four critical sections log eight lock events into a
+                // ring that holds four.
+                s.enable_trace(4);
+                for _ in 0..4 {
+                    lock.acquire(s).expect("non-speculative acquire");
+                    s.store(data, 1).expect("plain store");
+                    lock.release(s).expect("non-speculative release");
+                }
+                s.trace.take().expect("trace enabled above")
+            });
+        assert!(rings[0].dropped() > 0, "the ring must overflow for this test to mean anything");
+        analyze(&checks, &mem, &rings, makespan);
     }
 
     #[test]

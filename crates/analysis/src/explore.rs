@@ -7,8 +7,8 @@
 //! handful of critical sections), up to the [`Bounds`] on executions,
 //! runs, steps and divergences, replaying each schedule
 //! deterministically and feeding each new execution through the full
-//! sanitizer pipeline (races, opacity, lock lints, residual bits) plus
-//! the [`crate::linearize`] history oracle.
+//! sanitizer pipeline ([`crate::driver::analyze`]: races, opacity, lock
+//! lints, residual bits) plus the [`crate::linearize`] history oracle.
 //!
 //! # Schedules as override prefixes
 //!
@@ -65,16 +65,12 @@
 //! minimal set of forced decisions that still reproduces the finding,
 //! rendered by [`render_diagram`] as a step-by-step interleaving.
 
-use crate::driver::{lint_config_for, policy_for};
+use crate::driver::{analyze, Checks};
 use crate::linearize::check_linearizable;
-use crate::lint::lint_trace;
-use crate::opacity::{check_opacity, OpacityConfig};
-use crate::race::detect_races;
-use crate::testkit::race_cfg;
-use crate::{AccessSite, Finding, LintId};
+use crate::{Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, Strand};
-use elision_sim::{GlobalTrace, Schedule, ScheduleControl, TraceRing};
+use elision_sim::{Schedule, TraceRing};
 use elision_structures::{
     HashTable, HistoryRecorder, OpAction, OpRecord, OpResponse, RbTree, SeqModel, SimQueue,
     SortedList, StructureKind,
@@ -760,9 +756,8 @@ fn run_cell_once<'a>(
         CellStructure::Fifo(_) => {}
     }
     let structure = Arc::new(structure);
-    let control = Arc::new(ScheduleControl::new(spec.threads, overrides));
 
-    let (outs, makespan) = {
+    let (steps, outs, makespan) = {
         let scheme = Arc::clone(&scheme);
         let structure = Arc::clone(&structure);
         let kind = spec.structure;
@@ -771,7 +766,7 @@ fn run_cell_once<'a>(
             spec.threads,
             HtmConfig::deterministic(),
             spec.seed,
-            Arc::clone(&control),
+            overrides,
             Arc::clone(&mem),
             move |s| {
                 s.enable_trace(4096);
@@ -788,42 +783,15 @@ fn run_cell_once<'a>(
         )
     };
 
-    (control.steps(), CellRun { spec, scheme, mem, outs, makespan })
+    (steps, CellRun { spec, scheme, mem, outs, makespan })
 }
 
 impl Analyze for CellRun<'_> {
-    /// Every pass: races, opacity, lock lints, residual conflict bits and
-    /// the linearizability oracle.
+    /// Every pass of [`analyze`], then the linearizability oracle.
     fn findings(self) -> Vec<Finding> {
         let CellRun { spec, scheme, mem, outs, makespan } = self;
-        let trace = GlobalTrace::merge(outs.iter().map(|(ring, _)| ring).enumerate());
-        assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow the ring capacity");
-        let san = mem.san_log().expect("sanitizer enabled above");
-        let events = san.snapshot();
-
-        let mut findings = detect_races(&race_cfg(&mem, spec.threads), &events);
-        findings.extend(check_opacity(
-            &OpacityConfig {
-                policy: policy_for(spec.scheme),
-                main_lock: Some(scheme.main_lock().lock_word().index()),
-            },
-            san.initial_values(),
-            &events,
-        ));
-        findings.extend(lint_trace(&lint_config_for(&scheme, spec.threads), &trace));
-        for line in mem.residual_lines() {
-            findings.push(Finding {
-                lint: LintId::ResidualConflictBits,
-                message: format!("line {} kept reader/writer bits after quiescence", line.raw()),
-                sites: vec![AccessSite {
-                    tid: 0,
-                    var: None,
-                    line: Some(line.raw()),
-                    time: makespan,
-                    seq: events.len(),
-                }],
-            });
-        }
+        let checks = Checks::for_scheme(&scheme, spec.threads);
+        let mut findings = analyze(&checks, &mem, outs.iter().map(|(ring, _)| ring), makespan);
         let ops: Vec<OpRecord> = outs.iter().flat_map(|(_, r)| r.iter().copied()).collect();
         let model = SeqModel::for_kind(spec.structure, QUEUE_CAP);
         findings.extend(check_linearizable(&model, &ops));
@@ -850,6 +818,7 @@ pub fn explore_cell(spec: &ExploreSpec) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::race::{detect_races, RaceConfig};
     use crate::testkit::{
         broken_slr_explore, double_release_explore, lazy_race_explore, lazy_zombie_explore,
         LazyFixes,
@@ -900,19 +869,12 @@ mod tests {
     fn toy_runner(overrides: &[Option<usize>]) -> (Schedule, ()) {
         let b = MemoryBuilder::new();
         let mem = Arc::new(b.freeze(2));
-        let control = Arc::new(ScheduleControl::new(2, overrides));
-        harness::run_arc_controlled(
-            2,
-            HtmConfig::deterministic(),
-            1,
-            Arc::clone(&control),
-            mem,
-            |s| {
+        let (steps, _, _) =
+            harness::run_arc_controlled(2, HtmConfig::deterministic(), 1, overrides, mem, |s| {
                 s.work(1).expect("non-transactional work");
                 s.work(1).expect("non-transactional work");
-            },
-        );
-        (control.steps(), ())
+            });
+        (steps, ())
     }
 
     /// `threads` threads racing on one word (plus an independent work
@@ -923,12 +885,11 @@ mod tests {
         b.enable_sanitizer();
         let x = b.alloc_isolated(0);
         let mem = Arc::new(b.freeze(threads));
-        let control = Arc::new(ScheduleControl::new(threads, overrides));
-        harness::run_arc_controlled(
+        let (steps, _, _) = harness::run_arc_controlled(
             threads,
             HtmConfig::deterministic(),
             1,
-            Arc::clone(&control),
+            overrides,
             Arc::clone(&mem),
             move |s| {
                 s.work(1).expect("non-transactional work");
@@ -940,8 +901,8 @@ mod tests {
             },
         );
         let san = mem.san_log().expect("sanitizer enabled above");
-        let findings = detect_races(&race_cfg(&mem, threads), &san.snapshot());
-        (control.steps(), findings)
+        let findings = detect_races(&RaceConfig::of(&mem, threads), &san.snapshot());
+        (steps, findings)
     }
 
     fn racy_runner(overrides: &[Option<usize>]) -> (Schedule, Vec<Finding>) {

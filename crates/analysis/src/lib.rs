@@ -20,10 +20,11 @@
 //! already produce: the [`elision_htm::SanLog`] (every memory access, in
 //! global execution order — one simulated thread runs at a time)
 //! and the merged [`elision_sim::GlobalTrace`] of per-thread trace rings.
-//! [`driver::sanitize_run`] wires a whole scheme × lock × fault-plan cell
-//! through all three passes; [`testkit`] provides known-bad schedules and
-//! workloads that must trip specific lints (the sanitizer's own negative
-//! tests).
+//! [`driver::analyze`] is the one pipeline every run goes through: it
+//! runs all three passes plus the residual conflict-bit check.
+//! [`driver::sanitize_run`] feeds it a whole scheme × lock × fault-plan
+//! cell; [`testkit`] provides known-bad schedules and workloads that must
+//! trip specific lints (the sanitizer's own negative tests).
 //!
 //! On top of the sampling passes, [`explore`] turns the sanitizer into a
 //! bounded *model checker*: it drives the controlled scheduler through the

@@ -32,7 +32,7 @@
 //! (which really does order commit publication) without logging it.
 
 use crate::{AccessSite, Finding, LintId};
-use elision_htm::{SanAccess, SanEvent};
+use elision_htm::{Memory, SanAccess, SanEvent};
 use std::collections::HashSet;
 
 /// Static facts the race detector needs about the run.
@@ -48,6 +48,16 @@ pub struct RaceConfig {
 }
 
 impl RaceConfig {
+    /// The configuration describing `mem`'s layout, for a run of
+    /// `threads` simulated threads.
+    pub fn of(mem: &Memory, threads: usize) -> Self {
+        RaceConfig {
+            threads,
+            words_per_line: mem.words_per_line() as u32,
+            lock_lines: (0..mem.line_count()).map(|l| mem.is_lock_line(l as u32)).collect(),
+        }
+    }
+
     fn is_lock_word(&self, var: u32) -> bool {
         let line = (var / self.words_per_line) as usize;
         self.lock_lines.get(line).copied().unwrap_or(false)

@@ -23,30 +23,26 @@
 //!   double-release gated on a probe word another thread must win the
 //!   race to set).
 //!
+//! Every fixture hands its run to [`crate::driver::analyze`], the same
+//! pipeline the sanitizer and the explorer use, so each gets the race,
+//! opacity, lint and residual-bit passes and the guard against a trace
+//! ring that dropped events. A fixture only picks its [`Checks`]: the
+//! bare-TTAS fixtures state their lock and policy, the lazy-subscription
+//! ones take their scheme's.
+//!
 //! [`LintId::DataRace`]: crate::LintId::DataRace
 //! [`LintId::CommitWhileLockHeld`]: crate::LintId::CommitWhileLockHeld
 //! [`LintId::SlrUnsubscribedCommit`]: crate::LintId::SlrUnsubscribedCommit
 //! [`LintId::ReleaseWithoutAcquire`]: crate::LintId::ReleaseWithoutAcquire
 
-use crate::driver::{lint_config_for, policy_for};
-use crate::lint::{lint_trace, LintConfig};
-use crate::opacity::{check_opacity, OpacityConfig, OpacityPolicy};
-use crate::race::{detect_races, RaceConfig};
+use crate::driver::{analyze, Checks};
+use crate::opacity::OpacityPolicy;
 use crate::Finding;
 use elision_core::{make_scheme, LazyMode, LockKind, SchemeConfig, SchemeKind};
-use elision_htm::{codes, harness, HtmConfig, HwSubscription, Memory, MemoryBuilder, VarId};
+use elision_htm::{codes, harness, HtmConfig, HwSubscription, MemoryBuilder, VarId};
 use elision_locks::{RawLock, TtasLock};
-use elision_sim::{GlobalTrace, Schedule, ScheduleControl};
+use elision_sim::Schedule;
 use std::sync::Arc;
-
-/// Build the [`RaceConfig`] describing `mem`'s layout.
-pub fn race_cfg(mem: &Memory, threads: usize) -> RaceConfig {
-    RaceConfig {
-        threads,
-        words_per_line: mem.words_per_line() as u32,
-        lock_lines: (0..mem.line_count()).map(|l| mem.is_lock_line(l as u32)).collect(),
-    }
-}
 
 /// Run the broken eager-commit SLR variant: the transaction skips the
 /// subscription read (Figure 5 line 24) and commits while the lock
@@ -59,78 +55,53 @@ pub fn broken_slr_schedule() -> Vec<Finding> {
     let y = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(2));
     let threads = 2;
+    let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Sandboxed, true, threads);
 
-    let (rings, _makespan) = {
-        let lock = Arc::clone(&lock);
-        harness::run_arc(
-            threads,
-            0, // strict window: the violation fires on the window-0 schedule
-            HtmConfig::deterministic(),
-            7,
-            Arc::clone(&mem),
-            move |s| {
-                s.enable_trace(64);
-                if s.tid() == 0 {
-                    // The honest lock holder: a long critical section
-                    // mutating x then (much later) y.
-                    lock.acquire(s).expect("non-speculative acquire");
-                    s.store(x, 1).expect("plain store");
-                    s.work(5_000).expect("non-transactional work");
-                    s.store(y, 2).expect("plain store");
-                    lock.release(s).expect("non-speculative release");
-                } else {
-                    // The broken SLR transaction: reads the holder's
-                    // in-flight data and commits without subscribing.
-                    s.work(50).expect("non-transactional work");
-                    s.attempt(|s| {
-                        s.load(x)?;
-                        s.load(y)?;
-                        Ok(())
-                    })
-                    .expect("uncontended read-only txn commits");
-                }
-                s.trace.take().expect("trace enabled above")
-            },
-        )
-    };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&race_cfg(&mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: OpacityPolicy::Sandboxed,
-            main_lock: Some(lock.lock_word().index()),
+    let (rings, makespan) = harness::run_arc(
+        threads,
+        0, // strict window: the violation fires on the window-0 schedule
+        HtmConfig::deterministic(),
+        7,
+        Arc::clone(&mem),
+        move |s| {
+            s.enable_trace(64);
+            if s.tid() == 0 {
+                // The honest lock holder: a long critical section
+                // mutating x then (much later) y.
+                lock.acquire(s).expect("non-speculative acquire");
+                s.store(x, 1).expect("plain store");
+                s.work(5_000).expect("non-transactional work");
+                s.store(y, 2).expect("plain store");
+                lock.release(s).expect("non-speculative release");
+            } else {
+                // The broken SLR transaction: reads the holder's
+                // in-flight data and commits without subscribing.
+                s.work(50).expect("non-transactional work");
+                s.attempt(|s| {
+                    s.load(x)?;
+                    s.load(y)?;
+                    Ok(())
+                })
+                .expect("uncontended read-only txn commits");
+            }
+            s.trace.take().expect("trace enabled above")
         },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(
-        &LintConfig {
-            require_subscription: true,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads,
-        },
-        &trace,
-    ));
-    findings
+    );
+
+    analyze(&checks, &mem, &rings, makespan)
 }
 
 /// Run a schedule where a thread releases the lock twice. Returns all
-/// lint findings.
+/// findings.
 pub fn double_release_schedule() -> Vec<Finding> {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
     let data = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(1));
+    let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Strict, false, 1);
 
-    let (rings, _makespan) = {
-        let lock = Arc::clone(&lock);
+    let (rings, makespan) =
         harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
             s.enable_trace(64);
             lock.acquire(s).expect("non-speculative acquire");
@@ -140,20 +111,9 @@ pub fn double_release_schedule() -> Vec<Finding> {
             // longer holds.
             lock.release(s).expect("non-speculative release");
             s.trace.take().expect("trace enabled above")
-        })
-    };
+        });
 
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    lint_trace(
-        &LintConfig {
-            require_subscription: false,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads: 1,
-        },
-        &trace,
-    )
+    analyze(&checks, &mem, &rings, makespan)
 }
 
 /// A controlled run's observable outcome: the schedule that was executed
@@ -187,73 +147,46 @@ pub fn broken_slr_explore(overrides: &[Option<usize>]) -> ExploreRun {
     let y = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(2));
     let threads = 2;
-    let control = Arc::new(ScheduleControl::new(threads, overrides));
+    let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Sandboxed, false, threads);
 
-    let (rings, _makespan) = {
-        let lock = Arc::clone(&lock);
-        harness::run_arc_controlled(
-            threads,
-            HtmConfig::deterministic(),
-            7,
-            Arc::clone(&control),
-            Arc::clone(&mem),
-            move |s| {
-                s.enable_trace(256);
-                if s.tid() == 0 {
-                    // Long non-critical prelude, then the critical
-                    // section. Under the default schedule the peer's
-                    // whole transaction fits inside the prelude.
-                    s.work(200).expect("non-transactional work");
-                    lock.acquire(s).expect("non-speculative acquire");
-                    s.store(x, 1).expect("plain store");
-                    s.work(20).expect("non-transactional work");
-                    s.store(y, 2).expect("plain store");
-                    lock.release(s).expect("non-speculative release");
-                } else {
-                    // Unsubscribed read-only transaction, bounded retry:
-                    // adversarial schedules may doom it repeatedly.
-                    for _ in 0..4 {
-                        let done = s
-                            .attempt(|s| {
-                                s.load(x)?;
-                                s.load(y)?;
-                                Ok(())
-                            })
-                            .is_ok();
-                        if done {
-                            break;
-                        }
+    let (steps, rings, makespan) = harness::run_arc_controlled(
+        threads,
+        HtmConfig::deterministic(),
+        7,
+        overrides,
+        Arc::clone(&mem),
+        move |s| {
+            s.enable_trace(256);
+            if s.tid() == 0 {
+                // Long non-critical prelude, then the critical
+                // section. Under the default schedule the peer's
+                // whole transaction fits inside the prelude.
+                s.work(200).expect("non-transactional work");
+                lock.acquire(s).expect("non-speculative acquire");
+                s.store(x, 1).expect("plain store");
+                s.work(20).expect("non-transactional work");
+                s.store(y, 2).expect("plain store");
+                lock.release(s).expect("non-speculative release");
+            } else {
+                // Unsubscribed read-only transaction, bounded retry:
+                // adversarial schedules may doom it repeatedly.
+                for _ in 0..4 {
+                    let done = s
+                        .attempt(|s| {
+                            s.load(x)?;
+                            s.load(y)?;
+                            Ok(())
+                        })
+                        .is_ok();
+                    if done {
+                        break;
                     }
                 }
-                s.trace.take().expect("trace enabled above")
-            },
-        )
-    };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&race_cfg(&mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: OpacityPolicy::Sandboxed,
-            main_lock: Some(lock.lock_word().index()),
+            }
+            s.trace.take().expect("trace enabled above")
         },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(
-        &LintConfig {
-            require_subscription: false,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads,
-        },
-        &trace,
-    ));
-    (control.steps(), findings)
+    );
+    (steps, analyze(&checks, &mem, &rings, makespan))
 }
 
 /// Schedule-dependent double release: thread 0 releases the lock a
@@ -277,75 +210,51 @@ pub fn double_release_explore(overrides: &[Option<usize>]) -> ExploreRun {
     let probe = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(2));
     let threads = 2;
-    let control = Arc::new(ScheduleControl::new(threads, overrides));
+    let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Strict, false, threads);
 
-    let (rings, _makespan) = {
-        let lock = Arc::clone(&lock);
-        harness::run_arc_controlled(
-            threads,
-            HtmConfig::deterministic(),
-            7,
-            Arc::clone(&control),
-            Arc::clone(&mem),
-            move |s| {
-                s.enable_trace(256);
-                if s.tid() == 0 {
-                    lock.acquire(s).expect("non-speculative acquire");
-                    s.store(data, 1).expect("plain store");
-                    let p = s.load(probe).expect("plain load under the lock");
+    let (steps, rings, makespan) = harness::run_arc_controlled(
+        threads,
+        HtmConfig::deterministic(),
+        7,
+        overrides,
+        Arc::clone(&mem),
+        move |s| {
+            s.enable_trace(256);
+            if s.tid() == 0 {
+                lock.acquire(s).expect("non-speculative acquire");
+                s.store(data, 1).expect("plain store");
+                let p = s.load(probe).expect("plain load under the lock");
+                lock.release(s).expect("non-speculative release");
+                if p == 1 {
+                    // The bug: releasing again because a peer was
+                    // observed to have run first.
                     lock.release(s).expect("non-speculative release");
-                    if p == 1 {
-                        // The bug: releasing again because a peer was
-                        // observed to have run first.
-                        lock.release(s).expect("non-speculative release");
-                    }
-                } else {
-                    // Late-starting peer: under the default schedule its
-                    // transaction commits after thread 0 sampled the
-                    // probe. The transaction itself is a *correct* SLR
-                    // shape: subscribe-and-validate before committing.
-                    s.work(60).expect("non-transactional work");
-                    for _ in 0..4 {
-                        let done = s
-                            .attempt(|s| {
-                                s.store(probe, 1)?;
-                                if lock.is_locked(s)? {
-                                    return Err(s.xabort(codes::LOCK_BUSY, true));
-                                }
-                                Ok(())
-                            })
-                            .is_ok();
-                        if done {
-                            break;
-                        }
+                }
+            } else {
+                // Late-starting peer: under the default schedule its
+                // transaction commits after thread 0 sampled the
+                // probe. The transaction itself is a *correct* SLR
+                // shape: subscribe-and-validate before committing.
+                s.work(60).expect("non-transactional work");
+                for _ in 0..4 {
+                    let done = s
+                        .attempt(|s| {
+                            s.store(probe, 1)?;
+                            if lock.is_locked(s)? {
+                                return Err(s.xabort(codes::LOCK_BUSY, true));
+                            }
+                            Ok(())
+                        })
+                        .is_ok();
+                    if done {
+                        break;
                     }
                 }
-                s.trace.take().expect("trace enabled above")
-            },
-        )
-    };
-
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled above");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&race_cfg(&mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig { policy: OpacityPolicy::Strict, main_lock: Some(lock.lock_word().index()) },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(
-        &LintConfig {
-            require_subscription: false,
-            aux_discipline: false,
-            main_lock: Some(lock.lock_word().index()),
-            aux_locks: Vec::new(),
-            threads,
+            }
+            s.trace.take().expect("trace enabled above")
         },
-        &trace,
-    ));
-    (control.steps(), findings)
+    );
+    (steps, analyze(&checks, &mem, &rings, makespan))
 }
 
 /// Which of arXiv 1407.6968's hardware fixes a lazy-subscription fixture
@@ -414,30 +323,6 @@ fn zombie_wild_store(lock: &dyn RawLock, threads: usize) -> (VarId, u64) {
     }
 }
 
-/// Run every analysis pass a lazy-subscription fixture needs and return
-/// the combined findings.
-fn analyze_lazy_run(
-    scheme: &elision_core::Scheme,
-    mem: &Memory,
-    threads: usize,
-    rings: Vec<elision_sim::TraceRing>,
-) -> Vec<Finding> {
-    let trace = GlobalTrace::merge(rings.iter().enumerate());
-    let san = mem.san_log().expect("sanitizer enabled by the fixture");
-    let events = san.snapshot();
-    let mut findings = detect_races(&race_cfg(mem, threads), &events);
-    findings.extend(check_opacity(
-        &OpacityConfig {
-            policy: policy_for(scheme.kind()),
-            main_lock: Some(scheme.main_lock().lock_word().index()),
-        },
-        san.initial_values(),
-        &events,
-    ));
-    findings.extend(lint_trace(&lint_config_for(scheme, threads), &trace));
-    findings
-}
-
 /// Class A of arXiv 1407.6968 — the **zombie dangerous instruction**.
 ///
 /// Thread 0 is an honest non-speculative lock holder maintaining the
@@ -475,49 +360,45 @@ pub fn lazy_zombie_explore(
     let scratch = b.alloc_isolated(0);
     let (wild_target, wild_value) = zombie_wild_store(scheme.main_lock().as_ref(), threads);
     let mem = Arc::new(b.freeze(threads));
-    let control = Arc::new(ScheduleControl::new(threads, overrides));
+    let checks = Checks::for_scheme(&scheme, threads);
+    let main = Arc::clone(scheme.main_lock());
 
-    let (rings, _makespan) = {
-        let scheme = Arc::clone(&scheme);
-        let main = Arc::clone(scheme.main_lock());
-        harness::run_arc_controlled(
-            threads,
-            fixes.htm(),
-            7,
-            Arc::clone(&control),
-            Arc::clone(&mem),
-            move |s| {
-                s.enable_trace(1024);
-                if s.tid() == 0 {
-                    // Long non-critical prelude (keeps the default
-                    // schedule clean), then the invariant-maintaining
-                    // critical section.
-                    s.work(200).expect("non-transactional work");
-                    main.acquire(s).expect("non-speculative acquire");
-                    s.store(sel, 1).expect("plain store");
-                    s.work(20).expect("non-transactional work");
-                    s.store(val, 1).expect("plain store");
-                    main.release(s).expect("non-speculative release");
-                } else {
-                    scheme.execute(s, |s| {
-                        let a = s.load(sel)?;
-                        let v = s.load(val)?;
-                        if a == v {
-                            s.store(scratch, a + v)?;
-                        } else {
-                            // Torn snapshot: the data-dependent write
-                            // target resolves to the lock word.
-                            s.store(wild_target, wild_value)?;
-                        }
-                        Ok(())
-                    });
-                }
-                s.trace.take().expect("trace enabled above")
-            },
-        )
-    };
-    let findings = analyze_lazy_run(&scheme, &mem, threads, rings);
-    (control.steps(), findings)
+    let (steps, rings, makespan) = harness::run_arc_controlled(
+        threads,
+        fixes.htm(),
+        7,
+        overrides,
+        Arc::clone(&mem),
+        move |s| {
+            s.enable_trace(1024);
+            if s.tid() == 0 {
+                // Long non-critical prelude (keeps the default
+                // schedule clean), then the invariant-maintaining
+                // critical section.
+                s.work(200).expect("non-transactional work");
+                main.acquire(s).expect("non-speculative acquire");
+                s.store(sel, 1).expect("plain store");
+                s.work(20).expect("non-transactional work");
+                s.store(val, 1).expect("plain store");
+                main.release(s).expect("non-speculative release");
+            } else {
+                scheme.execute(s, |s| {
+                    let a = s.load(sel)?;
+                    let v = s.load(val)?;
+                    if a == v {
+                        s.store(scratch, a + v)?;
+                    } else {
+                        // Torn snapshot: the data-dependent write
+                        // target resolves to the lock word.
+                        s.store(wild_target, wild_value)?;
+                    }
+                    Ok(())
+                });
+            }
+            s.trace.take().expect("trace enabled above")
+        },
+    );
+    (steps, analyze(&checks, &mem, &rings, makespan))
 }
 
 /// Class B of arXiv 1407.6968 — the **commit-time subscription race**.
@@ -548,37 +429,33 @@ pub fn lazy_race_explore(
     let x = b.alloc_isolated(0);
     let y = b.alloc_isolated(0);
     let mem = Arc::new(b.freeze(threads));
-    let control = Arc::new(ScheduleControl::new(threads, overrides));
+    let checks = Checks::for_scheme(&scheme, threads);
+    let main = Arc::clone(scheme.main_lock());
 
-    let (rings, _makespan) = {
-        let scheme = Arc::clone(&scheme);
-        let main = Arc::clone(scheme.main_lock());
-        harness::run_arc_controlled(
-            threads,
-            fixes.htm(),
-            7,
-            Arc::clone(&control),
-            Arc::clone(&mem),
-            move |s| {
-                s.enable_trace(1024);
-                if s.tid() == 0 {
-                    s.work(200).expect("non-transactional work");
-                    main.acquire(s).expect("non-speculative acquire");
-                    s.store(x, 1).expect("plain store");
-                    main.release(s).expect("non-speculative release");
-                } else {
-                    scheme.execute(s, |s| {
-                        let v = s.load(y)?;
-                        s.store(y, v + 1)?;
-                        Ok(())
-                    });
-                }
-                s.trace.take().expect("trace enabled above")
-            },
-        )
-    };
-    let findings = analyze_lazy_run(&scheme, &mem, threads, rings);
-    (control.steps(), findings)
+    let (steps, rings, makespan) = harness::run_arc_controlled(
+        threads,
+        fixes.htm(),
+        7,
+        overrides,
+        Arc::clone(&mem),
+        move |s| {
+            s.enable_trace(1024);
+            if s.tid() == 0 {
+                s.work(200).expect("non-transactional work");
+                main.acquire(s).expect("non-speculative acquire");
+                s.store(x, 1).expect("plain store");
+                main.release(s).expect("non-speculative release");
+            } else {
+                scheme.execute(s, |s| {
+                    let v = s.load(y)?;
+                    s.store(y, v + 1)?;
+                    Ok(())
+                });
+            }
+            s.trace.take().expect("trace enabled above")
+        },
+    );
+    (steps, analyze(&checks, &mem, &rings, makespan))
 }
 
 #[cfg(test)]

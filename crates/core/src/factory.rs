@@ -26,12 +26,6 @@ pub enum LockKind {
 }
 
 impl LockKind {
-    /// The two lock families used in every figure of the paper.
-    pub const FIGURES: [LockKind; 2] = [LockKind::Ttas, LockKind::Mcs];
-
-    /// All fair locks.
-    pub const FAIR: [LockKind; 3] = [LockKind::Mcs, LockKind::Ticket, LockKind::Clh];
-
     /// A short display label.
     pub fn label(&self) -> &'static str {
         match self {

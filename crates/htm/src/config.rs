@@ -121,12 +121,6 @@ impl HtmConfig {
         self
     }
 
-    /// Override the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Attach HTM-level fault injection (see [`HtmFaults`]).
     pub fn with_faults(mut self, faults: HtmFaults) -> Self {
         self.faults = faults;

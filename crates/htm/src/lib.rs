@@ -77,7 +77,7 @@ pub use strand::Strand;
 /// [`Strand`] over the same memory, and run `body` on all of them.
 pub mod harness {
     use crate::{HtmConfig, Memory, Strand};
-    use elision_sim::{FaultPlan, FaultStats, ScheduleControl, SimBuilder};
+    use elision_sim::{FaultPlan, FaultStats, Schedule, ScheduleControl, SimBuilder};
     use std::sync::Arc;
 
     /// Run `body` on `threads` simulated strands sharing `mem`.
@@ -148,17 +148,18 @@ pub mod harness {
     }
 
     /// Like [`run_arc`], but serialized under a model-checker
-    /// [`ScheduleControl`]: every costed event becomes a decision point
-    /// replayed from the control's schedule (always window 0, no faults).
-    /// Read the recorded steps back from the control after the run.
+    /// [`ScheduleControl`] replaying `overrides` (entry `i` forces decision
+    /// `i`; `None` follows the default rule): every costed event becomes a
+    /// decision point (always window 0, no faults). Returns the recorded
+    /// [`Schedule`] along with the per-thread results and the makespan.
     pub fn run_arc_controlled<R, F>(
         threads: usize,
         cfg: HtmConfig,
         seed: u64,
-        control: Arc<ScheduleControl>,
+        overrides: &[Option<usize>],
         mem: Arc<Memory>,
         body: F,
-    ) -> (Vec<R>, u64)
+    ) -> (Schedule, Vec<R>, u64)
     where
         R: Send + 'static,
         F: Fn(&mut Strand) -> R + Clone + Send + Sync + 'static,
@@ -166,11 +167,12 @@ pub mod harness {
         if let Err(e) = cfg.validate() {
             panic!("invalid HtmConfig: {e}");
         }
-        let out = SimBuilder::new(threads).control(control).run(move |ctx| {
+        let control = Arc::new(ScheduleControl::new(threads, overrides));
+        let out = SimBuilder::new(threads).control(Arc::clone(&control)).run(move |ctx| {
             let mut strand = Strand::new(Arc::clone(&mem), ctx.handle, cfg, seed);
             body(&mut strand)
         });
-        (out.results, out.makespan)
+        (control.steps(), out.results, out.makespan)
     }
 }
 

@@ -53,12 +53,6 @@ pub struct ServiceMix {
 }
 
 impl ServiceMix {
-    /// Read-heavy key-value traffic (85% get).
-    pub const KV_READ_HEAVY: ServiceMix =
-        ServiceMix { put_pct: 10, remove_pct: 5, enqueue_pct: 0, dequeue_pct: 0 };
-    /// Write-heavy key-value traffic (50% get).
-    pub const KV_WRITE_HEAVY: ServiceMix =
-        ServiceMix { put_pct: 35, remove_pct: 15, enqueue_pct: 0, dequeue_pct: 0 };
     /// Mixed key-value + queue traffic.
     pub const MIXED: ServiceMix =
         ServiceMix { put_pct: 15, remove_pct: 10, enqueue_pct: 10, dequeue_pct: 10 };

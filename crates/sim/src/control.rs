@@ -155,7 +155,6 @@ pub struct ScheduleControl {
     inner: Mutex<CtlInner>,
     threads: usize,
     overrides: Box<[Option<usize>]>,
-    max_steps: usize,
 }
 
 impl std::fmt::Debug for ScheduleControl {
@@ -169,7 +168,7 @@ impl std::fmt::Debug for ScheduleControl {
 }
 
 impl ScheduleControl {
-    /// Default runaway backstop on the number of decision steps.
+    /// Runaway backstop on the number of decision steps of one run.
     pub const DEFAULT_MAX_STEPS: usize = 200_000;
 
     /// New control for `threads` simulated threads replaying `overrides`
@@ -181,12 +180,6 @@ impl ScheduleControl {
     /// override names a thread id not below `threads`.
     #[must_use]
     pub fn new(threads: usize, overrides: &[Option<usize>]) -> Self {
-        Self::with_max_steps(threads, overrides, Self::DEFAULT_MAX_STEPS)
-    }
-
-    /// As [`ScheduleControl::new`] with an explicit step backstop.
-    #[must_use]
-    pub fn with_max_steps(threads: usize, overrides: &[Option<usize>], max_steps: usize) -> Self {
         assert!(
             (1..=MAX_THREADS).contains(&threads),
             "controlled run needs 1 to {MAX_THREADS} threads, not {threads}"
@@ -206,7 +199,6 @@ impl ScheduleControl {
             }),
             threads,
             overrides: overrides.into(),
-            max_steps,
         }
     }
 
@@ -219,9 +211,9 @@ impl ScheduleControl {
             threads_in(g.live).min_by_key(|&t| (clock_of(t), t)).expect("nonempty enabled");
         let idx = g.schedule.len();
         assert!(
-            idx < self.max_steps,
+            idx < Self::DEFAULT_MAX_STEPS,
             "controlled run exceeded {} decision steps (runaway schedule?)",
-            self.max_steps
+            Self::DEFAULT_MAX_STEPS
         );
         let mut chosen = default;
         if let Some(&Some(want)) = self.overrides.get(idx) {
