@@ -5,8 +5,8 @@
 //! in the simulated stack:
 //!
 //! * **Commit edges.** Every transaction commit publishes its vector
-//!   clock into a global commit clock `C_E` (commit publication is
-//!   serialized by the memory's engine mutex). Every later access —
+//!   clock into a global commit clock `C_E` (a commit publishes in one
+//!   atomic step of the serialized execution). Every later access —
 //!   plain or the commit of a later transaction — joins `C_E`, so
 //!   anything a committed transaction did happens-before everything
 //!   that follows a commit. (Plain accesses join `C_E` but do *not*
@@ -28,8 +28,9 @@
 //! Known conservatism: because plain accesses join `C_E`, a race where
 //! the plain access *follows* an unrelated commit that raced with it is
 //! masked. Plain-vs-plain races and plain-write-then-commit races are
-//! caught; this asymmetry is the price of modelling the engine mutex
-//! (which really does order commit publication) without logging it.
+//! caught; this asymmetry is the price of modelling the total order of
+//! commit publications (which the serialized execution really imposes)
+//! without logging it.
 
 use crate::{AccessSite, Finding, LintId};
 use elision_htm::{Memory, SanAccess, SanEvent};
@@ -267,7 +268,7 @@ pub fn detect_races(cfg: &RaceConfig, events: &[SanEvent]) -> Vec<Finding> {
     let mut d = Detector::new(cfg);
     // A committing transaction's publishes directly precede its
     // TxnCommit event; gather them so commit() can order the whole
-    // batch atomically (as the engine lock really does).
+    // batch atomically (as the serialized execution really does).
     let mut pending_pub: Vec<Vec<(u32, u64, AccessSite)>> =
         (0..cfg.threads).map(|_| Vec::new()).collect();
     for (seq, ev) in events.iter().enumerate() {

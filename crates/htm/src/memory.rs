@@ -14,7 +14,6 @@
 //! (tree nodes, queue links) manage free-lists over pre-allocated regions.
 
 use crate::sanitize::SanLog;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies one 64-bit word of simulated shared memory.
@@ -70,7 +69,7 @@ impl LineId {
 /// monitors: a descriptor, registered by the lock implementation via
 /// [`crate::Strand::hw_subscribe`], that the commit stage evaluates
 /// against *globally committed* state — never the transaction's own write
-/// buffer — atomically with publication under the conflict engine's lock.
+/// buffer — atomically with publication.
 /// The three shapes cover every lock family in `elision-locks`: a
 /// free-value word (TTAS state, MCS tail), a two-word equality (ticket
 /// `next == owner`), and one level of indirection (CLH: the `locked` flag
@@ -283,7 +282,6 @@ impl MemoryBuilder {
             dooms: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             doom_lines: (0..threads).map(|_| AtomicU64::new(u64::MAX)).collect(),
             epochs: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            engine: Mutex::new(()),
             words_per_line: wpl,
             line_shift: if wpl.is_power_of_two() { Some(wpl.trailing_zeros()) } else { None },
             san,
@@ -306,9 +304,6 @@ pub struct Memory {
     doom_lines: Vec<AtomicU64>,
     /// Per-thread transaction epoch: odd while inside a transaction.
     epochs: Vec<AtomicU64>,
-    /// Serializes commit publication and non-transactional writes/RMWs so
-    /// a lock acquisition and a transaction commit are totally ordered.
-    engine: Mutex<()>,
     words_per_line: usize,
     /// `log2(words_per_line)` when the width is a power of two (it is for
     /// every preset), turning the per-access `line_of` division into a
@@ -378,10 +373,6 @@ impl Memory {
 
     pub(crate) fn raw_store(&self, var: VarId, value: u64) {
         self.words[var.0 as usize].store(value, Ordering::SeqCst);
-    }
-
-    pub(crate) fn engine_lock(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.engine.lock()
     }
 
     pub(crate) fn set_reader(&self, line: LineId, tid: usize) {
@@ -460,8 +451,8 @@ impl Memory {
 
     /// Evaluate a hardware subscription descriptor against committed
     /// state: `true` iff the monitored lock is free. The commit stage
-    /// calls this while holding the engine lock, making the verdict
-    /// atomic with publication; it deliberately bypasses any write
+    /// calls this in the same atomic step that publishes, making the
+    /// verdict atomic with publication; it deliberately bypasses any write
     /// buffer, so a zombie's wild store can never fool it.
     pub fn subscription_free(&self, sub: &HwSubscription) -> bool {
         match sub {

@@ -8,13 +8,13 @@
 //! The `elision-analysis` crate post-processes this log into
 //! happens-before race detection and opacity/sandboxing checks.
 //!
-//! Soundness of the log's *order* relies on the simulator running exactly
-//! one simulated thread at a time, at every scheduling window: everything
-//! a thread executes between two `SimHandle::advance` calls is atomic with
-//! respect to the simulated interleaving, and all commit publications and
-//! non-transactional writes additionally serialize on the memory's engine
-//! mutex. Under those two facts the log's append order is the execution
-//! order, so the event's index in the log is its global sequence number.
+//! Soundness of the log's *order* rests on one fact: the simulator runs
+//! exactly one simulated thread at a time, at every scheduling window, so
+//! everything a thread executes between two `SimHandle::advance` calls
+//! (a whole commit publication, or a non-transactional write or RMW) is
+//! atomic with respect to the simulated interleaving. The log's append
+//! order is therefore the execution order, and an event's index in the
+//! log is its global sequence number.
 //!
 //! Recording an event never advances a logical clock and never draws
 //! from an RNG stream, so enabling the sanitizer cannot perturb the

@@ -370,20 +370,20 @@ impl Strand {
                 txn.wbuf.remove(var);
             }
         }
-        // Publication must be ordered against non-transactional writes and
-        // other commits: take the engine lock, re-check the doom flag, then
-        // make all buffered writes visible, aborting every peer that read
-        // or speculatively wrote the published lines.
+        // Re-check the doom flag, then make all buffered writes visible,
+        // aborting every peer that read or speculatively wrote the
+        // published lines. Nothing here advances the clock, so no peer
+        // runs in between: the whole commit is one atomic step against
+        // non-transactional writes and other commits.
         let mut subscription_held = false;
         let doomed_at_last_moment = {
-            let _guard = self.mem.engine_lock();
             let txn = self.txn.as_ref().expect("checked above");
             if self.mem.is_doomed(self.tid, txn.epoch) {
                 true
             } else if txn.hw_sub.as_ref().is_some_and(|sub| !self.mem.subscription_free(sub)) {
                 // The hardware commit-time subscription (arXiv 1407.6968)
-                // found the lock held. Evaluated on committed state under
-                // the engine lock, the verdict is atomic with publication:
+                // found the lock held. Evaluated on committed state in the
+                // same atomic step, the verdict is atomic with publication:
                 // there is no check-to-commit window, and a zombie's
                 // buffered wild store cannot fool it.
                 subscription_held = true;
@@ -391,7 +391,7 @@ impl Strand {
             } else {
                 if let Some(sub) = txn.hw_sub.as_ref() {
                     // The free verdict was computed from these words
-                    // under the engine lock: log the reads so the
+                    // atomically with publication: log the reads so the
                     // ordering they establish (the holder's release
                     // happens-before this commit) is visible to the
                     // analysis passes, exactly as the software
@@ -801,7 +801,6 @@ impl Strand {
             self.txn.as_mut().expect("in txn").wbuf.insert(var, value);
             Ok(())
         } else {
-            let _guard = self.mem.engine_lock();
             self.mem.raw_store(var, value);
             let line = self.mem.line_of(var);
             let peers = self.mem.readers_of(line) | self.mem.writers_of(line);
@@ -841,7 +840,6 @@ impl Strand {
             self.txn.as_mut().expect("in txn").wbuf.insert(var, f(old));
             Ok(old)
         } else {
-            let _guard = self.mem.engine_lock();
             let old = self.mem.raw_load(var);
             let new = f(old);
             self.mem.raw_store(var, new);

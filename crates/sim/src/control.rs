@@ -138,7 +138,6 @@ struct CtlInner {
     /// Threads that have not finished: bit `t` is thread `t`.
     live: u64,
     schedule: Schedule,
-    divergences: u32,
 }
 
 /// Serializes a simulated run and records/replays its schedule.
@@ -195,7 +194,6 @@ impl ScheduleControl {
                 granted: None,
                 live: u64::MAX >> (64 - threads),
                 schedule: Schedule::default(),
-                divergences: 0,
             }),
             threads,
             overrides: overrides.into(),
@@ -220,9 +218,6 @@ impl ScheduleControl {
             if g.live & (1 << want) != 0 {
                 chosen = want;
             }
-        }
-        if chosen != default {
-            g.divergences += 1;
         }
         g.schedule.push_step(chosen, default, g.live);
         g.granted = Some(chosen);
@@ -285,12 +280,6 @@ impl ScheduleControl {
         std::mem::take(&mut self.inner.lock().schedule)
     }
 
-    /// How many decisions differed from the window-0 default choice.
-    #[must_use]
-    pub fn divergences(&self) -> u32 {
-        self.inner.lock().divergences
-    }
-
     /// Number of simulated threads under control.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -305,13 +294,11 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    /// Two threads, two advances each: run one controlled schedule and
-    /// return the per-step chosen/default/enabled records.
+    /// `threads` threads, `advances` advances each: run one controlled
+    /// schedule and return the per-step chosen/default/enabled records.
     fn run_toy(threads: usize, advances: usize, overrides: &[Option<usize>]) -> Schedule {
         let ctl = Arc::new(ScheduleControl::new(threads, overrides));
-        let ctl_body = Arc::clone(&ctl);
         SimBuilder::new(threads).control(Arc::clone(&ctl)).run(move |ctx| {
-            let _ = &ctl_body;
             for _ in 0..advances {
                 ctx.handle.advance(10);
             }
@@ -423,21 +410,20 @@ mod tests {
         }
     }
 
+    /// How many decisions of `steps` differ from the default rule's choice.
+    fn divergences(steps: &Schedule) -> usize {
+        steps.iter().filter(|s| s.chosen != s.default).count()
+    }
+
     #[test]
     fn overrides_divergences_are_counted_and_replayed() {
         // Force t1 to run both its segments first.
-        let ctl = Arc::new(ScheduleControl::new(2, &[Some(1), Some(1)]));
-        SimBuilder::new(2).control(Arc::clone(&ctl)).run(move |ctx| {
-            for _ in 0..2 {
-                ctx.handle.advance(10);
-            }
-        });
-        let steps = ctl.steps();
+        let steps = run_toy(2, 2, &[Some(1), Some(1)]);
         let choices: Vec<usize> = steps.iter().map(|s| s.chosen).collect();
         assert_eq!(choices, vec![1, 1, 0, 0]);
         // Step 0 diverges (default t0); step 1 diverges too (after t1 ran
         // one segment its clock is ahead, default returns to t0).
-        assert_eq!(ctl.divergences(), 2);
+        assert_eq!(divergences(&steps), 2);
     }
 
     #[test]
@@ -460,14 +446,9 @@ mod tests {
 
     /// The choices a 2-thread, 2-advance toy run makes under `overrides`,
     /// and how many of them diverged from the default rule.
-    fn toy_choices(overrides: &[Option<usize>]) -> (Vec<usize>, u32) {
-        let ctl = Arc::new(ScheduleControl::new(2, overrides));
-        SimBuilder::new(2).control(Arc::clone(&ctl)).run(|ctx| {
-            for _ in 0..2 {
-                ctx.handle.advance(10);
-            }
-        });
-        (ctl.steps().iter().map(|s| s.chosen).collect(), ctl.divergences())
+    fn toy_choices(overrides: &[Option<usize>]) -> (Vec<usize>, usize) {
+        let steps = run_toy(2, 2, overrides);
+        (steps.iter().map(|s| s.chosen).collect(), divergences(&steps))
     }
 
     #[test]

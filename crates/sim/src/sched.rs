@@ -32,21 +32,40 @@
 //! [`crate::SimBuilder::run`] executes a controlled run's threads as
 //! fibers on the calling thread (x86_64 Linux, see `fiber.rs`), where a
 //! switch is a stack switch. Otherwise each simulated thread is an OS
-//! thread with a parker of its own: a switch stores the baton, notifies
-//! the target's parker and parks until the baton comes back.
+//! thread: a switch stores the baton, unparks the target's OS thread
+//! ([`std::thread::Thread::unpark`]) and parks until the baton comes back.
+//! Each thread slot holds the handle of the OS thread that parks there,
+//! registered by its first park. A handoff thus wakes exactly the thread
+//! that runs next, once, and the woken thread takes no lock on its way
+//! back to work. A pass to a slot nobody has registered only stores the
+//! baton; the thread that later parks there finds it on its first check.
 //!
-//! No wakeup is lost. A parker checks the baton under its own mutex before
-//! it waits, and the wait releases that mutex atomically; a passer stores
-//! the baton first and then takes the target's mutex to notify. So either
-//! the target's check sees the baton, or the target is already waiting
-//! when the notification comes. Only the baton holder writes the clocks
-//! and the baton, so a decision never races with a peer.
+//! # No wakeup is lost
+//!
+//! A parker loops on "is the baton mine? is the run poisoned?" around
+//! [`std::thread::park`]. Two facts close every window between its check
+//! and its sleep:
+//!
+//! - *Tokens.* An `unpark` that reaches a thread before it parks leaves a
+//!   token, and the next `park` consumes it and returns at once. So a pass
+//!   that lands between the check and the `park` still wakes the parker.
+//!   `park` may also return spuriously; the loop re-checks.
+//! - *Registration.* A pass can only unpark a registered thread. The
+//!   passer stores the baton and then reads the slot; the parker writes
+//!   the slot and then reads the baton. A `SeqCst` fence between the
+//!   store and the load on each side (a store-buffer pairing) forbids both
+//!   loads from missing the other side's store: either the parker sees the
+//!   baton, or the passer sees the handle and unparks it. Poisoning pairs
+//!   with the parker's fence in the same way.
+//!
+//! Only the baton holder writes the clocks and the baton, so a decision
+//! never races with a peer.
 //!
 //! # Panics
 //!
 //! A simulated thread that panics holds the baton and keeps it while it
-//! unwinds. An OS thread then *poisons* the scheduler and wakes every
-//! parked peer, and each peer unwinds from its park, so the run ends
+//! unwinds. An OS thread then *poisons* the scheduler and unparks every
+//! registered peer, and each peer unwinds from its park, so the run ends
 //! instead of waiting forever for the dead thread. Fibers unwind their
 //! suspended peers the same way inside `fiber.rs`.
 
@@ -54,9 +73,10 @@ use crate::control::ScheduleControl;
 use crate::fault::{FaultPlan, FaultStats, FaultThreadState};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::fiber::Fibers;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 /// Maximum number of simulated threads (bounded by the conflict-bitmap
 /// width used in the HTM layer).
@@ -77,16 +97,6 @@ pub(crate) struct PeerPanicked;
 #[repr(align(128))]
 struct PaddedClock(AtomicU64);
 
-/// One OS thread's parking place, padded like the clocks so parkers never
-/// false-share. Only its owner waits on `cv`; whoever passes it the baton
-/// notifies.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct Parker {
-    mutex: Mutex<()>,
-    cv: Condvar,
-}
-
 /// The shared scheduler state for one simulation run.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -94,8 +104,9 @@ pub struct Scheduler {
     times: Vec<PaddedClock>,
     /// The baton: the id of the one simulated thread allowed to run.
     turn: AtomicUsize,
-    /// Per-thread parking places of the OS-thread executor.
-    parkers: Vec<Parker>,
+    /// Per simulated thread, the OS thread that parks for its baton, set
+    /// by its first park; whoever passes it the baton unparks it.
+    parkers: Vec<OnceLock<Thread>>,
     /// Per-thread fault-schedule state; empty when no faults are injected.
     /// Each entry is only ever locked by its own thread, so the mutexes are
     /// uncontended — they exist to make the state shareable via `&self`.
@@ -131,7 +142,7 @@ impl Scheduler {
             window,
             times: (0..threads).map(|_| PaddedClock(AtomicU64::new(0))).collect(),
             turn: AtomicUsize::new(NOBODY),
-            parkers: (0..threads).map(|_| Parker::default()).collect(),
+            parkers: (0..threads).map(|_| OnceLock::new()).collect(),
             faults,
             control: None,
             poisoned: AtomicBool::new(false),
@@ -179,8 +190,10 @@ impl Scheduler {
     /// peer unwind.
     pub(crate) fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
+        // Pairs with the fence in `park`, as in `pass`.
+        fence(Ordering::SeqCst);
         for t in 0..self.parkers.len() {
-            self.notify(t);
+            self.unpark(t);
         }
     }
 
@@ -254,32 +267,39 @@ impl Scheduler {
         self.park(from);
     }
 
-    /// Hand the baton to OS thread `to` and wake it.
+    /// Hand the baton to OS thread `to` and wake it if it has registered.
     fn pass(&self, to: usize) {
         self.turn.store(to, Ordering::SeqCst);
-        self.notify(to);
+        // Store-buffer pairing with the fence in `park`: either the
+        // parker's baton check sees this store, or the load in `unpark`
+        // sees its registration.
+        fence(Ordering::SeqCst);
+        self.unpark(to);
     }
 
-    /// Notify thread `t`'s parker. Taking its mutex orders this after the
-    /// parker either checked the baton and the poison flag (seeing the
-    /// caller's store) or started waiting, so no wakeup is lost.
-    fn notify(&self, t: usize) {
-        let p = &self.parkers[t];
-        let _g = p.mutex.lock();
-        p.cv.notify_one();
+    /// Unpark the OS thread registered for simulated thread `t`, if any.
+    fn unpark(&self, t: usize) {
+        if let Some(thread) = self.parkers[t].get() {
+            thread.unpark();
+        }
     }
 
-    /// Park OS thread `id` until it holds the baton, or unwind if a peer
-    /// panicked.
+    /// Park the calling OS thread, as simulated thread `id`, until it holds
+    /// the baton, or unwind if a peer panicked.
     fn park(&self, id: usize) {
-        let p = &self.parkers[id];
-        let mut guard = p.mutex.lock();
+        let me = self.parkers[id].get_or_init(std::thread::current);
+        debug_assert_eq!(
+            me.id(),
+            std::thread::current().id(),
+            "thread {id} parked on two OS threads"
+        );
+        // Pairs with the fences in `pass` and `poison`.
+        fence(Ordering::SeqCst);
         while self.turn.load(Ordering::SeqCst) != id {
             if self.poisoned.load(Ordering::SeqCst) {
-                drop(guard);
                 std::panic::resume_unwind(Box::new(PeerPanicked));
             }
-            p.cv.wait(&mut guard);
+            std::thread::park();
         }
     }
 
@@ -459,26 +479,58 @@ mod tests {
 
     #[test]
     fn directed_wakeup_is_not_lost() {
-        // Thread 0 switches to thread 1 while thread 1 is about to park
-        // for the baton, and thread 1 passes it back the same way. Either
-        // side may get there first; both must wake holding the baton.
-        for _ in 0..200 {
+        // Thread 0 switches to thread 1, and thread 1 passes the baton
+        // back. In even rounds thread 1 has registered before the pass
+        // reaches it; in odd rounds the pass lands first, on a slot nobody
+        // has registered, and thread 1 must find the baton on its first
+        // check. Either way both sides must wake holding the baton.
+        for round in 0..200 {
             let s = Arc::new(Scheduler::new(2, 0));
             s.release_start();
-            let one = {
-                let s = Arc::clone(&s);
+            let spawn_one = |s: &Arc<Scheduler>| {
+                let s = Arc::clone(s);
                 std::thread::spawn(move || {
                     s.park(1);
                     s.pass(0);
                 })
             };
-            let zero = {
-                let s = Arc::clone(&s);
+            let spawn_zero = |s: &Arc<Scheduler>| {
+                let s = Arc::clone(s);
                 std::thread::spawn(move || s.switch(0, Some(1)))
+            };
+            let (zero, one) = if round % 2 == 0 {
+                let one = spawn_one(&s);
+                while s.parkers[1].get().is_none() {
+                    std::thread::yield_now();
+                }
+                (spawn_zero(&s), one)
+            } else {
+                let zero = spawn_zero(&s);
+                while s.turn.load(Ordering::SeqCst) != 1 {
+                    std::thread::yield_now();
+                }
+                (zero, spawn_one(&s))
             };
             zero.join().expect("thread 0 must get the baton back");
             one.join().expect("thread 1 must be woken");
             assert_eq!(s.turn.load(Ordering::SeqCst), 0);
         }
+    }
+
+    #[test]
+    fn a_solo_scheduler_released_on_the_caller_never_parks() {
+        // A strand running alone outside `SimBuilder::run` releases a
+        // one-thread scheduler on its own thread: the pass finds no
+        // registered thread and only stores the baton, and no advance
+        // parks.
+        let s = Arc::new(Scheduler::new(1, 0));
+        s.release_start();
+        let h = SimHandle::new(Arc::clone(&s), 0);
+        for _ in 0..10_000 {
+            h.advance(1);
+        }
+        assert_eq!(h.now(), 10_000);
+        assert_eq!(s.turn.load(Ordering::SeqCst), 0);
+        assert!(s.parkers[0].get().is_none(), "no thread ever parked");
     }
 }
