@@ -1,24 +1,24 @@
 //! The analysis pipeline and end-to-end sanitize mode.
 //!
 //! [`analyze`] is the one path every finished run takes, whether it is a
-//! sanitized cell, an explorer execution or a known-bad fixture: it
-//! merges the run's trace rings (refusing a ring that dropped events),
-//! then runs the race, opacity and lock-discipline passes and the
-//! residual conflict-bit check. A [`Checks`] value says what the run
+//! sanitized cell, an explorer execution or a known-bad fixture: it reads
+//! the run's sanitizer log, the one event stream, once and runs the
+//! race, opacity and lock-discipline passes over it, then the residual
+//! conflict-bit check. A [`Checks`] value says what the run
 //! promises: [`Checks::for_scheme`] derives it from a scheme instance,
 //! [`Checks::for_lock`] from a bare lock.
 //!
 //! [`sanitize_run`] runs one scheme × lock cell of the paper's matrix
-//! with the sanitizer log and per-thread traces enabled and analyzes it.
+//! with the sanitizer log enabled and analyzes it.
 //!
 //! The workload is a shared counter plus a small array of contended
 //! words, all mutated through [`elision_core::Scheme::execute`] — small
 //! enough that the full word-level log fits comfortably, contended
 //! enough that every path (speculation, retries, fallback, SCM
 //! auxiliary serialization) is exercised. The run uses scheduler window
-//! 0 (the strict deterministic interleaving): that is what makes the
-//! sanitizer log's append order the execution order, which both the
-//! race and opacity passes rely on.
+//! 0, the strict deterministic interleaving the artifact gates pin. At
+//! any window the sanitizer log's append order is the execution order
+//! (see [`elision_htm::SanLog`]), which all three passes rely on.
 //!
 //! Note the cell runs under [`SchemeConfig::paper`] plus the sanitize
 //! flag — deliberately *without* the speculation circuit breaker: the
@@ -31,8 +31,8 @@ use crate::opacity::{check_opacity, OpacityConfig, OpacityPolicy};
 use crate::race::{detect_races, RaceConfig};
 use crate::{AccessSite, Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, VarId};
-use elision_sim::{FaultPlan, GlobalTrace, TraceRing};
+use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, SanAccess, VarId};
+use elision_sim::FaultPlan;
 use std::sync::Arc;
 
 /// Number of contended data words in the workload array.
@@ -77,9 +77,10 @@ impl SanitizeSpec {
 pub struct SanReport {
     /// Everything the three passes (plus the residual-bit check) found.
     pub findings: Vec<Finding>,
-    /// Word-level sanitizer events analysed.
+    /// Sanitizer log entries analysed.
     pub san_events: usize,
-    /// Protocol-level trace events analysed.
+    /// Protocol-level events analysed: the log's entries other than
+    /// word reads and writes.
     pub trace_events: usize,
     /// Final value of the shared counter.
     pub hot_total: u64,
@@ -159,30 +160,21 @@ impl Checks {
     }
 }
 
-/// Run every pass over one finished run: merge its trace `rings`, then
-/// check `mem`'s sanitizer log for races and opacity, the merged trace
-/// for lock discipline, and `mem`'s conflict bitmap for bits that
-/// survived quiescence (reported at time `makespan`).
+/// Run every pass over one finished run: check `mem`'s sanitizer log
+/// for races, opacity and lock discipline, and `mem`'s conflict bitmap
+/// for bits that survived quiescence (reported at time `makespan`).
 ///
 /// # Panics
 ///
-/// Panics if a trace ring dropped events (lints over a truncated trace
-/// would be unsound, so this fails loudly instead) or if `mem` was built
-/// without the sanitizer.
-pub fn analyze<'a>(
-    checks: &Checks,
-    mem: &Memory,
-    rings: impl IntoIterator<Item = &'a TraceRing>,
-    makespan: u64,
-) -> Vec<Finding> {
-    let trace = GlobalTrace::merge(rings.into_iter().enumerate());
-    assert_eq!(trace.dropped(), 0, "trace ring overflowed; grow the ring capacity");
+/// Panics if `mem` was built without the sanitizer.
+pub fn analyze(checks: &Checks, mem: &Memory, makespan: u64) -> Vec<Finding> {
     let san = mem.san_log().expect("analyze needs a run with the sanitizer enabled");
-    let events = san.snapshot();
-
-    let mut findings = detect_races(&RaceConfig::of(mem, checks.lint.threads), &events);
-    findings.extend(check_opacity(&checks.opacity, san.initial_values(), &events));
-    findings.extend(lint_trace(&checks.lint, &trace));
+    let (mut findings, logged) = san.with_events(|events| {
+        let mut findings = detect_races(&RaceConfig::of(mem, checks.lint.threads), events);
+        findings.extend(check_opacity(&checks.opacity, san.initial_values(), events));
+        findings.extend(lint_trace(&checks.lint, events));
+        (findings, events.len())
+    });
 
     // Post-run leak check: after quiescence every conflict-bitmap bit
     // must be cleared.
@@ -195,7 +187,7 @@ pub fn analyze<'a>(
                 var: None,
                 line: Some(line.raw()),
                 time: makespan,
-                seq: events.len(),
+                seq: logged,
             }],
         });
     }
@@ -203,11 +195,6 @@ pub fn analyze<'a>(
 }
 
 /// Run one cell under the sanitizer and [`analyze`] it.
-///
-/// # Panics
-///
-/// Panics if a trace ring overflowed (the rings are sized so this
-/// cannot happen for sane `ops_per_thread`).
 pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
@@ -218,14 +205,10 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
     let targets: Vec<VarId> = (0..TARGETS).map(|_| b.alloc_isolated(0)).collect();
     let mem = Arc::new(b.freeze(spec.threads));
 
-    let (rings, makespan, _faults) = {
+    let (_, makespan, _faults) = {
         let scheme = Arc::clone(&scheme);
         let targets = targets.clone();
         let ops = spec.ops_per_thread;
-        // Each op logs a handful of protocol events even through the
-        // retry/fallback paths; 64 entries per op is far beyond worst
-        // case, so dropped() == 0 is guaranteed for sane op counts.
-        let ring_capacity = (ops * 64).max(1024);
         harness::run_arc_faulted(
             spec.threads,
             0, // strict window, as the artifact gates pin
@@ -234,7 +217,6 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
             spec.faults,
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(ring_capacity);
                 for _ in 0..ops {
                     let t = s.rng.below(TARGETS as u64) as usize;
                     let target = targets[t];
@@ -246,17 +228,24 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
                         Ok(())
                     });
                 }
-                s.trace.take().expect("trace enabled above")
             },
         )
     };
 
-    let findings = analyze(&Checks::for_scheme(&scheme, spec.threads), &mem, &rings, makespan);
+    let findings = analyze(&Checks::for_scheme(&scheme, spec.threads), &mem, makespan);
+    let (san_events, trace_events) =
+        mem.san_log().expect("sanitizer enabled above").with_events(|events| {
+            let protocol = events
+                .iter()
+                .filter(|e| !matches!(e.access, SanAccess::Read { .. } | SanAccess::Write { .. }))
+                .count();
+            (events.len(), protocol)
+        });
     let expected = (spec.threads * spec.ops_per_thread) as u64;
     SanReport {
         findings,
-        san_events: mem.san_log().expect("sanitizer enabled above").len(),
-        trace_events: rings.iter().map(TraceRing::len).sum(),
+        san_events,
+        trace_events,
         hot_total: mem.read_direct(hot),
         target_sum: targets.iter().map(|&t| mem.read_direct(t)).sum(),
         expected_total: expected,
@@ -267,7 +256,6 @@ pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elision_locks::{RawLock, TtasLock};
 
     fn assert_clean(scheme: SchemeKind, lock: LockKind) {
         let report = sanitize_run(&SanitizeSpec::new(scheme, lock));
@@ -280,32 +268,7 @@ mod tests {
             report.expected_total
         );
         assert!(report.san_events > 0, "sanitizer log was empty");
-        assert!(report.trace_events > 0, "trace was empty");
-    }
-
-    #[test]
-    #[should_panic(expected = "trace ring overflowed")]
-    fn analyze_refuses_a_ring_that_dropped_events() {
-        let mut b = MemoryBuilder::new();
-        b.enable_sanitizer();
-        let lock = Arc::new(TtasLock::new(&mut b));
-        let data = b.alloc_isolated(0);
-        let mem = Arc::new(b.freeze(1));
-        let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Strict, false, 1);
-        let (rings, makespan) =
-            harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
-                // Four critical sections log eight lock events into a
-                // ring that holds four.
-                s.enable_trace(4);
-                for _ in 0..4 {
-                    lock.acquire(s).expect("non-speculative acquire");
-                    s.store(data, 1).expect("plain store");
-                    lock.release(s).expect("non-speculative release");
-                }
-                s.trace.take().expect("trace enabled above")
-            });
-        assert!(rings[0].dropped() > 0, "the ring must overflow for this test to mean anything");
-        analyze(&checks, &mem, &rings, makespan);
+        assert!(report.trace_events > 0, "no protocol events were logged");
     }
 
     #[test]

@@ -70,7 +70,7 @@ use crate::linearize::check_linearizable;
 use crate::{Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, Strand};
-use elision_sim::{Schedule, TraceRing};
+use elision_sim::Schedule;
 use elision_structures::{
     HashTable, HistoryRecorder, OpAction, OpRecord, OpResponse, RbTree, SeqModel, SimQueue,
     SortedList, StructureKind,
@@ -723,8 +723,8 @@ struct CellRun<'a> {
     spec: &'a ExploreSpec,
     scheme: Arc<Scheme>,
     mem: Arc<Memory>,
-    /// Per thread: its trace ring and its operation history.
-    outs: Vec<(TraceRing, Vec<OpRecord>)>,
+    /// Per thread: its operation history.
+    outs: Vec<Vec<OpRecord>>,
     makespan: u64,
 }
 
@@ -769,7 +769,6 @@ fn run_cell_once<'a>(
             overrides,
             Arc::clone(&mem),
             move |s| {
-                s.enable_trace(4096);
                 let mut rec = HistoryRecorder::new(s.tid());
                 for k in 0..sections {
                     let action = action_for(kind, s.tid(), k);
@@ -778,7 +777,7 @@ fn run_cell_once<'a>(
                     let responded = s.sim().steps_taken();
                     rec.record(action, response, invoked, responded);
                 }
-                (s.trace.take().expect("trace enabled above"), rec.into_records())
+                rec.into_records()
             },
         )
     };
@@ -791,8 +790,8 @@ impl Analyze for CellRun<'_> {
     fn findings(self) -> Vec<Finding> {
         let CellRun { spec, scheme, mem, outs, makespan } = self;
         let checks = Checks::for_scheme(&scheme, spec.threads);
-        let mut findings = analyze(&checks, &mem, outs.iter().map(|(ring, _)| ring), makespan);
-        let ops: Vec<OpRecord> = outs.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+        let mut findings = analyze(&checks, &mem, makespan);
+        let ops: Vec<OpRecord> = outs.into_iter().flatten().collect();
         let model = SeqModel::for_kind(spec.structure, QUEUE_CAP);
         findings.extend(check_linearizable(&model, &ops));
 

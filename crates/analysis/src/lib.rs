@@ -16,10 +16,10 @@
 //!    lock before committing, SCM threads take the main lock only while
 //!    holding their auxiliary lock, and acquires/releases balance.
 //!
-//! This crate checks all three *post hoc* over the logs the lower layers
-//! already produce: the [`elision_htm::SanLog`] (every memory access, in
-//! global execution order — one simulated thread runs at a time)
-//! and the merged [`elision_sim::GlobalTrace`] of per-thread trace rings.
+//! This crate checks all three *post hoc* over the one event stream the
+//! lower layers produce: the [`elision_htm::SanLog`] (every memory
+//! access, transaction event, lock transition and protocol marker, in
+//! global execution order — one simulated thread runs at a time).
 //! [`driver::analyze`] is the one pipeline every run goes through: it
 //! runs all three passes plus the residual conflict-bit check.
 //! [`driver::sanitize_run`] feeds it a whole scheme × lock × fault-plan
@@ -75,7 +75,7 @@ pub enum LintId {
     /// A lock release by a thread that did not hold the lock.
     ReleaseWithoutAcquire,
     /// A lock acquisition while another thread held the lock (mutual
-    /// exclusion violation at the trace level).
+    /// exclusion violation at the level of lock events).
     OverlappingAcquire,
     /// A transaction committed without subscribing to the main lock —
     /// SLR's lazy subscription (Figure 5 line 24) was skipped.
@@ -168,8 +168,7 @@ pub struct AccessSite {
     pub line: Option<u32>,
     /// The thread's logical clock at the access.
     pub time: u64,
-    /// Global sequence number: the access's index in the sanitizer log
-    /// (or merged trace, for trace-level lints).
+    /// Global sequence number: the access's index in the sanitizer log.
     pub seq: usize,
 }
 

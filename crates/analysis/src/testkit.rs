@@ -25,10 +25,9 @@
 //!
 //! Every fixture hands its run to [`crate::driver::analyze`], the same
 //! pipeline the sanitizer and the explorer use, so each gets the race,
-//! opacity, lint and residual-bit passes and the guard against a trace
-//! ring that dropped events. A fixture only picks its [`Checks`]: the
-//! bare-TTAS fixtures state their lock and policy, the lazy-subscription
-//! ones take their scheme's.
+//! opacity, lint and residual-bit passes over its sanitizer log. A
+//! fixture only picks its [`Checks`]: the bare-TTAS fixtures state their
+//! lock and policy, the lazy-subscription ones take their scheme's.
 //!
 //! [`LintId::DataRace`]: crate::LintId::DataRace
 //! [`LintId::CommitWhileLockHeld`]: crate::LintId::CommitWhileLockHeld
@@ -39,7 +38,7 @@ use crate::driver::{analyze, Checks};
 use crate::opacity::OpacityPolicy;
 use crate::Finding;
 use elision_core::{make_scheme, LazyMode, LockKind, SchemeConfig, SchemeKind};
-use elision_htm::{codes, harness, HtmConfig, HwSubscription, MemoryBuilder, VarId};
+use elision_htm::{codes, harness, HtmConfig, HwSubscription, Memory, MemoryBuilder, VarId};
 use elision_locks::{RawLock, TtasLock};
 use elision_sim::Schedule;
 use std::sync::Arc;
@@ -57,14 +56,13 @@ pub fn broken_slr_schedule() -> Vec<Finding> {
     let threads = 2;
     let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Sandboxed, true, threads);
 
-    let (rings, makespan) = harness::run_arc(
+    let (_, makespan) = harness::run_arc(
         threads,
         0, // strict window: the violation fires on the window-0 schedule
         HtmConfig::deterministic(),
         7,
         Arc::clone(&mem),
         move |s| {
-            s.enable_trace(64);
             if s.tid() == 0 {
                 // The honest lock holder: a long critical section
                 // mutating x then (much later) y.
@@ -84,16 +82,21 @@ pub fn broken_slr_schedule() -> Vec<Finding> {
                 })
                 .expect("uncontended read-only txn commits");
             }
-            s.trace.take().expect("trace enabled above")
         },
     );
 
-    analyze(&checks, &mem, &rings, makespan)
+    analyze(&checks, &mem, makespan)
 }
 
 /// Run a schedule where a thread releases the lock twice. Returns all
 /// findings.
 pub fn double_release_schedule() -> Vec<Finding> {
+    double_release_run().1
+}
+
+/// [`double_release_schedule`]'s run: its memory, whose sanitizer log the
+/// findings' sites index, and its findings.
+fn double_release_run() -> (Arc<Memory>, Vec<Finding>) {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
     let lock = Arc::new(TtasLock::new(&mut b));
@@ -101,19 +104,18 @@ pub fn double_release_schedule() -> Vec<Finding> {
     let mem = Arc::new(b.freeze(1));
     let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Strict, false, 1);
 
-    let (rings, makespan) =
+    let (_, makespan) =
         harness::run_arc(1, 0, HtmConfig::deterministic(), 7, Arc::clone(&mem), move |s| {
-            s.enable_trace(64);
             lock.acquire(s).expect("non-speculative acquire");
             s.store(data, 1).expect("plain store");
             lock.release(s).expect("non-speculative release");
             // The bug: a second release of a lock this thread no
             // longer holds.
             lock.release(s).expect("non-speculative release");
-            s.trace.take().expect("trace enabled above")
         });
 
-    analyze(&checks, &mem, &rings, makespan)
+    let findings = analyze(&checks, &mem, makespan);
+    (mem, findings)
 }
 
 /// A controlled run's observable outcome: the schedule that was executed
@@ -149,14 +151,13 @@ pub fn broken_slr_explore(overrides: &[Option<usize>]) -> ExploreRun {
     let threads = 2;
     let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Sandboxed, false, threads);
 
-    let (steps, rings, makespan) = harness::run_arc_controlled(
+    let (steps, _, makespan) = harness::run_arc_controlled(
         threads,
         HtmConfig::deterministic(),
         7,
         overrides,
         Arc::clone(&mem),
         move |s| {
-            s.enable_trace(256);
             if s.tid() == 0 {
                 // Long non-critical prelude, then the critical
                 // section. Under the default schedule the peer's
@@ -183,10 +184,9 @@ pub fn broken_slr_explore(overrides: &[Option<usize>]) -> ExploreRun {
                     }
                 }
             }
-            s.trace.take().expect("trace enabled above")
         },
     );
-    (steps, analyze(&checks, &mem, &rings, makespan))
+    (steps, analyze(&checks, &mem, makespan))
 }
 
 /// Schedule-dependent double release: thread 0 releases the lock a
@@ -212,14 +212,13 @@ pub fn double_release_explore(overrides: &[Option<usize>]) -> ExploreRun {
     let threads = 2;
     let checks = Checks::for_lock(lock.lock_word(), OpacityPolicy::Strict, false, threads);
 
-    let (steps, rings, makespan) = harness::run_arc_controlled(
+    let (steps, _, makespan) = harness::run_arc_controlled(
         threads,
         HtmConfig::deterministic(),
         7,
         overrides,
         Arc::clone(&mem),
         move |s| {
-            s.enable_trace(256);
             if s.tid() == 0 {
                 lock.acquire(s).expect("non-speculative acquire");
                 s.store(data, 1).expect("plain store");
@@ -251,10 +250,9 @@ pub fn double_release_explore(overrides: &[Option<usize>]) -> ExploreRun {
                     }
                 }
             }
-            s.trace.take().expect("trace enabled above")
         },
     );
-    (steps, analyze(&checks, &mem, &rings, makespan))
+    (steps, analyze(&checks, &mem, makespan))
 }
 
 /// Which of arXiv 1407.6968's hardware fixes a lazy-subscription fixture
@@ -363,14 +361,13 @@ pub fn lazy_zombie_explore(
     let checks = Checks::for_scheme(&scheme, threads);
     let main = Arc::clone(scheme.main_lock());
 
-    let (steps, rings, makespan) = harness::run_arc_controlled(
+    let (steps, _, makespan) = harness::run_arc_controlled(
         threads,
         fixes.htm(),
         7,
         overrides,
         Arc::clone(&mem),
         move |s| {
-            s.enable_trace(1024);
             if s.tid() == 0 {
                 // Long non-critical prelude (keeps the default
                 // schedule clean), then the invariant-maintaining
@@ -395,10 +392,9 @@ pub fn lazy_zombie_explore(
                     Ok(())
                 });
             }
-            s.trace.take().expect("trace enabled above")
         },
     );
-    (steps, analyze(&checks, &mem, &rings, makespan))
+    (steps, analyze(&checks, &mem, makespan))
 }
 
 /// Class B of arXiv 1407.6968 — the **commit-time subscription race**.
@@ -432,14 +428,13 @@ pub fn lazy_race_explore(
     let checks = Checks::for_scheme(&scheme, threads);
     let main = Arc::clone(scheme.main_lock());
 
-    let (steps, rings, makespan) = harness::run_arc_controlled(
+    let (steps, _, makespan) = harness::run_arc_controlled(
         threads,
         fixes.htm(),
         7,
         overrides,
         Arc::clone(&mem),
         move |s| {
-            s.enable_trace(1024);
             if s.tid() == 0 {
                 s.work(200).expect("non-transactional work");
                 main.acquire(s).expect("non-speculative acquire");
@@ -452,16 +447,16 @@ pub fn lazy_race_explore(
                     Ok(())
                 });
             }
-            s.trace.take().expect("trace enabled above")
         },
     );
-    (steps, analyze(&checks, &mem, &rings, makespan))
+    (steps, analyze(&checks, &mem, makespan))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LintId;
+    use elision_htm::SanAccess;
 
     #[test]
     fn broken_slr_trips_race_lock_held_and_subscription_lints() {
@@ -485,6 +480,22 @@ mod tests {
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert_eq!(findings[0].lint, LintId::ReleaseWithoutAcquire);
         assert!(!findings[0].sites.is_empty());
+    }
+
+    #[test]
+    fn a_lint_site_names_its_sanitizer_log_entry() {
+        let (mem, findings) = double_release_run();
+        let site = findings
+            .iter()
+            .find(|f| f.lint == LintId::ReleaseWithoutAcquire)
+            .and_then(|f| f.sites.first())
+            .unwrap_or_else(|| panic!("no release-without-acquire site: {findings:#?}"));
+        let logged = mem.san_log().expect("sanitizer enabled").snapshot()[site.seq];
+        assert!(
+            matches!(logged.access, SanAccess::LockRelease { word } if Some(word.index()) == site.var),
+            "{logged:?}"
+        );
+        assert_eq!((logged.tid, logged.time), (site.tid, site.time));
     }
 
     #[test]

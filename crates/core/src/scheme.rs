@@ -263,7 +263,7 @@ pub struct SchemeConfig {
     /// whenever a speculative attempt subscribes to the main lock (elided
     /// acquisition or SLR/SCM subscription read). Off in the paper
     /// configuration: markers cost nothing in simulated time but bloat
-    /// trace rings.
+    /// the sanitizer log.
     pub sanitize: bool,
     /// How SLR-style schemes subscribe to the main lock at commit time
     /// (see [`LazyMode`]). Eager schemes ignore this knob.

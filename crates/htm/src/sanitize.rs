@@ -6,7 +6,8 @@
 //! speculative loads, commit-time publications, non-transactional
 //! reads/writes/RMWs — appends a [`SanEvent`] to the memory's [`SanLog`].
 //! The `elision-analysis` crate post-processes this log into
-//! happens-before race detection and opacity/sandboxing checks.
+//! happens-before race detection, opacity/sandboxing checks and the
+//! lock-discipline lints: it is the run's one event stream.
 //!
 //! Soundness of the log's *order* rests on one fact: the simulator runs
 //! exactly one simulated thread at a time, at every scheduling window, so
@@ -115,6 +116,12 @@ impl SanLog {
     /// A copy of the log, in global execution order.
     pub fn snapshot(&self) -> Vec<SanEvent> {
         self.events.lock().clone()
+    }
+
+    /// Call `f` on the log, in global execution order, under the log's
+    /// lock: a finished run's log is read without copying it.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[SanEvent]) -> R) -> R {
+        f(&self.events.lock())
     }
 
     /// Number of recorded events.

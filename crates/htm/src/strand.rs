@@ -17,7 +17,6 @@ use crate::memory::{HwSubscription, LineId, Memory, VarId};
 use crate::sanitize::SanAccess;
 use elision_sim::{
     AbortCause, CauseSlotRecorder, ConflictLineHistogram, DetRng, OpCounters, SimHandle,
-    TraceEvent, TraceRing,
 };
 use std::sync::Arc;
 
@@ -95,8 +94,6 @@ pub struct Strand {
     pub stats: TxnStats,
     /// The paper's S/A/N operation counters, recorded by elision schemes.
     pub counters: OpCounters,
-    /// Optional bounded execution trace (see [`Strand::enable_trace`]).
-    pub trace: Option<TraceRing>,
     /// Optional per-time-slot abort-cause series (see
     /// [`Strand::enable_cause_slots`]); complements the aggregate
     /// histogram in `counters.causes`.
@@ -132,17 +129,9 @@ impl Strand {
             retry_rng: DetRng::new(seed, 2_000_000 + tid as u64),
             stats: TxnStats::default(),
             counters: OpCounters::new(),
-            trace: None,
             cause_slots: None,
             conflict_lines: None,
         }
-    }
-
-    /// Start recording transaction events into a bounded ring of
-    /// `capacity` entries (see [`TraceRing`]); any previous trace is
-    /// replaced.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceRing::new(capacity));
     }
 
     /// Start bucketing abort causes by logical-time slots of
@@ -163,20 +152,6 @@ impl Strand {
         self.conflict_lines = Some(ConflictLineHistogram::new());
     }
 
-    fn trace_event(&mut self, ev: TraceEvent) {
-        if let Some(ring) = self.trace.as_mut() {
-            // Lint passes order the merged trace by timestamp. Per-thread
-            // cycle clocks only agree with execution order under the
-            // default min-clock schedule; in a controlled run an
-            // adversarial schedule runs threads "in the past", so stamp
-            // with the global decision-step counter instead — each step
-            // belongs to exactly one thread, and the stable merge keeps
-            // same-step (same-thread) events in ring order.
-            let t = if self.sim.controlled() { self.sim.steps_taken() } else { self.sim.now() };
-            ring.record(t, ev);
-        }
-    }
-
     /// Append to the memory's sanitizer log, if one is attached. Never
     /// advances the clock or draws RNG state, so sanitized runs replay
     /// the exact schedule of unsanitized ones.
@@ -188,23 +163,20 @@ impl Strand {
 
     /// Record a non-speculative lock acquisition (called by lock
     /// implementations once the lock is held). `word` is the lock's
-    /// primary word — its identity for the trace and sanitizer layers.
+    /// primary word — its identity for the sanitizer log.
     pub fn note_lock_acquire(&mut self, word: VarId) {
-        self.trace_event(TraceEvent::LockAcquire(word.index()));
         self.san(SanAccess::LockAcquire { word });
     }
 
     /// Record a non-speculative lock release (called by lock
     /// implementations after the lock is released).
     pub fn note_lock_release(&mut self, word: VarId) {
-        self.trace_event(TraceEvent::LockRelease(word.index()));
         self.san(SanAccess::LockRelease { word });
     }
 
     /// Record a protocol marker (e.g. the elision schemes' `subscribe`
-    /// marker) into both the trace ring and the sanitizer log.
+    /// marker) into the sanitizer log.
     pub fn note(&mut self, label: &'static str, value: u64) {
-        self.trace_event(TraceEvent::Custom(label, value));
         self.san(SanAccess::Marker { label, value });
     }
 
@@ -271,7 +243,6 @@ impl Strand {
             None
         };
         self.stats.begins += 1;
-        self.trace_event(TraceEvent::TxnBegin);
         self.san(SanAccess::TxnBegin);
         // Reuse the scratch descriptor (its containers were cleared when
         // stashed); the first attempt of a strand's life allocates it.
@@ -445,7 +416,6 @@ impl Strand {
         }
         self.stash(txn);
         self.stats.commits += 1;
-        self.trace_event(TraceEvent::TxnCommit);
         Ok(())
     }
 
@@ -589,7 +559,6 @@ impl Strand {
                 rec.record(line);
             }
         }
-        self.trace_event(TraceEvent::TxnAbort(cause));
         self.san(SanAccess::TxnAbort { cause });
         self.last_abort = status;
         self.sim.advance(self.cfg.cost.txn_abort);

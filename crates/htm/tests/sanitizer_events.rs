@@ -1,6 +1,6 @@
 //! Tests of the sanitizer event log wired through the HTM layer.
 
-use elision_htm::{harness, HtmConfig, MemoryBuilder, SanAccess};
+use elision_htm::{harness, HtmConfig, MemoryBuilder, SanAccess, VarId};
 use elision_sim::AbortCause;
 
 #[test]
@@ -53,6 +53,31 @@ fn aborts_and_plain_accesses_are_logged() {
             SanAccess::Write { var: x, value: 5, txn: false },
         ]
     );
+}
+
+#[test]
+fn capacity_abort_is_logged_with_its_cause() {
+    let mut b = MemoryBuilder::new().words_per_line(1);
+    let vars = b.alloc_array(8, 0);
+    b.enable_sanitizer();
+    let mem = b.freeze(1);
+    let cfg = HtmConfig::deterministic().with_capacity(64, 2);
+    let (_, mem, _) = harness::run(1, 0, cfg, 1, mem, move |s| {
+        s.begin();
+        for k in 0.. {
+            if s.store(VarId::from_index(vars.index() + k), 1).is_err() {
+                break;
+            }
+        }
+    });
+    let log = mem.san_log().expect("sanitizer enabled");
+    let aborts: Vec<SanAccess> = log
+        .snapshot()
+        .iter()
+        .map(|e| e.access)
+        .filter(|a| matches!(a, SanAccess::TxnAbort { .. }))
+        .collect();
+    assert_eq!(aborts, vec![SanAccess::TxnAbort { cause: AbortCause::Capacity }]);
 }
 
 #[test]

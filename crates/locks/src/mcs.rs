@@ -72,7 +72,7 @@ impl RawLock for McsLock {
         }
         // The handoff store is the release's linearization point: record
         // the release first so the successor's acquire never precedes it
-        // in the merged trace.
+        // in the sanitizer log.
         s.note_lock_release(self.tail);
         s.store(self.locked[succ as usize], GO)?;
         Ok(())

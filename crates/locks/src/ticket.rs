@@ -75,7 +75,7 @@ impl RawLock for TicketLock {
         // Standard release: pass ownership to the following ticket. The
         // owner store is the linearization point: record the release
         // first so the successor's acquire never precedes it in the
-        // merged trace.
+        // sanitizer log.
         s.note_lock_release(self.next);
         s.store(self.owner, my + 1)?;
         Ok(())

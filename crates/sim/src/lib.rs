@@ -60,7 +60,6 @@ mod rng;
 mod sched;
 mod slots;
 mod stats;
-mod trace;
 
 pub use arrivals::{generate_arrivals, Arrival, ArrivalPhase, Zipf};
 pub use control::{Schedule, ScheduleControl, StepAccess, StepRecord};
@@ -70,7 +69,6 @@ pub use rng::DetRng;
 pub use sched::{Scheduler, SimHandle};
 pub use slots::{CauseSlotRecorder, CauseSlotSeries, SlotRecorder, SlotSeries};
 pub use stats::{AbortCause, AttemptKind, CauseHistogram, ConflictLineHistogram, OpCounters};
-pub use trace::{GlobalEvent, GlobalTrace, TraceEvent, TraceRing};
 
 use std::sync::Arc;
 

@@ -178,7 +178,11 @@ const GOLDEN_PERF_GATE_JSON: u64 = 0xa36d_d358_d5f5_4d7f;
 // queued prefix whose default continuation had already run: each cell's
 // `runs` fell (40,256 to 33,720 in all) and gained a `fallback_runs`
 // count, while executions, truncation and findings stayed the same.
-const GOLDEN_MODELCHECK_JSON: u64 = 0x16ec_3ecc_ac91_4717;
+// Re-blessed again when the lock-discipline lints began reading the
+// sanitizer log instead of merged per-thread trace rings: one
+// `release-without-acquire` site now carries the log's clock and index,
+// (time 11, seq 4) -> (56, 13); nothing else in the artifact moved.
+const GOLDEN_MODELCHECK_JSON: u64 = 0xad60_ce13_d54a_790a;
 // Captured when the explorer began skipping covered prefixes, which is
 // also when the artifact gained its `fallback_runs` counts.
 const GOLDEN_LAZY_SAFETY_JSON: u64 = 0x72ea_ba2d_e6f2_e28d;
