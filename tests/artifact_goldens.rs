@@ -105,6 +105,29 @@ fn perf_gate_metrics_match_pre_rewrite_goldens() {
     assert_golden(&scratch.0, "BENCH_SIM_HOTPATH.json", GOLDEN_PERF_GATE_JSON);
 }
 
+/// The two artifacts built from slot series and hash-table cells: Fig. 3's
+/// per-slot completions and abort causes, and the hash-table sweep.
+#[test]
+fn hashtable_and_fig3_artifacts_match_goldens() {
+    let scratch = Scratch::new("ht_fig3");
+    let dir = scratch.0.to_str().expect("utf-8 scratch path");
+    repro(&[
+        "hashtable_bench",
+        "fig3_dynamics",
+        "--quick",
+        "--seeds",
+        "1",
+        "--jobs",
+        "2",
+        "--csv",
+        dir,
+        "--metrics",
+        dir,
+    ]);
+    assert_golden(&scratch.0, "hashtable_bench.json", GOLDEN_HASHTABLE_JSON);
+    assert_golden(&scratch.0, "fig3_dynamics.json", GOLDEN_FIG3_JSON);
+}
+
 /// MODELCHECK.json from the DPOR model checker must also be unchanged.
 /// `#[ignore]`d by default (the quick sweep takes ~1 minute unoptimized);
 /// CI runs it in the model-check job via `-- --ignored`.
@@ -174,6 +197,10 @@ fn summary_of_all_matches_pre_driver_golden() {
 const GOLDEN_FIG2_CSV: u64 = 0xd6cc_7b01_f6ed_1939;
 const GOLDEN_FIG2_JSON: u64 = 0xfa0d_86b0_a82f_33e6;
 const GOLDEN_PERF_GATE_JSON: u64 = 0xa36d_d358_d5f5_4d7f;
+// Captured before the hash table ran through the tree driver and before
+// completions and abort causes shared one slot series.
+const GOLDEN_HASHTABLE_JSON: u64 = 0x05f6_3244_bfa7_d31f;
+const GOLDEN_FIG3_JSON: u64 = 0x6cf7_3054_9dba_6f62;
 // MODELCHECK.json was re-blessed when the explorer began skipping every
 // queued prefix whose default continuation had already run: each cell's
 // `runs` fell (40,256 to 33,720 in all) and gained a `fallback_runs`
