@@ -38,29 +38,23 @@ pub(super) fn run(run: &mut Run) {
     }
     for (lock, r) in &run.sweep(cells) {
         let slots = r.slots.as_ref().expect("slot series requested");
-        let causes = r.cause_slots.as_ref().expect("cause slot series requested");
+        let norm = slots.normalized_throughput();
+        let frac = slots.frac_nonspec();
 
         println!("--- {} lock ---", lock.label());
         let mut table = Table::new(&["slot", "norm-throughput", "frac-nonspec"]);
-        for i in 0..slots.len() {
-            table.row(vec![
-                i.to_string(),
-                f2(slots.normalized_throughput[i]),
-                f3(slots.frac_nonspec[i]),
-            ]);
+        for (i, causes) in slots.causes().iter().enumerate() {
+            table.row(vec![i.to_string(), f2(norm[i]), f3(frac[i])]);
             run.report.push_row(Json::obj(vec![
                 ("lock", Json::Str(lock.label().to_string())),
                 ("slot", Json::Uint(i as u64)),
-                ("norm_throughput", Json::Float(slots.normalized_throughput[i])),
-                ("frac_nonspeculative", Json::Float(slots.frac_nonspec[i])),
-                (
-                    "abort_causes",
-                    cause_histogram_json(&causes.slots.get(i).copied().unwrap_or_default()),
-                ),
+                ("norm_throughput", Json::Float(norm[i])),
+                ("frac_nonspeculative", Json::Float(frac[i])),
+                ("abort_causes", cause_histogram_json(causes)),
             ]));
         }
         run.table(&table, Some(&format!("fig3_dynamics_{}", lock.label().to_lowercase())));
-        let avg_nonspec: f64 = slots.frac_nonspec.iter().sum::<f64>() / slots.len().max(1) as f64;
+        let avg_nonspec: f64 = frac.iter().sum::<f64>() / slots.len().max(1) as f64;
         println!(
             "worst throughput dip: {:.2}x below average; mean per-slot frac-nonspec: {:.3}\n",
             slots.worst_slowdown(),

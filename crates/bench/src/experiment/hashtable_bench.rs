@@ -6,14 +6,14 @@
 //! both locks at the three contention levels, normalized to plain HLE of
 //! the same lock.
 
-use super::{scheme_table, Run, SOFTWARE_SCHEMES};
+use super::{scheme_table, tree_spec, Run, SOFTWARE_SCHEMES};
 use crate::metrics::Json;
 use crate::report::{f2, ratio};
 use crate::sweep::Cell;
-use crate::{run_hash_bench, HashBenchSpec};
-use elision_core::{LockKind, SchemeConfig, SchemeKind};
+use crate::{run_tree_bench, TreeBenchSpec};
+use elision_core::{LockKind, SchemeKind};
 use elision_htm::HtmConfig;
-use elision_structures::OpMix;
+use elision_structures::{OpMix, StructureKind};
 
 pub(super) fn run(run: &mut Run) {
     let args = &run.args;
@@ -39,18 +39,11 @@ pub(super) fn run(run: &mut Run) {
                     format!("{}/{label}/{}", lock.label(), scheme.label()),
                     args.threads,
                     move || {
-                        run_hash_bench(&HashBenchSpec {
-                            scheme,
-                            lock,
-                            threads: args.threads,
-                            size,
-                            mix,
-                            ops_per_thread: ops,
-                            window: 0,
+                        run_tree_bench(&TreeBenchSpec {
+                            structure: StructureKind::HashTable,
                             htm: HtmConfig::haswell().with_faults(htm_faults),
-                            seed: 42,
-                            scheme_cfg: SchemeConfig::paper(),
                             faults: fault_plan,
+                            ..tree_spec(scheme, lock, args.threads, size, mix, ops)
                         })
                     },
                 ));

@@ -4,9 +4,10 @@
 //! paper: it sweeps the figure's parameter grid, runs the simulated
 //! benchmark, and prints the same rows/series the paper plots (plus
 //! optional CSV). This library holds the common pieces: the experiment
-//! registry and its artifact pipeline, the red-black-tree and hash-table
-//! benchmark drivers (fill phase + measured phase), seed averaging, the
-//! parallel sweep, table printing and a tiny CLI parser.
+//! registry and its artifact pipeline, the benchmark driver (one driver,
+//! two structures: the red-black tree and the hash table; fill phase +
+//! measured phase), seed averaging, the parallel sweep, table printing
+//! and a tiny CLI parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,10 +24,7 @@ pub mod treebench;
 
 pub use chaos::ChaosProfile;
 pub use cli::CliArgs;
-pub use treebench::{
-    run_hash_bench, run_tree_bench, run_tree_bench_avg, HashBenchSpec, TreeBenchResult,
-    TreeBenchSpec,
-};
+pub use treebench::{run_tree_bench, run_tree_bench_avg, TreeBenchResult, TreeBenchSpec};
 
 /// The paper's thread-count maximum (4 cores x 2 hyperthreads).
 pub const PAPER_THREADS: usize = 8;

@@ -1,30 +1,35 @@
-//! The red-black-tree and hash-table benchmark drivers (paper §4 / §7.1).
+//! The benchmark driver for the paper's two measured structures: one
+//! driver, two structures — the red-black tree (§4, §7) and the hash
+//! table (§7.1, "always short" transactions).
 //!
-//! A run builds a tree of the target size (filled with random keys from a
-//! domain of twice the size, as in the paper), then has every simulated
-//! thread perform a fixed number of operations drawn from the configured
-//! mix, each as one critical section under the scheme being measured.
-//! Throughput is operations per thousand simulated cycles.
+//! A run builds the structure at the target size (filled with random keys
+//! from a domain of twice the size, as in the paper), then has every
+//! simulated thread perform a fixed number of operations drawn from the
+//! configured mix, each as one critical section under the scheme being
+//! measured. Throughput is operations per thousand simulated cycles.
 
 use elision_core::{make_scheme, SchemeConfig, SchemeKind, Watchdog};
-use elision_htm::{harness, HtmConfig, MemoryBuilder, TxnStats};
-use elision_sim::{CauseSlotSeries, FaultPlan, FaultStats, OpCounters, SlotRecorder, SlotSeries};
-use elision_structures::{key_domain, HashTable, OpMix, RbTree, TreeOp};
+use elision_htm::{harness, HtmConfig, MemoryBuilder, Strand, TxResult, TxnStats};
+use elision_sim::{FaultPlan, FaultStats, OpCounters, SlotSeries};
+use elision_structures::{key_domain, HashTable, OpMix, RbTree, StructureKind, TreeOp};
 use std::sync::Arc;
-use std::sync::Mutex;
 
 pub use elision_core::LockKind;
 
-/// Parameters of one tree-benchmark cell.
+/// Parameters of one benchmark cell.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeBenchSpec {
+    /// Measured structure: [`StructureKind::RbTree`] or
+    /// [`StructureKind::HashTable`] (whose insert/delete/lookup map to
+    /// put/remove/get).
+    pub structure: StructureKind,
     /// Elision scheme under test.
     pub scheme: SchemeKind,
     /// Main-lock family.
     pub lock: LockKind,
     /// Simulated threads.
     pub threads: usize,
-    /// Tree size (elements after the fill phase).
+    /// Structure size (elements after the fill phase).
     pub size: usize,
     /// Operation mix.
     pub mix: OpMix,
@@ -46,7 +51,8 @@ pub struct TreeBenchSpec {
 }
 
 impl TreeBenchSpec {
-    /// A spec with the paper's defaults for the given scheme/lock cell.
+    /// A red-black-tree spec with the paper's defaults for the given
+    /// scheme/lock cell.
     pub fn new(
         scheme: SchemeKind,
         lock: LockKind,
@@ -55,6 +61,7 @@ impl TreeBenchSpec {
         mix: OpMix,
     ) -> Self {
         TreeBenchSpec {
+            structure: StructureKind::RbTree,
             scheme,
             lock,
             threads,
@@ -82,10 +89,8 @@ pub struct TreeBenchResult {
     pub makespan: u64,
     /// Summed transaction statistics (abort breakdown).
     pub txn_stats: TxnStats,
-    /// Per-slot series (when requested).
+    /// Per-slot completions and abort causes (when requested).
     pub slots: Option<SlotSeries>,
-    /// Per-slot abort-cause series (when slots are requested).
-    pub cause_slots: Option<CauseSlotSeries>,
     /// Per-operation starvation accounting (attempts, completion cycles).
     pub watchdog: Watchdog,
     /// Merged injected-fault statistics (all-zero without a fault plan).
@@ -98,26 +103,100 @@ pub struct TreeBenchResult {
     pub residual_lines: Vec<u32>,
 }
 
-/// Run one tree-benchmark cell.
+impl TreeBenchResult {
+    /// Fold another run of the same cell into this one: counts, stats and
+    /// slot series add, `throughput` and `makespan` sum (the caller
+    /// divides), residual lines append.
+    fn merge(&mut self, other: TreeBenchResult) {
+        self.throughput += other.throughput;
+        self.counters.merge(&other.counters);
+        self.txn_stats.merge(&other.txn_stats);
+        self.makespan += other.makespan;
+        self.watchdog.merge(&other.watchdog);
+        self.fault_stats.merge(&other.fault_stats);
+        self.breaker_trips += other.breaker_trips;
+        merge_slots(&mut self.slots, other.slots);
+        self.residual_lines.extend(other.residual_lines);
+    }
+}
+
+/// Merge `other` into `acc`, taking it as is when `acc` is empty.
+fn merge_slots(acc: &mut Option<SlotSeries>, other: Option<SlotSeries>) {
+    match (acc, other) {
+        (Some(acc), Some(s)) => acc.merge(&s),
+        (acc @ None, s) => *acc = s,
+        _ => {}
+    }
+}
+
+/// The measured structure, built per [`TreeBenchSpec::structure`].
+#[derive(Clone)]
+enum Structure {
+    Tree(RbTree),
+    Table(HashTable),
+}
+
+impl Structure {
+    /// Insert `key` during the fill phase; whether it was new.
+    fn fill(&self, s: &mut Strand, key: u64) -> bool {
+        let fresh = match self {
+            Structure::Tree(t) => t.insert(s, key),
+            Structure::Table(h) => h.put(s, key, key).map(|old| old.is_none()),
+        };
+        fresh.expect("fill runs without transactions")
+    }
+
+    /// One measured operation.
+    fn apply(&self, s: &mut Strand, op: TreeOp, key: u64) -> TxResult<()> {
+        match (self, op) {
+            (Structure::Tree(t), TreeOp::Insert) => t.insert(s, key).map(|_| ()),
+            (Structure::Tree(t), TreeOp::Delete) => t.remove(s, key).map(|_| ()),
+            (Structure::Tree(t), TreeOp::Lookup) => t.contains(s, key).map(|_| ()),
+            (Structure::Table(h), TreeOp::Insert) => h.put(s, key, key).map(|_| ()),
+            (Structure::Table(h), TreeOp::Delete) => h.remove(s, key).map(|_| ()),
+            (Structure::Table(h), TreeOp::Lookup) => h.get(s, key).map(|_| ()),
+        }
+    }
+}
+
+/// Run one benchmark cell.
+///
+/// # Panics
+///
+/// Panics if `spec.structure` is neither the tree nor the hash table, or
+/// if any scheme but `NoLock` completes fewer than every operation.
 pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
     let domain = key_domain(spec.size);
     let mut b = MemoryBuilder::new();
-    let capacity = domain as usize + spec.threads * 4 + 16;
-    let tree = RbTree::new(&mut b, capacity, spec.threads);
+    let structure = match spec.structure {
+        StructureKind::RbTree => {
+            let capacity = domain as usize + spec.threads * 4 + 16;
+            Structure::Tree(RbTree::new(&mut b, capacity, spec.threads))
+        }
+        StructureKind::HashTable => {
+            let capacity = domain as usize + 16;
+            let buckets = (spec.size / 2).max(16);
+            Structure::Table(HashTable::new(&mut b, buckets, capacity, spec.threads))
+        }
+        kind => panic!("the benchmark driver measures the tree or the hash table, not {kind}"),
+    };
     let scheme = make_scheme(spec.scheme, spec.lock, spec.scheme_cfg, &mut b, spec.threads);
     let mem = Arc::new(b.freeze(spec.threads));
-    tree.init(&mem);
+    match &structure {
+        Structure::Tree(t) => t.init(&mem),
+        Structure::Table(h) => h.init(&mem),
+    }
 
     // Fill phase: single simulated thread, throwaway timing.
     {
-        let tree = tree.clone();
+        let structure = structure.clone();
         let size = spec.size;
         let fill_cfg = HtmConfig::deterministic();
         harness::run_arc(1, 0, fill_cfg, spec.seed ^ 0xF111, Arc::clone(&mem), move |s| {
             let mut filled = 0usize;
             while filled < size {
                 let key = s.rng.below(domain);
-                if tree.insert(s, key).expect("fill runs without transactions") {
+                if structure.fill(s, key) {
                     filled += 1;
                 }
             }
@@ -125,17 +204,17 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
     }
     // The single-threaded fill drained the allocator pools unevenly;
     // rebalance so measured threads allocate conflict-free.
-    tree.rebalance_freelists(&mem);
+    match &structure {
+        Structure::Tree(t) => t.rebalance_freelists(&mem),
+        Structure::Table(h) => h.rebalance_freelists(&mem),
+    }
 
     // Measured phase.
-    let slot_sink: Arc<Mutex<Vec<SlotRecorder>>> = Arc::new(Mutex::new(Vec::new()));
     let (results, makespan, fault_stats) = {
-        let tree = tree.clone();
         let scheme = Arc::clone(&scheme);
         let ops = spec.ops_per_thread;
         let mix = spec.mix;
         let slot_cycles = spec.slot_cycles;
-        let slot_sink = Arc::clone(&slot_sink);
         harness::run_arc_faulted(
             spec.threads,
             spec.window,
@@ -144,10 +223,7 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
             spec.faults,
             Arc::clone(&mem),
             move |s| {
-                let mut slots = slot_cycles.map(SlotRecorder::new);
-                if let Some(width) = slot_cycles {
-                    s.enable_cause_slots(width);
-                }
+                s.slots = slot_cycles.map(SlotSeries::new);
                 let mut watchdog = Watchdog::new(0);
                 for _ in 0..ops {
                     // Draw the operation before entering the critical section
@@ -155,71 +231,44 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
                     let op = mix.draw(&mut s.rng);
                     let key = s.rng.below(domain);
                     let started = s.now();
-                    let out = scheme.execute(s, |s| match op {
-                        TreeOp::Insert => tree.insert(s, key).map(|_| ()),
-                        TreeOp::Delete => tree.remove(s, key).map(|_| ()),
-                        TreeOp::Lookup => tree.contains(s, key).map(|_| ()),
-                    });
-                    watchdog.record(out.attempts, s.now().saturating_sub(started));
-                    if let Some(rec) = slots.as_mut() {
-                        rec.record(s.now(), out.nonspeculative);
+                    let out = scheme.execute(s, |s| structure.apply(s, op, key));
+                    let now = s.now();
+                    watchdog.record(out.attempts, now.saturating_sub(started));
+                    if let Some(rec) = s.slots.as_mut() {
+                        rec.record(now, out.nonspeculative);
                     }
                 }
-                if let Some(rec) = slots {
-                    slot_sink.lock().expect("slot sink").push(rec);
-                }
-                (s.counters, s.stats, watchdog, s.cause_slots.take())
+                (s.counters, s.stats, watchdog, s.slots.take())
             },
         )
     };
 
     let total_ops = spec.ops_per_thread * spec.threads as u64;
-    let counters = OpCounters::sum(results.iter().map(|(c, _, _, _)| c));
+    let mut counters = OpCounters::new();
     let mut txn_stats = TxnStats::default();
     let mut watchdog = Watchdog::new(0);
-    let mut cause_recs = Vec::new();
-    for (_, t, w, cs) in &results {
-        txn_stats.merge(t);
-        watchdog.merge(w);
-        if let Some(cs) = cs {
-            cause_recs.push(cs.clone());
-        }
+    let mut slots = None;
+    for (c, t, w, sl) in results {
+        counters.merge(&c);
+        txn_stats.merge(&t);
+        watchdog.merge(&w);
+        merge_slots(&mut slots, sl);
     }
-    let cause_slots = {
-        let mut iter = cause_recs.into_iter();
-        iter.next().map(|mut first| {
-            for rec in iter {
-                first.merge(&rec);
-            }
-            first.into_series()
-        })
-    };
     let fault_stats = fault_stats.iter().fold(FaultStats::default(), |mut acc, f| {
         acc.merge(f);
         acc
     });
-    debug_assert!(
+    assert!(
         spec.scheme == SchemeKind::NoLock || counters.completed() == total_ops,
         "completed {} of {total_ops} operations",
         counters.completed()
     );
-    let slots = {
-        let mut sink = slot_sink.lock().expect("slot sink");
-        let mut iter = sink.drain(..);
-        iter.next().map(|mut first| {
-            for rec in iter {
-                first.merge(&rec);
-            }
-            first.into_series()
-        })
-    };
     TreeBenchResult {
         throughput: total_ops as f64 * 1000.0 / makespan.max(1) as f64,
         counters,
         makespan,
         txn_stats,
         slots,
-        cause_slots,
         watchdog,
         fault_stats,
         breaker_trips: scheme.breaker_trips(),
@@ -227,175 +276,24 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
     }
 }
 
-/// Run a cell over several seeds and average throughput/counters.
+/// Run a cell over several seeds and average throughput/makespan.
 ///
-/// Slot series (when the spec requests recording) are merged across
-/// seeds — raw completion/cause counts sum and the derived rates are
-/// recomputed — rather than silently dropped.
+/// Everything else — counters, stats and slot series (when the spec
+/// requests recording) — is merged across seeds rather than dropped.
 pub fn run_tree_bench_avg(spec: &TreeBenchSpec, seeds: u64) -> TreeBenchResult {
-    let mut throughput = 0.0;
-    let mut counters = OpCounters::new();
-    let mut txn_stats = TxnStats::default();
-    let mut makespan = 0u64;
-    let mut watchdog = Watchdog::new(0);
-    let mut fault_stats = FaultStats::default();
-    let mut breaker_trips = 0u64;
-    let mut slots: Option<elision_sim::SlotSeries> = None;
-    let mut cause_slots: Option<elision_sim::CauseSlotSeries> = None;
-    let mut residual_lines: Vec<u32> = Vec::new();
-    for k in 0..seeds.max(1) {
-        let mut s = *spec;
-        s.seed = spec.seed.wrapping_add(k * 7919);
-        let r = run_tree_bench(&s);
-        throughput += r.throughput;
-        counters.merge(&r.counters);
-        txn_stats.merge(&r.txn_stats);
-        makespan += r.makespan;
-        watchdog.merge(&r.watchdog);
-        fault_stats.merge(&r.fault_stats);
-        breaker_trips += r.breaker_trips;
-        match (&mut slots, r.slots) {
-            (Some(acc), Some(s)) => acc.merge(&s),
-            (acc @ None, Some(s)) => *acc = Some(s),
-            _ => {}
-        }
-        match (&mut cause_slots, r.cause_slots) {
-            (Some(acc), Some(s)) => acc.merge(&s),
-            (acc @ None, Some(s)) => *acc = Some(s),
-            _ => {}
-        }
-        residual_lines.extend(r.residual_lines);
-    }
-    residual_lines.sort_unstable();
-    residual_lines.dedup();
     let n = seeds.max(1);
-    TreeBenchResult {
-        throughput: throughput / n as f64,
-        counters,
-        makespan: makespan / n,
-        txn_stats,
-        slots,
-        cause_slots,
-        watchdog,
-        fault_stats,
-        breaker_trips,
-        residual_lines,
-    }
-}
-
-/// Parameters of one hash-table benchmark cell (§7.1: "hash table
-/// transactions are always short").
-#[derive(Debug, Clone, Copy)]
-pub struct HashBenchSpec {
-    /// Elision scheme under test.
-    pub scheme: SchemeKind,
-    /// Main-lock family.
-    pub lock: LockKind,
-    /// Simulated threads.
-    pub threads: usize,
-    /// Table size (entries after fill).
-    pub size: usize,
-    /// Operation mix (insert/delete mapped to put/remove).
-    pub mix: OpMix,
-    /// Operations per thread.
-    pub ops_per_thread: u64,
-    /// Scheduler lag window.
-    pub window: u64,
-    /// HTM configuration.
-    pub htm: HtmConfig,
-    /// RNG seed.
-    pub seed: u64,
-    /// Scheme tuning (the paper's defaults, or a hardened variant).
-    pub scheme_cfg: SchemeConfig,
-    /// Scheduler-level fault plan (preemption, clock jitter).
-    pub faults: FaultPlan,
-}
-
-/// Run one hash-table benchmark cell.
-pub fn run_hash_bench(spec: &HashBenchSpec) -> TreeBenchResult {
-    let domain = key_domain(spec.size);
-    let mut b = MemoryBuilder::new();
-    let capacity = domain as usize + 16;
-    let table = HashTable::new(&mut b, (spec.size / 2).max(16), capacity, spec.threads);
-    let scheme = make_scheme(spec.scheme, spec.lock, spec.scheme_cfg, &mut b, spec.threads);
-    let mem = Arc::new(b.freeze(spec.threads));
-    table.init(&mem);
-
-    {
-        let table = table.clone();
-        let size = spec.size;
-        harness::run_arc(
-            1,
-            0,
-            HtmConfig::deterministic(),
-            spec.seed ^ 0xF111,
-            Arc::clone(&mem),
-            move |s| {
-                let mut filled = 0usize;
-                while filled < size {
-                    let key = s.rng.below(domain);
-                    if table.put(s, key, key).expect("fill").is_none() {
-                        filled += 1;
-                    }
-                }
-            },
-        );
-    }
-    table.rebalance_freelists(&mem);
-
-    let (results, makespan, fault_stats) = {
-        let table = table.clone();
-        let scheme = Arc::clone(&scheme);
-        let ops = spec.ops_per_thread;
-        let mix = spec.mix;
-        harness::run_arc_faulted(
-            spec.threads,
-            spec.window,
-            spec.htm,
-            spec.seed,
-            spec.faults,
-            Arc::clone(&mem),
-            move |s| {
-                let mut watchdog = Watchdog::new(0);
-                for _ in 0..ops {
-                    let op = mix.draw(&mut s.rng);
-                    let key = s.rng.below(domain);
-                    let started = s.now();
-                    let out = scheme.execute(s, |s| match op {
-                        TreeOp::Insert => table.put(s, key, key).map(|_| ()),
-                        TreeOp::Delete => table.remove(s, key).map(|_| ()),
-                        TreeOp::Lookup => table.get(s, key).map(|_| ()),
-                    });
-                    watchdog.record(out.attempts, s.now().saturating_sub(started));
-                }
-                (s.counters, s.stats, watchdog)
-            },
-        )
-    };
-
-    let total_ops = spec.ops_per_thread * spec.threads as u64;
-    let mut txn_stats = TxnStats::default();
-    let mut watchdog = Watchdog::new(0);
-    for (_, t, w) in &results {
-        txn_stats.merge(t);
-        watchdog.merge(w);
-    }
-    let fault_stats = fault_stats.iter().fold(FaultStats::default(), |mut acc, f| {
-        acc.merge(f);
-        acc
-    });
-    TreeBenchResult {
-        throughput: total_ops as f64 * 1000.0 / makespan.max(1) as f64,
-        counters: OpCounters::sum(results.iter().map(|(c, _, _)| c)),
-        makespan,
-        txn_stats,
-        slots: None,
-        cause_slots: None,
-        watchdog,
-        fault_stats,
-        breaker_trips: scheme.breaker_trips(),
-        residual_lines: mem.residual_lines().iter().map(|l| l.raw()).collect(),
-    }
+    let mut acc = (0..n)
+        .map(|k| run_tree_bench(&TreeBenchSpec { seed: spec.seed.wrapping_add(k * 7919), ..*spec }))
+        .reduce(|mut acc, r| {
+            acc.merge(r);
+            acc
+        })
+        .expect("at least one seed");
+    acc.throughput /= n as f64;
+    acc.makespan /= n;
+    acc.residual_lines.sort_unstable();
+    acc.residual_lines.dedup();
+    acc
 }
 
 #[cfg(test)]
@@ -427,15 +325,21 @@ mod tests {
 
     #[test]
     fn slots_are_recorded_when_requested() {
-        let mut s = tiny_spec(SchemeKind::Hle, LockKind::Ttas);
-        s.slot_cycles = Some(500);
-        let r = run_tree_bench(&s);
-        let slots = r.slots.expect("slots requested");
-        assert!(!slots.is_empty());
-        let total: u64 = slots.completed.iter().sum();
-        assert_eq!(total, 100);
-        let causes = r.cause_slots.expect("cause slots requested");
-        assert_eq!(causes.totals().total(), r.counters.aborted, "every abort lands in a slot");
+        for structure in [StructureKind::RbTree, StructureKind::HashTable] {
+            let mut s = tiny_spec(SchemeKind::Hle, LockKind::Ttas);
+            s.structure = structure;
+            s.slot_cycles = Some(500);
+            let r = run_tree_bench(&s);
+            let slots = r.slots.expect("slots requested");
+            assert!(!slots.is_empty(), "{structure}");
+            let total: u64 = slots.completed().iter().sum();
+            assert_eq!(total, 100, "{structure}");
+            assert_eq!(
+                slots.totals().total(),
+                r.counters.aborted,
+                "{structure}: every abort lands in a slot"
+            );
+        }
     }
 
     #[test]
@@ -487,42 +391,40 @@ mod tests {
         let seeds = 3;
         let r = run_tree_bench_avg(&spec, seeds);
         let slots = r.slots.expect("avg must preserve requested slots");
-        let total: u64 = slots.completed.iter().sum();
+        let total: u64 = slots.completed().iter().sum();
         assert_eq!(total, 100 * seeds, "all seeds' completions merged");
-        let causes = r.cause_slots.expect("avg must preserve cause slots");
         assert_eq!(
-            causes.totals().total(),
+            slots.totals().total(),
             r.counters.aborted,
             "merged cause slots must sum to merged abort count"
         );
-        // Derived rates are recomputed from merged raw counts, so they
-        // stay in the per-slot range instead of summing across seeds.
-        for (i, &c) in slots.completed.iter().enumerate() {
-            let norm = slots.normalized_throughput[i];
-            assert!(norm >= 0.0);
+        // Derived rates are read from merged raw counts, so they stay in
+        // the per-slot range instead of summing across seeds.
+        let (norm, frac) = (slots.normalized_throughput(), slots.frac_nonspec());
+        for (i, &c) in slots.completed().iter().enumerate() {
+            assert!(norm[i] >= 0.0);
             if c == 0 {
-                assert_eq!(norm, 0.0);
+                assert_eq!(norm[i], 0.0);
             }
-            assert!((0.0..=1.0).contains(&slots.frac_nonspec[i]));
+            assert!((0.0..=1.0).contains(&frac[i]));
         }
     }
 
     #[test]
     fn hash_bench_completes_all_ops() {
-        let spec = HashBenchSpec {
-            scheme: SchemeKind::HleScm,
-            lock: LockKind::Mcs,
-            threads: 2,
-            size: 64,
-            mix: OpMix::MODERATE,
-            ops_per_thread: 50,
-            window: 0,
-            htm: HtmConfig::deterministic(),
-            seed: 1,
-            scheme_cfg: SchemeConfig::paper(),
-            faults: FaultPlan::none(),
-        };
-        let r = run_hash_bench(&spec);
+        let mut spec = tiny_spec(SchemeKind::HleScm, LockKind::Mcs);
+        spec.structure = StructureKind::HashTable;
+        spec.size = 64;
+        spec.seed = 1;
+        let r = run_tree_bench(&spec);
         assert_eq!(r.counters.completed(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "not queue")]
+    fn unmeasured_structures_are_rejected() {
+        let mut spec = tiny_spec(SchemeKind::Hle, LockKind::Ttas);
+        spec.structure = StructureKind::Queue;
+        run_tree_bench(&spec);
     }
 }

@@ -699,14 +699,14 @@ mod tests {
 
     #[test]
     fn abort_causes_classified_by_lock_line() {
-        use elision_sim::AbortCause;
+        use elision_sim::{AbortCause, SlotSeries};
         let mut b = MemoryBuilder::new();
         let lock = b.alloc_lock_word(0);
         let data = b.alloc_isolated(0);
         let mem = b.freeze(1);
         let cfg = HtmConfig::deterministic().with_capacity(1, 64);
         harness::run(1, 0, cfg, 1, mem, move |s| {
-            s.enable_cause_slots(1_000_000);
+            s.slots = Some(SlotSeries::new(1_000_000));
             // Conflict on the lock word's line -> lock-word conflict.
             s.begin();
             s.load(lock).unwrap();
@@ -734,7 +734,7 @@ mod tests {
             // The taxonomy total matches the raw abort count, and the
             // slot series buckets every abort.
             assert_eq!(s.counters.causes.total(), s.stats.aborts());
-            let slots = s.cause_slots.take().expect("enabled").into_series();
+            let slots = s.slots.take().expect("enabled");
             assert_eq!(slots.totals(), s.counters.causes);
         });
     }

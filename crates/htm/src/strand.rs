@@ -15,9 +15,7 @@ use crate::config::HtmConfig;
 use crate::lineset::{LineSet, WriteBuf};
 use crate::memory::{HwSubscription, LineId, Memory, VarId};
 use crate::sanitize::SanAccess;
-use elision_sim::{
-    AbortCause, CauseSlotRecorder, ConflictLineHistogram, DetRng, OpCounters, SimHandle,
-};
+use elision_sim::{AbortCause, ConflictLineHistogram, DetRng, OpCounters, SimHandle, SlotSeries};
 use std::sync::Arc;
 
 /// State of one in-flight transaction.
@@ -94,10 +92,10 @@ pub struct Strand {
     pub stats: TxnStats,
     /// The paper's S/A/N operation counters, recorded by elision schemes.
     pub counters: OpCounters,
-    /// Optional per-time-slot abort-cause series (see
-    /// [`Strand::enable_cause_slots`]); complements the aggregate
-    /// histogram in `counters.causes`.
-    pub cause_slots: Option<CauseSlotRecorder>,
+    /// Optional per-time-slot series: every abort lands here by cause
+    /// (complementing the aggregate histogram in `counters.causes`), and
+    /// the workload records its completions into the same slots.
+    pub slots: Option<SlotSeries>,
     /// Optional histogram of conflict-abort cache lines (see
     /// [`Strand::enable_conflict_lines`]); the dynamic side of the static
     /// advisor's hot-line cross-validation.
@@ -129,20 +127,9 @@ impl Strand {
             retry_rng: DetRng::new(seed, 2_000_000 + tid as u64),
             stats: TxnStats::default(),
             counters: OpCounters::new(),
-            cause_slots: None,
+            slots: None,
             conflict_lines: None,
         }
-    }
-
-    /// Start bucketing abort causes by logical-time slots of
-    /// `slot_cycles` cycles (see [`CauseSlotRecorder`]); any previous
-    /// recorder is replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_cycles` is zero.
-    pub fn enable_cause_slots(&mut self, slot_cycles: u64) {
-        self.cause_slots = Some(CauseSlotRecorder::new(slot_cycles));
     }
 
     /// Start recording the cache line of every abort that carries a
@@ -551,8 +538,8 @@ impl Strand {
         self.stats.count_abort(status.reason);
         let cause = self.classify_abort(&status);
         self.counters.causes.record(cause);
-        if let Some(rec) = self.cause_slots.as_mut() {
-            rec.record(self.sim.now(), cause);
+        if let Some(rec) = self.slots.as_mut() {
+            rec.record_abort(self.sim.now(), cause);
         }
         if let Some(rec) = self.conflict_lines.as_mut() {
             if let Some(line) = status.conflict_line {

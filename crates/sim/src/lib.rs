@@ -67,7 +67,7 @@ pub use cost::CostModel;
 pub use fault::{FaultPlan, FaultStats, PreemptSpec};
 pub use rng::DetRng;
 pub use sched::{Scheduler, SimHandle};
-pub use slots::{CauseSlotRecorder, CauseSlotSeries, SlotRecorder, SlotSeries};
+pub use slots::SlotSeries;
 pub use stats::{AbortCause, AttemptKind, CauseHistogram, ConflictLineHistogram, OpCounters};
 
 use std::sync::Arc;

@@ -5,10 +5,11 @@
 //! operations completing non-speculatively. Here "time" is simulated
 //! cycles, so a slot is a fixed number of cycles.
 //!
-//! [`CauseSlotRecorder`] buckets *abort causes* by the same slots, so the
-//! serialization dynamics can be read against what triggered them (e.g. a
-//! burst of lock-word conflicts right before a non-speculative plateau —
-//! the lemming effect in time).
+//! One [`SlotSeries`] per thread records both completions and abort
+//! causes, so the serialization dynamics can be read against what
+//! triggered them (e.g. a burst of lock-word conflicts right before a
+//! non-speculative plateau — the lemming effect in time). The per-thread
+//! series merge into one after the run.
 
 use crate::stats::{AbortCause, CauseHistogram};
 use std::collections::BTreeMap;
@@ -32,316 +33,168 @@ fn slot_index(now: u64, slot_cycles: u64) -> Result<usize, u64> {
     }
 }
 
-/// Add `src` into `dst` slot-wise, zero-extending `dst` first so no tail
-/// count on either side is ever dropped (a *total* merge).
-fn add_padded(dst: &mut Vec<u64>, src: &[u64]) {
-    if src.len() > dst.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
-/// Histogram counterpart of [`add_padded`]: merge `src` into `dst`
-/// slot-wise, extending `dst` with empty histograms as needed.
-fn merge_padded(dst: &mut Vec<CauseHistogram>, src: &[CauseHistogram]) {
-    if src.len() > dst.len() {
-        dst.resize(src.len(), CauseHistogram::new());
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        d.merge(s);
-    }
-}
-
-/// Records completion events bucketed by logical-time slot.
+/// Completions, non-speculative completions and abort causes bucketed by
+/// logical-time slot (Figure 3's two panels, plus the causes behind them).
 ///
-/// One recorder per thread; merge them with [`SlotRecorder::merge`] after
-/// the run.
+/// The three dense vectors always have the same length: recording into a
+/// slot grows all of them together. Derived rates are computed from the
+/// raw counts when read, so a merged series never holds stale ratios.
 #[derive(Debug, Clone)]
-pub struct SlotRecorder {
+pub struct SlotSeries {
     slot_cycles: u64,
     completed: Vec<u64>,
     nonspec: Vec<u64>,
-    /// Sparse `(completed, nonspec)` counts for slots at or beyond
-    /// [`DENSE_SLOT_CAP`].
-    tail: BTreeMap<u64, (u64, u64)>,
+    causes: Vec<CauseHistogram>,
+    /// Sparse `(completed, nonspec, causes)` for slots at or beyond
+    /// [`DENSE_SLOT_CAP`] — late stragglers of very long runs. Included
+    /// in cause totals and merges; the per-slot views stay dense-only
+    /// (the figures plot the dense prefix).
+    tail: BTreeMap<u64, (u64, u64, CauseHistogram)>,
 }
 
-impl SlotRecorder {
-    /// Create a recorder with the given slot width in cycles.
+impl SlotSeries {
+    /// An empty series with the given slot width in cycles.
     ///
     /// # Panics
     ///
     /// Panics if `slot_cycles` is zero.
     pub fn new(slot_cycles: u64) -> Self {
         assert!(slot_cycles > 0, "slot width must be positive");
-        SlotRecorder {
+        SlotSeries {
             slot_cycles,
             completed: Vec::new(),
             nonspec: Vec::new(),
+            causes: Vec::new(),
             tail: BTreeMap::new(),
         }
     }
 
-    /// Slot width in cycles.
-    pub fn slot_cycles(&self) -> u64 {
-        self.slot_cycles
+    /// Number of dense slots.
+    pub fn len(&self) -> usize {
+        self.completed.len()
+    }
+
+    /// Whether nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.completed.is_empty() && self.tail.is_empty()
+    }
+
+    /// Grow the dense vectors together to at least `len` slots.
+    fn grow(&mut self, len: usize) {
+        if len > self.completed.len() {
+            self.completed.resize(len, 0);
+            self.nonspec.resize(len, 0);
+            self.causes.resize(len, CauseHistogram::new());
+        }
     }
 
     /// Record one completed operation at logical time `now`;
     /// `nonspeculative` marks completions under the real lock.
     pub fn record(&mut self, now: u64, nonspeculative: bool) {
+        let n = u64::from(nonspeculative);
         match slot_index(now, self.slot_cycles) {
             Ok(slot) => {
-                if slot >= self.completed.len() {
-                    self.completed.resize(slot + 1, 0);
-                    self.nonspec.resize(slot + 1, 0);
-                }
+                self.grow(slot + 1);
                 self.completed[slot] += 1;
-                if nonspeculative {
-                    self.nonspec[slot] += 1;
-                }
+                self.nonspec[slot] += n;
             }
             Err(slot) => {
-                let (c, n) = self.tail.entry(slot).or_insert((0, 0));
+                let (c, ns, _) = self.tail.entry(slot).or_default();
                 *c += 1;
-                if nonspeculative {
-                    *n += 1;
-                }
+                *ns += n;
             }
         }
     }
 
-    /// Merge another recorder (same slot width) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot widths differ.
-    pub fn merge(&mut self, other: &SlotRecorder) {
-        assert_eq!(self.slot_cycles, other.slot_cycles, "slot widths must match");
-        add_padded(&mut self.completed, &other.completed);
-        add_padded(&mut self.nonspec, &other.nonspec);
-        for (&slot, &(c, n)) in &other.tail {
-            let e = self.tail.entry(slot).or_insert((0, 0));
-            e.0 += c;
-            e.1 += n;
+    /// Record one abort of `cause` at logical time `now`.
+    pub fn record_abort(&mut self, now: u64, cause: AbortCause) {
+        match slot_index(now, self.slot_cycles) {
+            Ok(slot) => {
+                self.grow(slot + 1);
+                self.causes[slot].record(cause);
+            }
+            Err(slot) => self.tail.entry(slot).or_default().2.record(cause),
         }
     }
 
-    /// Finish recording and compute the per-slot series.
-    pub fn into_series(self) -> SlotSeries {
-        let mut series = SlotSeries {
-            slot_cycles: self.slot_cycles,
-            completed: self.completed,
-            nonspec: self.nonspec,
-            tail: self.tail,
-            normalized_throughput: Vec::new(),
-            frac_nonspec: Vec::new(),
-        };
-        series.recompute();
-        series
-    }
-}
-
-/// Per-slot series derived from a [`SlotRecorder`] (Figure 3's two panels).
-#[derive(Debug, Clone)]
-pub struct SlotSeries {
-    /// Slot width in cycles.
-    pub slot_cycles: u64,
-    /// Raw completions per slot.
-    pub completed: Vec<u64>,
-    /// Raw non-speculative completions per slot.
-    pub nonspec: Vec<u64>,
-    /// Sparse `(completed, nonspec)` counts for slots at or beyond the
-    /// dense cap — late stragglers of very long runs. Included in totals
-    /// and merges; the derived per-slot vectors below stay dense-only
-    /// (the figures plot the dense prefix).
-    pub tail: BTreeMap<u64, (u64, u64)>,
-    /// Per-slot throughput normalized to the whole-run average (top panel).
-    pub normalized_throughput: Vec<f64>,
-    /// Per-slot fraction of non-speculative completions (bottom panel).
-    pub frac_nonspec: Vec<f64>,
-}
-
-impl SlotSeries {
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.completed.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.completed.is_empty()
-    }
-
-    /// Merge another series (e.g. a different seed of the same cell) into
-    /// this one: raw counts add slot-wise and the derived per-slot ratios
-    /// are recomputed over the combined counts.
+    /// Merge another series (another thread, or another seed of the same
+    /// cell) into this one: counts and histograms add slot-wise.
     ///
-    /// This is a *total* merge: each raw vector is independently
-    /// zero-extended to the longest input, so mismatched slot counts —
-    /// including a series whose `completed` and `nonspec` lengths disagree
-    /// (both fields are public) — extend the result instead of silently
-    /// truncating tail slots or panicking out of bounds.
+    /// This is a *total* merge: the shorter side is zero-extended to the
+    /// longer, so no slot on either side is truncated.
     ///
     /// # Panics
     ///
     /// Panics if the slot widths differ.
     pub fn merge(&mut self, other: &SlotSeries) {
         assert_eq!(self.slot_cycles, other.slot_cycles, "slot widths must match");
-        add_padded(&mut self.completed, &other.completed);
-        add_padded(&mut self.nonspec, &other.nonspec);
-        for (&slot, &(c, n)) in &other.tail {
-            let e = self.tail.entry(slot).or_insert((0, 0));
+        self.grow(other.len());
+        for (d, &s) in self.completed.iter_mut().zip(&other.completed) {
+            *d += s;
+        }
+        for (d, &s) in self.nonspec.iter_mut().zip(&other.nonspec) {
+            *d += s;
+        }
+        for (d, s) in self.causes.iter_mut().zip(&other.causes) {
+            d.merge(s);
+        }
+        for (&slot, (c, n, h)) in &other.tail {
+            let e = self.tail.entry(slot).or_default();
             e.0 += c;
             e.1 += n;
-        }
-        // Square the result up so the derived per-slot vectors (computed by
-        // zipping the two) cover every slot that holds a count.
-        let width = self.completed.len().max(self.nonspec.len());
-        self.completed.resize(width, 0);
-        self.nonspec.resize(width, 0);
-        self.recompute();
-    }
-
-    /// Recompute the derived per-slot vectors from the raw counts.
-    fn recompute(&mut self) {
-        let total: u64 = self.completed.iter().sum();
-        let slots = self.completed.len().max(1) as f64;
-        let avg_per_slot = total as f64 / slots;
-        self.normalized_throughput = self
-            .completed
-            .iter()
-            .map(|&c| if avg_per_slot > 0.0 { c as f64 / avg_per_slot } else { 0.0 })
-            .collect();
-        self.frac_nonspec = self
-            .completed
-            .iter()
-            .zip(&self.nonspec)
-            .map(|(&c, &n)| if c > 0 { n as f64 / c as f64 } else { 0.0 })
-            .collect();
-    }
-
-    /// The largest throughput drop relative to average (e.g. `2.5` means
-    /// the worst slot ran 2.5x below the run average), ignoring empty
-    /// trailing slots.
-    pub fn worst_slowdown(&self) -> f64 {
-        self.normalized_throughput
-            .iter()
-            .filter(|&&x| x > 0.0)
-            .fold(1.0f64, |acc, &x| acc.max(1.0 / x))
-    }
-}
-
-/// Records abort causes bucketed by logical-time slot (one recorder per
-/// thread; merge afterwards, like [`SlotRecorder`]).
-#[derive(Debug, Clone)]
-pub struct CauseSlotRecorder {
-    slot_cycles: u64,
-    slots: Vec<CauseHistogram>,
-    /// Sparse histograms for slots at or beyond [`DENSE_SLOT_CAP`].
-    tail: BTreeMap<u64, CauseHistogram>,
-}
-
-impl CauseSlotRecorder {
-    /// Create a recorder with the given slot width in cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot_cycles` is zero.
-    pub fn new(slot_cycles: u64) -> Self {
-        assert!(slot_cycles > 0, "slot width must be positive");
-        CauseSlotRecorder { slot_cycles, slots: Vec::new(), tail: BTreeMap::new() }
-    }
-
-    /// Slot width in cycles.
-    pub fn slot_cycles(&self) -> u64 {
-        self.slot_cycles
-    }
-
-    /// Record one abort of `cause` at logical time `now`.
-    pub fn record(&mut self, now: u64, cause: AbortCause) {
-        match slot_index(now, self.slot_cycles) {
-            Ok(slot) => {
-                if slot >= self.slots.len() {
-                    self.slots.resize(slot + 1, CauseHistogram::new());
-                }
-                self.slots[slot].record(cause);
-            }
-            Err(slot) => {
-                self.tail.entry(slot).or_default().record(cause);
-            }
+            e.2.merge(h);
         }
     }
 
-    /// Merge another recorder (same slot width) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot widths differ.
-    pub fn merge(&mut self, other: &CauseSlotRecorder) {
-        assert_eq!(self.slot_cycles, other.slot_cycles, "slot widths must match");
-        merge_padded(&mut self.slots, &other.slots);
-        for (&slot, h) in &other.tail {
-            self.tail.entry(slot).or_default().merge(h);
-        }
+    /// Raw completions per dense slot.
+    pub fn completed(&self) -> &[u64] {
+        &self.completed
     }
 
-    /// Finish recording.
-    pub fn into_series(self) -> CauseSlotSeries {
-        CauseSlotSeries { slot_cycles: self.slot_cycles, slots: self.slots, tail: self.tail }
-    }
-}
-
-/// Per-slot abort-cause histograms derived from a [`CauseSlotRecorder`].
-#[derive(Debug, Clone)]
-pub struct CauseSlotSeries {
-    /// Slot width in cycles.
-    pub slot_cycles: u64,
-    /// One histogram per slot, earliest first.
-    pub slots: Vec<CauseHistogram>,
-    /// Sparse histograms for slots at or beyond the dense cap; counted by
-    /// [`CauseSlotSeries::totals`] and preserved by merges.
-    pub tail: BTreeMap<u64, CauseHistogram>,
-}
-
-impl CauseSlotSeries {
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
+    /// Abort causes per dense slot, earliest first.
+    pub fn causes(&self) -> &[CauseHistogram] {
+        &self.causes
     }
 
-    /// Merge another series (same slot width) into this one, histogram by
-    /// histogram. Total like [`SlotSeries::merge`]: the shorter side is
-    /// extended with empty histograms, never truncated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot widths differ.
-    pub fn merge(&mut self, other: &CauseSlotSeries) {
-        assert_eq!(self.slot_cycles, other.slot_cycles, "slot widths must match");
-        merge_padded(&mut self.slots, &other.slots);
-        for (&slot, h) in &other.tail {
-            self.tail.entry(slot).or_default().merge(h);
-        }
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty() && self.tail.is_empty()
-    }
-
-    /// All slots folded into one histogram, the sparse tail included.
+    /// All abort causes folded into one histogram, the sparse tail
+    /// included.
     pub fn totals(&self) -> CauseHistogram {
         let mut acc = CauseHistogram::new();
-        for h in &self.slots {
-            acc.merge(h);
-        }
-        for h in self.tail.values() {
+        for h in self.causes.iter().chain(self.tail.values().map(|(_, _, h)| h)) {
             acc.merge(h);
         }
         acc
+    }
+
+    /// Per-slot throughput normalized to the whole-run average (top
+    /// panel).
+    pub fn normalized_throughput(&self) -> Vec<f64> {
+        let total: u64 = self.completed.iter().sum();
+        let slots = self.completed.len().max(1) as f64;
+        let avg_per_slot = total as f64 / slots;
+        self.completed
+            .iter()
+            .map(|&c| if avg_per_slot > 0.0 { c as f64 / avg_per_slot } else { 0.0 })
+            .collect()
+    }
+
+    /// Per-slot fraction of non-speculative completions (bottom panel).
+    pub fn frac_nonspec(&self) -> Vec<f64> {
+        self.completed
+            .iter()
+            .zip(&self.nonspec)
+            .map(|(&c, &n)| if c > 0 { n as f64 / c as f64 } else { 0.0 })
+            .collect()
+    }
+
+    /// The largest throughput drop relative to average (e.g. `2.5` means
+    /// the worst slot ran 2.5x below the run average), skipping every
+    /// empty slot wherever it falls.
+    pub fn worst_slowdown(&self) -> f64 {
+        self.normalized_throughput()
+            .iter()
+            .filter(|&&x| x > 0.0)
+            .fold(1.0f64, |acc, &x| acc.max(1.0 / x))
     }
 }
 
@@ -351,159 +204,138 @@ mod tests {
 
     #[test]
     fn buckets_by_slot() {
-        let mut r = SlotRecorder::new(100);
-        r.record(5, false);
-        r.record(99, true);
-        r.record(100, false);
-        r.record(250, true);
-        let s = r.into_series();
-        assert_eq!(s.completed, vec![2, 1, 1]);
-        assert!((s.frac_nonspec[0] - 0.5).abs() < 1e-12);
-        assert_eq!(s.frac_nonspec[1], 0.0);
-        assert_eq!(s.frac_nonspec[2], 1.0);
+        let mut s = SlotSeries::new(100);
+        s.record(5, false);
+        s.record(99, true);
+        s.record(100, false);
+        s.record(250, true);
+        assert_eq!(s.completed(), [2, 1, 1]);
+        let frac = s.frac_nonspec();
+        assert!((frac[0] - 0.5).abs() < 1e-12);
+        assert_eq!(frac[1], 0.0);
+        assert_eq!(frac[2], 1.0);
     }
 
     #[test]
     fn normalized_throughput_averages_to_one() {
-        let mut r = SlotRecorder::new(10);
+        let mut s = SlotSeries::new(10);
         for t in 0..100 {
-            r.record(t, false);
+            s.record(t, false);
         }
-        let s = r.into_series();
-        let mean: f64 = s.normalized_throughput.iter().sum::<f64>() / s.len() as f64;
+        let mean: f64 = s.normalized_throughput().iter().sum::<f64>() / s.len() as f64;
         assert!((mean - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn merge_adds_counts() {
-        let mut a = SlotRecorder::new(10);
-        let mut b = SlotRecorder::new(10);
+        let mut a = SlotSeries::new(10);
+        let mut b = SlotSeries::new(10);
         a.record(5, true);
         b.record(15, false);
         b.record(5, false);
         a.merge(&b);
-        let s = a.into_series();
-        assert_eq!(s.completed, vec![2, 1]);
+        assert_eq!(a.completed(), [2, 1]);
     }
 
     #[test]
     fn series_merge_adds_counts_and_recomputes() {
-        let mut a = SlotRecorder::new(10);
+        let mut a = SlotSeries::new(10);
         a.record(5, true);
         a.record(6, false);
-        let mut b = SlotRecorder::new(10);
+        let mut b = SlotSeries::new(10);
         b.record(15, false);
         b.record(7, false);
-        let mut sa = a.into_series();
-        let sb = b.into_series();
-        sa.merge(&sb);
-        assert_eq!(sa.completed, vec![3, 1]);
-        assert_eq!(sa.nonspec, vec![1, 0]);
-        // frac_nonspec recomputed over combined counts: 1/3 in slot 0.
-        assert!((sa.frac_nonspec[0] - 1.0 / 3.0).abs() < 1e-12);
-        // normalized throughput recomputed: avg 2/slot, slot 0 at 1.5x.
-        assert!((sa.normalized_throughput[0] - 1.5).abs() < 1e-12);
+        a.merge(&b);
+        assert_eq!(a.completed(), [3, 1]);
+        assert_eq!(a.nonspec, [1, 0]);
+        // frac_nonspec read from combined counts: 1/3 in slot 0.
+        assert!((a.frac_nonspec()[0] - 1.0 / 3.0).abs() < 1e-12);
+        // normalized throughput read from combined counts: avg 2/slot,
+        // slot 0 at 1.5x.
+        assert!((a.normalized_throughput()[0] - 1.5).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "slot widths")]
     fn series_merge_rejects_mismatched_widths() {
-        let mut a = SlotRecorder::new(10).into_series();
-        a.merge(&SlotRecorder::new(20).into_series());
+        let mut a = SlotSeries::new(10);
+        a.merge(&SlotSeries::new(20));
     }
 
     #[test]
     fn cause_series_merge_adds_histograms() {
-        let mut a = CauseSlotRecorder::new(100);
-        a.record(10, AbortCause::DataConflict);
-        let mut b = CauseSlotRecorder::new(100);
-        b.record(20, AbortCause::DataConflict);
-        b.record(250, AbortCause::Capacity);
-        let mut sa = a.into_series();
-        sa.merge(&b.into_series());
-        assert_eq!(sa.len(), 3);
-        assert_eq!(sa.slots[0].get(AbortCause::DataConflict), 2);
-        assert_eq!(sa.slots[2].get(AbortCause::Capacity), 1);
+        let mut a = SlotSeries::new(100);
+        a.record_abort(10, AbortCause::DataConflict);
+        let mut b = SlotSeries::new(100);
+        b.record_abort(20, AbortCause::DataConflict);
+        b.record_abort(250, AbortCause::Capacity);
+        a.merge(&b);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.causes()[0].get(AbortCause::DataConflict), 2);
+        assert_eq!(a.causes()[2].get(AbortCause::Capacity), 1);
     }
 
     #[test]
     #[should_panic(expected = "slot widths")]
     fn merge_rejects_mismatched_widths() {
-        let mut a = SlotRecorder::new(10);
-        let b = SlotRecorder::new(20);
+        let mut a = SlotSeries::new(10);
+        a.record(5, false);
+        let mut b = SlotSeries::new(20);
+        b.record(5, true);
         a.merge(&b);
     }
 
     #[test]
     fn cause_slots_bucket_and_merge() {
-        let mut a = CauseSlotRecorder::new(100);
-        a.record(10, AbortCause::LockWordConflict);
-        a.record(150, AbortCause::DataConflict);
-        let mut b = CauseSlotRecorder::new(100);
-        b.record(40, AbortCause::LockWordConflict);
-        b.record(350, AbortCause::Capacity);
+        let mut a = SlotSeries::new(100);
+        a.record_abort(10, AbortCause::LockWordConflict);
+        a.record_abort(150, AbortCause::DataConflict);
+        let mut b = SlotSeries::new(100);
+        b.record_abort(40, AbortCause::LockWordConflict);
+        b.record_abort(350, AbortCause::Capacity);
         a.merge(&b);
-        let s = a.into_series();
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.slots[0].get(AbortCause::LockWordConflict), 2);
-        assert_eq!(s.slots[1].get(AbortCause::DataConflict), 1);
-        assert_eq!(s.slots[2].total(), 0);
-        assert_eq!(s.totals().total(), 4);
+        assert_eq!(a.len(), 4);
+        assert_eq!(a.causes()[0].get(AbortCause::LockWordConflict), 2);
+        assert_eq!(a.causes()[1].get(AbortCause::DataConflict), 1);
+        assert_eq!(a.causes()[2].total(), 0);
+        assert_eq!(a.totals().total(), 4);
     }
 
     #[test]
     #[should_panic(expected = "slot widths")]
     fn cause_slots_reject_mismatched_widths() {
-        let mut a = CauseSlotRecorder::new(10);
-        a.merge(&CauseSlotRecorder::new(20));
-    }
-
-    /// Build a series directly from raw counts (the public fields allow
-    /// internally inconsistent lengths, which merge must tolerate).
-    fn raw_series(completed: Vec<u64>, nonspec: Vec<u64>) -> SlotSeries {
-        let mut s = SlotSeries {
-            slot_cycles: 10,
-            completed,
-            nonspec,
-            tail: BTreeMap::new(),
-            normalized_throughput: Vec::new(),
-            frac_nonspec: Vec::new(),
-        };
-        s.recompute();
-        s
-    }
-
-    #[test]
-    fn series_merge_extends_mismatched_lengths_instead_of_truncating() {
-        // Regression: `other` with more slots than `self` — and with its
-        // own completed/nonspec lengths disagreeing — used to truncate the
-        // tail of the longer vector (zip over the shorter) or index out of
-        // bounds. A total merge keeps every count.
-        let mut a = raw_series(vec![1, 1], vec![1]);
-        let b = raw_series(vec![2, 2, 2, 7], vec![0, 0, 0, 0, 9]);
+        let mut a = SlotSeries::new(10);
+        a.record_abort(5, AbortCause::Explicit);
+        let mut b = SlotSeries::new(20);
+        b.record_abort(5, AbortCause::Explicit);
         a.merge(&b);
-        assert_eq!(a.completed, vec![3, 3, 2, 7, 0], "tail slots must survive the merge");
-        assert_eq!(a.nonspec, vec![1, 0, 0, 0, 9], "nonspec tail must survive the merge");
-        assert_eq!(a.normalized_throughput.len(), 5, "derived vectors cover all slots");
-        assert_eq!(a.frac_nonspec.len(), 5);
-        // Same in the other direction: a longer `self` keeps its tail.
-        let mut c = raw_series(vec![5, 5, 5], vec![0, 0, 5]);
-        c.merge(&raw_series(vec![1], vec![1]));
-        assert_eq!(c.completed, vec![6, 5, 5]);
-        assert_eq!(c.nonspec, vec![1, 0, 5]);
     }
 
     #[test]
     fn cause_series_merge_extends_shorter_side() {
-        let mut a = CauseSlotRecorder::new(100);
-        a.record(10, AbortCause::Explicit);
-        let mut sa = a.into_series();
-        let mut b = CauseSlotRecorder::new(100);
-        b.record(450, AbortCause::Capacity);
-        sa.merge(&b.into_series());
-        assert_eq!(sa.len(), 5, "merge extends to the longer series");
-        assert_eq!(sa.slots[0].get(AbortCause::Explicit), 1);
-        assert_eq!(sa.slots[4].get(AbortCause::Capacity), 1);
+        let mut a = SlotSeries::new(100);
+        a.record_abort(10, AbortCause::Explicit);
+        let mut b = SlotSeries::new(100);
+        b.record_abort(450, AbortCause::Capacity);
+        a.merge(&b);
+        assert_eq!(a.len(), 5, "merge extends to the longer series");
+        assert_eq!(a.causes()[0].get(AbortCause::Explicit), 1);
+        assert_eq!(a.causes()[4].get(AbortCause::Capacity), 1);
+    }
+
+    #[test]
+    fn completions_and_aborts_share_the_slots() {
+        // An abort past the last completion grows every dense vector, so
+        // the per-slot views always line up.
+        let mut s = SlotSeries::new(10);
+        s.record(5, true);
+        s.record_abort(35, AbortCause::Capacity);
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.completed(), [1, 0, 0, 0]);
+        assert_eq!(s.nonspec, [1, 0, 0, 0]);
+        assert_eq!(s.causes().len(), 4);
+        assert_eq!(s.frac_nonspec().len(), 4);
+        assert_eq!(s.normalized_throughput().len(), 4);
     }
 
     mod merge_props {
@@ -511,53 +343,55 @@ mod tests {
         use proptest::collection::vec;
         use proptest::prelude::*;
 
-        proptest! {
-            /// Merging raw slot counts is commutative and total: either
-            /// order yields the same per-slot sums, with length equal to
-            /// the longest input vector (nothing truncated).
-            fn slot_series_merge_commutative_and_length_preserving(
-                ac in vec(0u64..1000, 0..10),
-                an in vec(0u64..1000, 0..10),
-                bc in vec(0u64..1000, 0..10),
-                bn in vec(0u64..1000, 0..10),
-            ) {
-                let want_len = ac.len().max(an.len()).max(bc.len()).max(bn.len());
-                let mut ab = raw_series(ac.clone(), an.clone());
-                ab.merge(&raw_series(bc.clone(), bn.clone()));
-                let mut ba = raw_series(bc.clone(), bn);
-                ba.merge(&raw_series(ac.clone(), an));
-                prop_assert_eq!(&ab.completed, &ba.completed);
-                prop_assert_eq!(&ab.nonspec, &ba.nonspec);
-                prop_assert_eq!(ab.completed.len(), want_len);
-                prop_assert_eq!(ab.nonspec.len(), want_len);
-                // Totals are conserved: no count dropped on either side.
-                let total: u64 = ab.completed.iter().sum();
-                let want: u64 = ac.iter().chain(&bc).sum();
-                prop_assert_eq!(total, want);
+        /// A series with `spec[i] = (completions, nonspec, causes)` in
+        /// slot `i` (nonspec capped at completions).
+        fn build(spec: &[(u64, u64, Vec<usize>)]) -> SlotSeries {
+            let mut s = SlotSeries::new(100);
+            for (slot, (c, n, causes)) in spec.iter().enumerate() {
+                let t = slot as u64 * 100;
+                for k in 0..*c {
+                    s.record(t, k < *n);
+                }
+                for &cause in causes {
+                    s.record_abort(t, AbortCause::ALL[cause]);
+                }
             }
+            s
+        }
 
-            /// Same for the per-slot abort-cause histograms.
-            fn cause_series_merge_commutative_and_length_preserving(
-                a in vec(vec(0usize..6, 0..5), 0..8),
-                b in vec(vec(0usize..6, 0..5), 0..8),
+        fn slots() -> impl Strategy<Value = Vec<(u64, u64, Vec<usize>)>> {
+            vec((0u64..20, 0u64..20, vec(0usize..7, 0..5)), 0..10)
+        }
+
+        proptest! {
+            /// Merging is commutative and total: either order yields the
+            /// same per-slot sums, with length equal to the longer input
+            /// (nothing truncated) and every count conserved.
+            #[test]
+            fn slot_series_merge_commutative_and_length_preserving(
+                a in slots(),
+                b in slots(),
             ) {
-                let build = |spec: &[Vec<usize>]| {
-                    let mut r = CauseSlotRecorder::new(100);
-                    for (slot, causes) in spec.iter().enumerate() {
-                        for &c in causes {
-                            r.record(slot as u64 * 100, AbortCause::ALL[c]);
-                        }
-                    }
-                    r.into_series()
-                };
                 let mut ab = build(&a);
                 ab.merge(&build(&b));
                 let mut ba = build(&b);
                 ba.merge(&build(&a));
-                prop_assert_eq!(ab.len(), ba.len());
-                prop_assert_eq!(&ab.slots, &ba.slots);
-                prop_assert_eq!(ab.len(), a.len().max(b.len()));
-                prop_assert_eq!(ab.totals().total(), ba.totals().total());
+                prop_assert_eq!(ab.completed(), ba.completed());
+                prop_assert_eq!(&ab.nonspec, &ba.nonspec);
+                prop_assert_eq!(ab.causes(), ba.causes());
+                // Empty trailing slots record nothing, so the merged
+                // length is the last recorded slot of either side.
+                let used = |spec: &[(u64, u64, Vec<usize>)]| {
+                    spec.iter().rposition(|(c, _, h)| *c > 0 || !h.is_empty()).map_or(0, |i| i + 1)
+                };
+                prop_assert_eq!(ab.len(), used(&a).max(used(&b)));
+                prop_assert_eq!(ab.nonspec.len(), ab.len());
+                prop_assert_eq!(ab.causes().len(), ab.len());
+                let total: u64 = ab.completed().iter().sum();
+                let want: u64 = a.iter().chain(&b).map(|(c, _, _)| c).sum();
+                prop_assert_eq!(total, want);
+                let aborts: u64 = a.iter().chain(&b).map(|(_, _, h)| h.len() as u64).sum();
+                prop_assert_eq!(ab.totals().total(), aborts);
             }
         }
     }
@@ -567,54 +401,61 @@ mod tests {
         // Regression: a single completion at a huge timestamp used to
         // resize the dense vectors to now/slot_cycles entries — O(10^18)
         // zeroed slots for the worst case below.
-        let mut r = SlotRecorder::new(1);
-        r.record(u64::MAX, true);
-        r.record(u64::MAX, false);
-        r.record(DENSE_SLOT_CAP - 1, false); // last dense slot
-        let mut s = r.into_series();
-        assert_eq!(s.completed.len(), DENSE_SLOT_CAP as usize, "dense prefix is capped");
-        assert_eq!(s.tail.get(&u64::MAX), Some(&(2, 1)));
-        // The tail survives a series merge.
-        let mut r2 = SlotRecorder::new(1);
-        r2.record(u64::MAX, true);
-        s.merge(&r2.into_series());
-        assert_eq!(s.tail.get(&u64::MAX), Some(&(3, 2)));
+        let mut s = SlotSeries::new(1);
+        s.record(u64::MAX, true);
+        s.record(u64::MAX, false);
+        s.record(DENSE_SLOT_CAP - 1, false); // last dense slot
+        assert_eq!(s.len(), DENSE_SLOT_CAP as usize, "dense prefix is capped");
+        let (c, n, _) = s.tail[&u64::MAX];
+        assert_eq!((c, n), (2, 1));
+        // The tail survives a merge.
+        let mut s2 = SlotSeries::new(1);
+        s2.record(u64::MAX, true);
+        s.merge(&s2);
+        let (c, n, _) = s.tail[&u64::MAX];
+        assert_eq!((c, n), (3, 2));
 
-        let mut c = CauseSlotRecorder::new(1);
-        c.record(u64::MAX, AbortCause::Capacity);
-        c.record(0, AbortCause::DataConflict);
-        let cs = c.into_series();
-        assert_eq!(cs.slots.len(), 1, "no dense blow-up");
-        assert_eq!(cs.totals().total(), 2, "totals include the sparse tail");
-        assert!(!cs.is_empty());
+        let mut c = SlotSeries::new(1);
+        c.record_abort(u64::MAX, AbortCause::Capacity);
+        c.record_abort(0, AbortCause::DataConflict);
+        assert_eq!(c.len(), 1, "no dense blow-up");
+        assert_eq!(c.totals().total(), 2, "totals include the sparse tail");
+        assert!(!c.is_empty());
     }
 
     #[test]
     fn recorder_merge_preserves_sparse_tails() {
-        let mut a = SlotRecorder::new(100);
+        let mut a = SlotSeries::new(100);
         a.record(u64::MAX - 5, false);
-        let mut b = SlotRecorder::new(100);
+        a.record_abort(u64::MAX, AbortCause::Explicit);
+        let mut b = SlotSeries::new(100);
         b.record(u64::MAX - 5, true);
+        b.record_abort(u64::MAX, AbortCause::Explicit);
         a.merge(&b);
-        let s = a.into_series();
-        assert_eq!(s.tail.values().copied().collect::<Vec<_>>(), vec![(2, 1)]);
-
-        let mut ca = CauseSlotRecorder::new(100);
-        ca.record(u64::MAX, AbortCause::Explicit);
-        let mut cb = CauseSlotRecorder::new(100);
-        cb.record(u64::MAX, AbortCause::Explicit);
-        ca.merge(&cb);
-        assert_eq!(ca.into_series().totals().get(AbortCause::Explicit), 2);
+        let counts: Vec<(u64, u64)> = a.tail.values().map(|&(c, n, _)| (c, n)).collect();
+        assert_eq!(counts, vec![(2, 1)]);
+        assert_eq!(a.totals().get(AbortCause::Explicit), 2);
     }
 
     #[test]
     fn worst_slowdown_detects_dips() {
-        let mut r = SlotRecorder::new(10);
+        let mut s = SlotSeries::new(10);
         // Three slots with 4, 4, 1 ops: average 3, worst slot 1 → 3x dip.
         for t in [0, 1, 2, 3, 10, 11, 12, 13, 20] {
-            r.record(t, false);
+            s.record(t, false);
         }
-        let s = r.into_series();
         assert!((s.worst_slowdown() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn worst_slowdown_skips_every_empty_slot() {
+        // Slots 4, 0, 1, 0: the empty middle slot is skipped like the
+        // empty last one, so the dip is the 1-op slot (avg 1.25).
+        let mut s = SlotSeries::new(10);
+        for t in [0, 1, 2, 3, 20] {
+            s.record(t, false);
+        }
+        s.record_abort(30, AbortCause::Capacity);
+        assert!((s.worst_slowdown() - 1.25).abs() < 1e-9);
     }
 }

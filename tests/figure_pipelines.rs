@@ -2,11 +2,11 @@
 //! parameter grid, checking that the machinery produces sane, complete
 //! output (full-size runs live in the `fig*` binaries).
 
-use elision_bench::{run_hash_bench, run_tree_bench, HashBenchSpec, TreeBenchSpec};
+use elision_bench::{run_tree_bench, TreeBenchSpec};
 use elision_core::{LockKind, SchemeKind};
 use elision_htm::HtmConfig;
 use elision_stamp::{run_kernel, KernelKind, StampParams};
-use elision_structures::OpMix;
+use elision_structures::{OpMix, StructureKind};
 
 #[test]
 fn fig2_pipeline_smoke() {
@@ -33,7 +33,7 @@ fn fig3_pipeline_slots_cover_run() {
     let r = run_tree_bench(&spec);
     let slots = r.slots.expect("slots");
     assert!(slots.len() >= 30, "expected ~40 slots, got {}", slots.len());
-    assert_eq!(slots.completed.iter().sum::<u64>(), 600);
+    assert_eq!(slots.completed().iter().sum::<u64>(), 600);
     assert!(slots.worst_slowdown() >= 1.0);
 }
 
@@ -85,20 +85,12 @@ fn fig11_pipeline_two_kernels() {
 
 #[test]
 fn hashtable_pipeline_smoke() {
-    let spec = HashBenchSpec {
-        scheme: SchemeKind::SlrScm,
-        lock: LockKind::Mcs,
-        threads: 4,
-        size: 128,
-        mix: OpMix::EXTENSIVE,
-        ops_per_thread: 100,
-        window: 0,
-        htm: HtmConfig::deterministic(),
-        seed: 9,
-        scheme_cfg: elision_core::SchemeConfig::paper(),
-        faults: elision_sim::FaultPlan::none(),
-    };
-    let r = run_hash_bench(&spec);
+    let mut spec = TreeBenchSpec::new(SchemeKind::SlrScm, LockKind::Mcs, 4, 128, OpMix::EXTENSIVE);
+    spec.structure = StructureKind::HashTable;
+    spec.ops_per_thread = 100;
+    spec.htm = HtmConfig::deterministic();
+    spec.seed = 9;
+    let r = run_tree_bench(&spec);
     assert_eq!(r.counters.completed(), 400);
 }
 
