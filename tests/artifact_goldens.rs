@@ -128,6 +128,37 @@ fn hashtable_and_fig3_artifacts_match_goldens() {
     assert_golden(&scratch.0, "fig3_dynamics.json", GOLDEN_FIG3_JSON);
 }
 
+/// The artifacts built from abort records: diag_aborts' per-cause
+/// breakdown, the sanitizer sweep, and the advisor's conflict-line
+/// cross-check at both the quick and the full grid.
+#[test]
+fn abort_record_artifacts_match_goldens() {
+    let scratch = Scratch::new("aborts");
+    let dir = scratch.0.to_str().expect("utf-8 scratch path");
+    repro(&[
+        "diag_aborts",
+        "elision_lint",
+        "sanitize_all",
+        "--quick",
+        "--seeds",
+        "1",
+        "--jobs",
+        "2",
+        "--csv",
+        dir,
+        "--metrics",
+        dir,
+    ]);
+    assert_golden(&scratch.0, "diag_aborts.csv", GOLDEN_DIAG_ABORTS_CSV);
+    assert_golden(&scratch.0, "diag_aborts.json", GOLDEN_DIAG_ABORTS_JSON);
+    assert_golden(&scratch.0, "sanitize_all.json", GOLDEN_SANITIZE_ALL_JSON);
+    assert_golden(&scratch.0, "ELISION_LINT.json", GOLDEN_ELISION_LINT_QUICK_JSON);
+    let full = Scratch::new("aborts_full");
+    let dir = full.0.to_str().expect("utf-8 scratch path");
+    repro(&["elision_lint", "--full", "--jobs", "2", "--csv", dir, "--metrics", dir]);
+    assert_golden(&full.0, "ELISION_LINT.json", GOLDEN_ELISION_LINT_FULL_JSON);
+}
+
 /// MODELCHECK.json from the DPOR model checker must also be unchanged.
 /// `#[ignore]`d by default (the quick sweep takes ~1 minute unoptimized);
 /// CI runs it in the model-check job via `-- --ignored`.
@@ -217,3 +248,10 @@ const GOLDEN_LAZY_SAFETY_JSON: u64 = 0x72ea_ba2d_e6f2_e28d;
 // per-figure binaries wrote at `--quick --seeds 1` (all but the two
 // explorer reports, which it could not merge).
 const GOLDEN_SUMMARY_WITHOUT_EXPLORERS_JSON: u64 = 0xb7c8_40f6_4c0b_c302;
+// Captured while each abort was still classified from a raw reason,
+// tallied twice and recorded into a per-strand conflict-line histogram.
+const GOLDEN_DIAG_ABORTS_CSV: u64 = 0x16ed_d62a_02ea_0c36;
+const GOLDEN_DIAG_ABORTS_JSON: u64 = 0x051c_9f4b_f6ab_208f;
+const GOLDEN_SANITIZE_ALL_JSON: u64 = 0xa69d_fcca_bb70_ba93;
+const GOLDEN_ELISION_LINT_QUICK_JSON: u64 = 0xd7e1_b0f8_e022_0575;
+const GOLDEN_ELISION_LINT_FULL_JSON: u64 = 0x982b_609a_f90d_754b;
