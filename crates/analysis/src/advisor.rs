@@ -20,7 +20,8 @@
 //!
 //! The report also predicts the *hot lines* — where dynamic conflict
 //! aborts should land — so a sweep can cross-validate the static story
-//! against [`elision_sim::ConflictLineHistogram`] telemetry.
+//! against a real run: the conflict line of each
+//! [`elision_htm::SanAccess::TxnAbort`] in the run's sanitizer log.
 
 use std::collections::BTreeSet;
 

@@ -128,7 +128,7 @@ pub fn dry_run(mem: Memory, seed: u64, prefill: OpFn, ops: Vec<OpSpec>) -> Vec<O
             SanAccess::TxnCommit => {
                 spans.push(open.take().expect("TxnCommit without TxnBegin"));
             }
-            SanAccess::TxnAbort { cause } => {
+            SanAccess::TxnAbort { cause, .. } => {
                 panic!("dry-run aborted ({cause:?}) — battery must be conflict- and capacity-free")
             }
             SanAccess::Read { var, txn: true, .. } => {

@@ -200,7 +200,7 @@ mod tests {
     fn balanced_run_is_clean() {
         let log = vec![
             ev(0, 1, SanAccess::TxnBegin),
-            ev(0, 2, SanAccess::TxnAbort { cause: AbortCause::DataConflict }),
+            ev(0, 2, SanAccess::TxnAbort { cause: AbortCause::DataConflict, line: None }),
             acq(0, 3, MAIN),
             ev(0, 3, SanAccess::Write { var: VarId::from_index(MAIN), value: 1, txn: false }),
             rel(0, 4, MAIN),

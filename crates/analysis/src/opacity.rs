@@ -224,7 +224,7 @@ mod tests {
             read(0, 2, X, 0),
             plain_write(1, 3, X, 7), // X goes stale under t0
             read(0, 4, Y, 0),        // t0 observes an inconsistent snapshot
-            ev(0, 5, SanAccess::TxnAbort { cause: AbortCause::DataConflict }),
+            ev(0, 5, SanAccess::TxnAbort { cause: AbortCause::DataConflict, line: None }),
         ];
         let f = check_opacity(&strict(), &init(), &events);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -323,7 +323,7 @@ mod tests {
             read(0, 2, X, 0),
             plain_write(1, 3, X, 7),
             read(0, 4, Y, 0), // zombie read: allowed
-            ev(0, 5, SanAccess::TxnAbort { cause: AbortCause::DataConflict }),
+            ev(0, 5, SanAccess::TxnAbort { cause: AbortCause::DataConflict, line: None }),
         ];
         assert!(check_opacity(&sandboxed(), &init(), &events).is_empty());
     }

@@ -329,6 +329,7 @@ pub fn detect_races(cfg: &RaceConfig, events: &[SanEvent]) -> Vec<Finding> {
 mod tests {
     use super::*;
     use elision_htm::VarId;
+    use elision_sim::AbortCause;
 
     const LOCK: u32 = 0; // line 0 is the lock line
     const X: u32 = 8; // line 1 is data
@@ -440,7 +441,7 @@ mod tests {
         let events = vec![
             ev(1, 1, SanAccess::TxnBegin),
             read(1, 2, X, true),
-            ev(1, 3, SanAccess::TxnAbort { cause: elision_sim::AbortCause::DataConflict }),
+            ev(1, 3, SanAccess::TxnAbort { cause: AbortCause::DataConflict, line: None }),
             write(0, 9, X, false),
         ];
         assert!(detect_races(&cfg(), &events).is_empty());

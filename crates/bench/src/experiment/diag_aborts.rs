@@ -5,8 +5,8 @@
 //!
 //! Doubles as an end-to-end cross-check of the abort-cause taxonomy: for
 //! every cell the classified cause counts must sum exactly to the number
-//! of aborted attempts the scheme counters and the raw HTM statistics
-//! both report. The experiment panics if the accounting ever disagrees.
+//! of aborted attempts the scheme counters report. The experiment panics
+//! if the accounting ever disagrees.
 
 use super::{tree_spec, Run};
 use crate::metrics::Json;
@@ -55,18 +55,12 @@ pub(super) fn run(run: &mut Run) {
             let r = next.next().expect("one result per cell");
 
             // Taxonomy cross-check: every aborted attempt must carry
-            // exactly one classified cause, and the scheme-level abort
-            // counter must agree with the raw HTM abort statistics.
+            // exactly one classified cause.
             let causes = r.counters.causes;
             assert_eq!(
                 causes.total(),
                 r.counters.aborted,
                 "{lock}/{scheme}: cause counts must sum to aborted attempts"
-            );
-            assert_eq!(
-                r.counters.aborted,
-                r.txn_stats.aborts(),
-                "{lock}/{scheme}: scheme abort count must match HTM abort count"
             );
 
             let mut row = vec![

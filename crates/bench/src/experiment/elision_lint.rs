@@ -14,9 +14,10 @@
 //!   HTM line budget (flagged) and the default budget (clean), each
 //!   cross-checked against a dynamic run's capacity-abort count.
 //! - **xval** cells rebuild the advisor's exact layout, run a real
-//!   multi-threaded workload over it with per-strand conflict-line
-//!   telemetry, and assert that (a) every dynamic conflict abort lands
-//!   on an advisor-predicted hot line and (b) the abort-cause mix agrees
+//!   multi-threaded workload over it under the sanitizer, tally the
+//!   conflict lines of the aborts it logs in the measured phase, and
+//!   assert that (a) every dynamic conflict abort lands on an
+//!   advisor-predicted hot line and (b) the abort-cause mix agrees
 //!   with the static verdict: a padded bucket-disjoint hash workload
 //!   aborts zero times, the same workload packed aborts on placement
 //!   alone, and a packed+lockco queue self-aborts on its lock line.
@@ -34,9 +35,12 @@ use crate::sweep::Cell;
 use elision_analysis::advisor::{advise, AdvisorReport, AdvisorSpec};
 use elision_analysis::LintId;
 use elision_core::{make_scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, MemoryBuilder, PlacementConfig, PlacementPolicy, Placer, Strand};
-use elision_sim::{AbortCause, ConflictLineHistogram, DetRng, OpCounters};
+use elision_htm::{
+    harness, Memory, MemoryBuilder, PlacementConfig, PlacementPolicy, Placer, SanAccess, Strand,
+};
+use elision_sim::{AbortCause, DetRng, OpCounters};
 use elision_structures::{HashTable, SimQueue, SortedList, StructureKind};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The four layout lints, i.e. everything a clean layout must not trip.
@@ -83,30 +87,42 @@ struct CellSpec {
     probe: ProbeCheck,
 }
 
+/// A probe's dynamic telemetry: the measured phase's counters, and its
+/// aborts counted by conflict line, in ascending line order.
+type Probe = (OpCounters, BTreeMap<u32, u64>);
+
 struct CellOut {
     report: AdvisorReport,
-    probe: Option<(OpCounters, ConflictLineHistogram)>,
+    probe: Option<Probe>,
 }
 
-/// Run one strand's measured phase: reset counters, attach the
-/// conflict-line recorder, run `iters` operations.
-fn measured<F: FnMut(&mut Strand, usize)>(s: &mut Strand, iters: usize, mut op: F) {
+/// Run one strand's measured phase: reset counters, run `iters`
+/// operations. Returns the phase's counters and the strand's clock when
+/// it began; the thread's logged aborts count from that time on.
+fn measured<F: FnMut(&mut Strand, usize)>(
+    s: &mut Strand,
+    iters: usize,
+    mut op: F,
+) -> (OpCounters, u64) {
     s.counters = OpCounters::new();
-    s.enable_conflict_lines();
+    let start = s.now();
     for i in 0..iters {
         op(s, i);
     }
+    (s.counters, start)
 }
 
 /// Rebuild the advisor's exact layout (same allocation order and sizing
 /// as its dry-run) and run a real multi-threaded workload over it.
-fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, ConflictLineHistogram) {
+fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> Probe {
     let threads = spec.threads;
-    let mut p = Placer::new(MemoryBuilder::new(), spec.placement);
+    let mut b = MemoryBuilder::new();
+    b.enable_sanitizer();
+    let mut p = Placer::new(b, spec.placement);
     let scheme =
         make_scheme(spec.scheme, spec.lock, SchemeConfig::paper(), p.builder_mut(), threads);
     let cap = spec.arena_capacity();
-    let results: Vec<(OpCounters, ConflictLineHistogram)> = match spec.structure {
+    let (results, mem): (Vec<(OpCounters, u64)>, Arc<Memory>) = match spec.structure {
         StructureKind::HashTable => {
             let table = HashTable::new_placed(&mut p, spec.n_buckets(), cap, threads);
             let (b, layout) = p.finish();
@@ -129,7 +145,8 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, Conflic
                 k += 1;
             }
             let keys = Arc::new(keys);
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, mem, move |s| {
+            let run = Arc::clone(&mem);
+            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
                 let mine = &keys[s.tid()];
                 // Prefill own keys (allocates from this thread's
                 // free-list pool, interleaving node indices across
@@ -145,27 +162,26 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, Conflic
                     } else {
                         scheme.execute(s, |s| table.get(s, key).map(|_| ()));
                     }
-                });
-                (s.counters, s.conflict_lines.take().unwrap_or_default())
+                })
             });
-            results
+            (results, mem)
         }
         StructureKind::Queue => {
             let q = SimQueue::new_placed(&mut p, cap);
             let (b, layout) = p.finish();
             check_layout(&layout, report);
             let mem = Arc::new(b.freeze(threads));
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, mem, move |s| {
+            let run = Arc::clone(&mem);
+            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
                 measured(s, PROBE_ITERS, |s, i| {
                     if i % 2 == 0 {
                         scheme.execute(s, |s| q.push(s, i as u64).map(|_| ()));
                     } else {
                         scheme.execute(s, |s| q.pop(s).map(|_| ()));
                     }
-                });
-                (s.counters, s.conflict_lines.take().unwrap_or_default())
+                })
             });
-            results
+            (results, mem)
         }
         StructureKind::List => {
             let list = SortedList::new_placed(&mut p, cap, threads);
@@ -190,24 +206,32 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> (OpCounters, Conflic
                     }
                 },
             );
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, mem, move |s| {
+            let run = Arc::clone(&mem);
+            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
                 let mut rng = DetRng::new(PROBE_SEED + s.tid() as u64, 0x13);
                 measured(s, PROBE_ITERS, |s, _| {
                     let key = 2 * rng.below(n);
                     scheme.execute(s, |s| list.contains(s, key).map(|_| ()));
-                });
-                (s.counters, s.conflict_lines.take().unwrap_or_default())
+                })
             });
-            results
+            (results, mem)
         }
         StructureKind::RbTree => unimplemented!("no rbtree probe cell in the sweep"),
     };
-    let mut counters = OpCounters::new();
-    let mut lines = ConflictLineHistogram::new();
-    for (c, h) in &results {
-        counters.merge(c);
-        lines.merge(h);
-    }
+    let counters = OpCounters::sum(results.iter().map(|(c, _)| c));
+    // A thread's prefill aborts are logged before its measured phase
+    // starts (each unwind then charges the abort cost), and the list's
+    // plain prefill, a run of its own, never aborts.
+    let mut lines = BTreeMap::new();
+    mem.san_log().expect("probe memory is sanitized").with_events(|events| {
+        for e in events {
+            if let SanAccess::TxnAbort { line: Some(line), .. } = e.access {
+                if e.time >= results[e.tid].1 {
+                    *lines.entry(line).or_insert(0) += 1;
+                }
+            }
+        }
+    });
     (counters, lines)
 }
 
@@ -273,7 +297,7 @@ fn row_json(cell: &CellSpec, out: &CellOut, lines_in_hot: Option<bool>) -> Json 
                     Json::Arr(
                         lines
                             .iter()
-                            .map(|(l, n)| {
+                            .map(|(&l, &n)| {
                                 Json::obj(vec![
                                     ("line", Json::Uint(u64::from(l))),
                                     ("aborts", Json::Uint(n)),
@@ -519,8 +543,7 @@ pub(super) fn run(run: &mut Run) {
         let mut probe_desc = "-".to_string();
         if let Some((counters, lines)) = &out.probe {
             let hot = &out.report.hot_lines;
-            let stray: Vec<u32> =
-                lines.iter().map(|(l, _)| l).filter(|l| !hot.contains(l)).collect();
+            let stray: Vec<u32> = lines.keys().copied().filter(|l| !hot.contains(l)).collect();
             assert!(
                 stray.is_empty(),
                 "{}: dynamic conflict aborts on lines {stray:?} outside the advisor's \
@@ -533,7 +556,7 @@ pub(super) fn run(run: &mut Run) {
             match cell.probe {
                 ProbeCheck::None => unreachable!("probe result without a probe check"),
                 ProbeCheck::NoAborts => assert_eq!(
-                    (counters.aborted, lines.total()),
+                    (counters.aborted, lines.values().sum::<u64>()),
                     (0, 0),
                     "{}: advisor-clean cell aborted {} times dynamically",
                     cell.key,
@@ -567,7 +590,7 @@ pub(super) fn run(run: &mut Run) {
                 "{} ops, {} aborts ({} conflict lines)",
                 counters.completed(),
                 counters.aborted,
-                lines.lines().len()
+                lines.len()
             );
         }
 

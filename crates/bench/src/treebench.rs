@@ -9,7 +9,7 @@
 //! measured. Throughput is operations per thousand simulated cycles.
 
 use elision_core::{make_scheme, SchemeConfig, SchemeKind, Watchdog};
-use elision_htm::{harness, HtmConfig, MemoryBuilder, Strand, TxResult, TxnStats};
+use elision_htm::{harness, HtmConfig, MemoryBuilder, Strand, TxResult};
 use elision_sim::{FaultPlan, FaultStats, OpCounters, SlotSeries};
 use elision_structures::{key_domain, HashTable, OpMix, RbTree, StructureKind, TreeOp};
 use std::sync::Arc;
@@ -83,12 +83,10 @@ impl TreeBenchSpec {
 pub struct TreeBenchResult {
     /// Operations per thousand simulated cycles.
     pub throughput: f64,
-    /// Summed S/A/N counters.
+    /// Summed S/A/N counters, with the abort-cause breakdown.
     pub counters: OpCounters,
     /// Simulated makespan of the measured phase.
     pub makespan: u64,
-    /// Summed transaction statistics (abort breakdown).
-    pub txn_stats: TxnStats,
     /// Per-slot completions and abort causes (when requested).
     pub slots: Option<SlotSeries>,
     /// Per-operation starvation accounting (attempts, completion cycles).
@@ -104,13 +102,12 @@ pub struct TreeBenchResult {
 }
 
 impl TreeBenchResult {
-    /// Fold another run of the same cell into this one: counts, stats and
-    /// slot series add, `throughput` and `makespan` sum (the caller
+    /// Fold another run of the same cell into this one: counts and slot
+    /// series add, `throughput` and `makespan` sum (the caller
     /// divides), residual lines append.
     fn merge(&mut self, other: TreeBenchResult) {
         self.throughput += other.throughput;
         self.counters.merge(&other.counters);
-        self.txn_stats.merge(&other.txn_stats);
         self.makespan += other.makespan;
         self.watchdog.merge(&other.watchdog);
         self.fault_stats.merge(&other.fault_stats);
@@ -238,19 +235,17 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
                         rec.record(now, out.nonspeculative);
                     }
                 }
-                (s.counters, s.stats, watchdog, s.slots.take())
+                (s.counters, watchdog, s.slots.take())
             },
         )
     };
 
     let total_ops = spec.ops_per_thread * spec.threads as u64;
     let mut counters = OpCounters::new();
-    let mut txn_stats = TxnStats::default();
     let mut watchdog = Watchdog::new(0);
     let mut slots = None;
-    for (c, t, w, sl) in results {
+    for (c, w, sl) in results {
         counters.merge(&c);
-        txn_stats.merge(&t);
         watchdog.merge(&w);
         merge_slots(&mut slots, sl);
     }
@@ -263,11 +258,21 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
         "completed {} of {total_ops} operations",
         counters.completed()
     );
+    // Conservation: each aborted attempt leaves exactly one cause.
+    assert_eq!(
+        counters.causes.total(),
+        counters.aborted,
+        "{}/{}/{} x{} seed {}: abort causes must sum to aborted attempts",
+        spec.structure.label(),
+        spec.scheme,
+        spec.lock,
+        spec.threads,
+        spec.seed
+    );
     TreeBenchResult {
         throughput: total_ops as f64 * 1000.0 / makespan.max(1) as f64,
         counters,
         makespan,
-        txn_stats,
         slots,
         watchdog,
         fault_stats,
@@ -367,7 +372,6 @@ mod tests {
                 r.counters.aborted,
                 "{scheme}: cause histogram must sum to aborted attempts"
             );
-            assert_eq!(r.counters.causes.total(), r.txn_stats.aborts());
             assert_eq!(
                 r.counters.total_attempts(),
                 r.counters.speculative + r.counters.nonspeculative + r.counters.aborted

@@ -3,7 +3,7 @@
 use elision_core::{
     make_grouped_scm, make_lock, make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind,
 };
-use elision_htm::{harness, HtmConfig, MemoryBuilder, VarId};
+use elision_htm::{harness, HtmConfig, MemoryBuilder, SanAccess, VarId};
 use std::sync::Arc;
 
 #[test]
@@ -34,13 +34,18 @@ fn nolock_records_no_counters() {
     let mut b = MemoryBuilder::new();
     let x = b.alloc_isolated(0);
     let scheme = make_scheme(SchemeKind::NoLock, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
+    b.enable_sanitizer();
     let mem = b.freeze(1);
-    harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+    let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
         let out = scheme.execute(s, |s| s.store(x, 5));
         assert!(!out.nonspeculative);
         assert_eq!(s.counters.completed(), 0);
-        assert_eq!(s.stats.begins, 0, "NoLock must not start transactions");
     });
+    let log = mem.san_log().expect("sanitizer enabled");
+    assert!(
+        log.with_events(|events| events.iter().all(|e| e.access != SanAccess::TxnBegin)),
+        "NoLock must not start transactions"
+    );
 }
 
 #[test]

@@ -2,6 +2,8 @@
 //! critical section, and the abort-status register the fallback path
 //! inspects (mirroring Haswell's `EAX` abort status).
 
+use elision_sim::AbortCause;
+
 /// Zero-sized marker propagated through a speculative critical section via
 /// `Result`/`?` when the enclosing transaction has aborted.
 ///
@@ -15,41 +17,22 @@ pub struct Abort;
 /// Result of a single simulated memory operation.
 pub type TxResult<T> = Result<T, Abort>;
 
-/// Why a transaction aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AbortReason {
-    /// A conflicting access by another thread (data conflict or a
-    /// non-transactional write to a line in this transaction's read set —
-    /// the lemming-effect trigger).
-    Conflict,
-    /// The read or write set exceeded the simulated buffering capacity.
-    Capacity,
-    /// The transaction aborted itself (`XABORT`) with a code.
-    Explicit,
-    /// A spurious abort (the paper's Section 3.1: aborts not explained by
-    /// conflicts or capacity, injected here with a seeded RNG).
-    Spurious,
-    /// An HLE commit failed because the release did not restore the elided
-    /// lock to its original value.
-    HleRestore,
-    /// Hardware dangerous-instruction detection (arXiv 1407.6968) caught a
-    /// lazily subscribed transaction writing a lock-marked line — the
-    /// "wild store" a zombie performs after reading inconsistent state.
-    /// Only raised when [`crate::HtmConfig::dangerous_abort`] is enabled.
-    DangerousInstruction,
-}
-
 /// The simulated abort-status register, handed to fallback code.
+///
+/// Each abort has one record: this status, built by the [`crate::Strand`]
+/// at the point where the transaction is doomed, classified there into
+/// its [`AbortCause`], and tallied and logged once when it unwinds.
 ///
 /// Beyond Haswell's actual status bits, the simulator also reports *where*
 /// a conflict occurred ([`AbortStatus::conflict_line`]) — the abort
 /// information the paper's conclusion names as a promising direction for
-/// refined conflict management, exploited by the grouped-SCM extension.
+/// refined conflict management, exploited by the grouped-SCM extension —
+/// and splits conflicts by whether that line holds a lock word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbortStatus {
     /// Why the transaction aborted.
-    pub reason: AbortReason,
-    /// The `XABORT` code, when [`AbortReason::Explicit`].
+    pub cause: AbortCause,
+    /// The `XABORT` code, when [`AbortCause::Explicit`].
     pub explicit_code: Option<u8>,
     /// Haswell's "retry" hint: set when the abort cause is transient
     /// (conflicts, spurious aborts) and clear when retrying is unlikely to
@@ -62,49 +45,37 @@ pub struct AbortStatus {
 }
 
 impl AbortStatus {
-    /// Status for a data-conflict abort.
-    pub fn conflict() -> Self {
-        AbortStatus {
-            reason: AbortReason::Conflict,
-            explicit_code: None,
-            retry_recommended: true,
-            conflict_line: None,
-        }
+    fn new(cause: AbortCause, retry_recommended: bool) -> Self {
+        AbortStatus { cause, explicit_code: None, retry_recommended, conflict_line: None }
     }
 
-    /// Status for a data-conflict abort at a known line.
-    pub fn conflict_at(line: u32) -> Self {
-        AbortStatus { conflict_line: Some(line), ..Self::conflict() }
+    /// Status for a data-conflict abort on an unknown line.
+    pub fn conflict() -> Self {
+        Self::new(AbortCause::DataConflict, true)
+    }
+
+    /// Status for a conflict abort at `line`: a
+    /// [`AbortCause::LockWordConflict`] when the line holds a lock word,
+    /// a [`AbortCause::DataConflict`] otherwise.
+    pub fn conflict_at(line: u32, lock_line: bool) -> Self {
+        let cause = if lock_line { AbortCause::LockWordConflict } else { AbortCause::DataConflict };
+        AbortStatus { conflict_line: Some(line), ..Self::new(cause, true) }
     }
 
     /// Status for a capacity abort.
     pub fn capacity() -> Self {
-        AbortStatus {
-            reason: AbortReason::Capacity,
-            explicit_code: None,
-            retry_recommended: false,
-            conflict_line: None,
-        }
+        Self::new(AbortCause::Capacity, false)
     }
 
-    /// Status for a spurious abort.
+    /// Status for an injected abort (the spurious-abort model or a chaos
+    /// abort storm).
     pub fn spurious() -> Self {
-        AbortStatus {
-            reason: AbortReason::Spurious,
-            explicit_code: None,
-            retry_recommended: true,
-            conflict_line: None,
-        }
+        Self::new(AbortCause::FaultInjected, true)
     }
 
     /// Status for an HLE restore-check failure.
     pub fn hle_restore() -> Self {
-        AbortStatus {
-            reason: AbortReason::HleRestore,
-            explicit_code: None,
-            retry_recommended: false,
-            conflict_line: None,
-        }
+        Self::new(AbortCause::HleRestore, false)
     }
 
     /// Status for a hardware dangerous-instruction abort at the offending
@@ -113,27 +84,20 @@ impl AbortStatus {
     /// state (or falls back to the lock).
     pub fn dangerous(line: u32) -> Self {
         AbortStatus {
-            reason: AbortReason::DangerousInstruction,
-            explicit_code: None,
-            retry_recommended: true,
             conflict_line: Some(line),
+            ..Self::new(AbortCause::DangerousInstruction, true)
         }
     }
 
     /// Status for an explicit `XABORT` with `code`; `retry` is the hint the
     /// aborting code wants the fallback to see.
     pub fn explicit(code: u8, retry: bool) -> Self {
-        AbortStatus {
-            reason: AbortReason::Explicit,
-            explicit_code: Some(code),
-            retry_recommended: retry,
-            conflict_line: None,
-        }
+        AbortStatus { explicit_code: Some(code), ..Self::new(AbortCause::Explicit, retry) }
     }
 
     /// Whether this is an explicit abort carrying `code`.
     pub fn is_explicit(&self, code: u8) -> bool {
-        self.reason == AbortReason::Explicit && self.explicit_code == Some(code)
+        self.cause == AbortCause::Explicit && self.explicit_code == Some(code)
     }
 }
 
@@ -152,63 +116,6 @@ pub mod codes {
     /// (refused) publication. Explicit-class so fallback code can treat it
     /// exactly like a software `LOCK_BUSY`, but distinguishable in traces.
     pub const SUBSCRIPTION: u8 = 0xA3;
-}
-
-/// Per-thread transaction event statistics (begins/commits/aborts by
-/// cause); complementary to the paper's S/A/N operation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TxnStats {
-    /// Transactions started.
-    pub begins: u64,
-    /// Transactions committed.
-    pub commits: u64,
-    /// Aborts caused by conflicts.
-    pub aborts_conflict: u64,
-    /// Aborts caused by capacity overflow.
-    pub aborts_capacity: u64,
-    /// Explicit (`XABORT`) aborts.
-    pub aborts_explicit: u64,
-    /// Injected spurious aborts.
-    pub aborts_spurious: u64,
-    /// HLE restore-check failures.
-    pub aborts_restore: u64,
-    /// Hardware dangerous-instruction aborts.
-    pub aborts_dangerous: u64,
-}
-
-impl TxnStats {
-    /// Total aborts of any cause.
-    pub fn aborts(&self) -> u64 {
-        self.aborts_conflict
-            + self.aborts_capacity
-            + self.aborts_explicit
-            + self.aborts_spurious
-            + self.aborts_restore
-            + self.aborts_dangerous
-    }
-
-    pub(crate) fn count_abort(&mut self, reason: AbortReason) {
-        match reason {
-            AbortReason::Conflict => self.aborts_conflict += 1,
-            AbortReason::Capacity => self.aborts_capacity += 1,
-            AbortReason::Explicit => self.aborts_explicit += 1,
-            AbortReason::Spurious => self.aborts_spurious += 1,
-            AbortReason::HleRestore => self.aborts_restore += 1,
-            AbortReason::DangerousInstruction => self.aborts_dangerous += 1,
-        }
-    }
-
-    /// Merge another stats block into this one.
-    pub fn merge(&mut self, other: &TxnStats) {
-        self.begins += other.begins;
-        self.commits += other.commits;
-        self.aborts_conflict += other.aborts_conflict;
-        self.aborts_capacity += other.aborts_capacity;
-        self.aborts_explicit += other.aborts_explicit;
-        self.aborts_spurious += other.aborts_spurious;
-        self.aborts_restore += other.aborts_restore;
-        self.aborts_dangerous += other.aborts_dangerous;
-    }
 }
 
 #[cfg(test)]
@@ -232,28 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_tally_by_reason() {
-        let mut s = TxnStats::default();
-        s.count_abort(AbortReason::Conflict);
-        s.count_abort(AbortReason::Conflict);
-        s.count_abort(AbortReason::Capacity);
-        s.count_abort(AbortReason::Spurious);
-        s.count_abort(AbortReason::Explicit);
-        s.count_abort(AbortReason::HleRestore);
-        s.count_abort(AbortReason::DangerousInstruction);
-        assert_eq!(s.aborts(), 7);
-        assert_eq!(s.aborts_conflict, 2);
-        assert_eq!(s.aborts_dangerous, 1);
-        let mut t = TxnStats::default();
-        t.merge(&s);
-        t.merge(&s);
-        assert_eq!(t.aborts(), 14);
-    }
-
-    #[test]
     fn dangerous_status_carries_line_and_retry_hint() {
         let st = AbortStatus::dangerous(17);
-        assert_eq!(st.reason, AbortReason::DangerousInstruction);
+        assert_eq!(st.cause, AbortCause::DangerousInstruction);
         assert_eq!(st.conflict_line, Some(17));
         assert!(st.retry_recommended);
     }

@@ -19,8 +19,8 @@
 //!   acquisition therefore dooms every eliding transaction at once — the
 //!   *lemming effect* (§4).
 //! * **RTM** ([`Strand::begin`] / [`Strand::commit`] / [`Strand::xabort`])
-//!   with an abort-status register ([`AbortStatus`]) distinguishing
-//!   conflict, capacity, explicit and spurious aborts.
+//!   with an abort-status register ([`AbortStatus`]) carrying each
+//!   abort's one classification, its [`elision_sim::AbortCause`].
 //! * **Capacity and spurious aborts**, both configurable via
 //!   [`HtmConfig`].
 //!
@@ -63,7 +63,7 @@ pub mod placement;
 mod sanitize;
 mod strand;
 
-pub use abort::{codes, Abort, AbortReason, AbortStatus, TxResult, TxnStats};
+pub use abort::{codes, Abort, AbortStatus, TxResult};
 pub use config::{HtmConfig, HtmConfigError};
 pub use fault::{AbortStorm, CapacitySqueeze, HotLine, HtmFaults};
 pub use memory::{HwSubscription, LineId, Memory, MemoryBuilder, VarId};
@@ -180,6 +180,7 @@ pub mod harness {
 mod tests {
     use super::*;
     use crate::abort::codes;
+    use elision_sim::AbortCause;
 
     fn one_var_mem(threads: usize, init: u64) -> (Memory, VarId) {
         let mut b = MemoryBuilder::new();
@@ -241,7 +242,7 @@ mod tests {
                 // Loop until the conflict dooms us.
                 for _ in 0..10_000 {
                     if s.work(1).is_err() {
-                        return Some(s.last_abort().reason);
+                        return Some(s.last_abort().cause);
                     }
                 }
                 None
@@ -252,7 +253,7 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(AbortReason::Conflict));
+        assert_eq!(results[0], Some(AbortCause::DataConflict));
     }
 
     #[test]
@@ -264,7 +265,7 @@ mod tests {
                 s.store(x, 42).unwrap();
                 for _ in 0..10_000 {
                     if s.work(1).is_err() {
-                        return Some(s.last_abort().reason);
+                        return Some(s.last_abort().cause);
                     }
                 }
                 None
@@ -275,7 +276,7 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(AbortReason::Conflict));
+        assert_eq!(results[0], Some(AbortCause::DataConflict));
         assert_eq!(mem.read_direct(x), 0, "doomed writer must not publish");
     }
 
@@ -288,7 +289,7 @@ mod tests {
                 s.store(x, 42).unwrap();
                 for _ in 0..10_000 {
                     if s.work(1).is_err() {
-                        return Some(s.last_abort().reason);
+                        return Some(s.last_abort().cause);
                     }
                 }
                 None
@@ -301,7 +302,7 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(AbortReason::Conflict));
+        assert_eq!(results[0], Some(AbortCause::DataConflict));
     }
 
     #[test]
@@ -314,7 +315,7 @@ mod tests {
                 assert_eq!(v, 0);
                 for _ in 0..10_000 {
                     if s.work(1).is_err() {
-                        return Some(s.last_abort().reason);
+                        return Some(s.last_abort().cause);
                     }
                 }
                 None
@@ -326,7 +327,7 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(AbortReason::Conflict));
+        assert_eq!(results[0], Some(AbortCause::DataConflict));
         assert_eq!(mem.read_direct(x), 7);
     }
 
@@ -356,7 +357,7 @@ mod tests {
             s.begin();
             s.elide_rmw(lock, |_| 1).unwrap();
             let err = s.commit().unwrap_err();
-            assert_eq!(err.reason, AbortReason::HleRestore);
+            assert_eq!(err.cause, AbortCause::HleRestore);
             assert!(!s.in_txn());
         });
     }
@@ -403,7 +404,7 @@ mod tests {
                 s.elide_rmw(lock, |_| 1).unwrap();
                 for _ in 0..10_000 {
                     if s.work(1).is_err() {
-                        return Some(s.last_abort().reason);
+                        return Some(s.last_abort().cause);
                     }
                 }
                 None
@@ -415,8 +416,8 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(AbortReason::Conflict));
-        assert_eq!(results[1], Some(AbortReason::Conflict));
+        assert_eq!(results[0], Some(AbortCause::DataConflict));
+        assert_eq!(results[1], Some(AbortCause::DataConflict));
     }
 
     #[test]
@@ -432,7 +433,7 @@ mod tests {
             }
             let err = s.store(VarId::from_index(vars.index() + 4), 1).unwrap_err();
             assert_eq!(err, Abort);
-            assert_eq!(s.last_abort().reason, AbortReason::Capacity);
+            assert_eq!(s.last_abort().cause, AbortCause::Capacity);
             assert!(!s.last_abort().retry_recommended);
         });
     }
@@ -449,7 +450,7 @@ mod tests {
                 s.load(VarId::from_index(vars.index() + k)).unwrap();
             }
             s.load(VarId::from_index(vars.index() + 3)).unwrap_err();
-            assert_eq!(s.last_abort().reason, AbortReason::Capacity);
+            assert_eq!(s.last_abort().cause, AbortCause::Capacity);
         });
     }
 
@@ -467,7 +468,7 @@ mod tests {
                 }
             }
             assert!(aborted, "spurious fuse never fired");
-            assert_eq!(s.last_abort().reason, AbortReason::Spurious);
+            assert_eq!(s.last_abort().cause, AbortCause::FaultInjected);
             assert!(s.last_abort().retry_recommended);
         });
     }
@@ -483,7 +484,7 @@ mod tests {
             });
             assert_eq!(got.unwrap(), 5);
             assert_eq!(s.memory().read_direct(x), 10);
-            assert_eq!(s.stats.commits, 1);
+            assert!(!s.in_txn());
         });
     }
 
@@ -595,16 +596,24 @@ mod tests {
 
     #[test]
     fn stats_count_events() {
-        let (mem, x) = one_var_mem(1, 0);
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        let mut b = MemoryBuilder::new();
+        let x = b.alloc_isolated(0);
+        b.enable_sanitizer();
+        let mem = b.freeze(1);
+        let (_, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
             let _ = s.attempt(|s| s.store(x, 1));
             s.begin();
             let _ = s.xabort(3, true);
-            assert_eq!(s.stats.begins, 2);
-            assert_eq!(s.stats.commits, 1);
-            assert_eq!(s.stats.aborts_explicit, 1);
-            assert_eq!(s.stats.aborts(), 1);
+            assert_eq!(s.counters.causes.get(AbortCause::Explicit), 1);
+            assert_eq!(s.counters.causes.total(), 1);
         });
+        let log = mem.san_log().expect("sanitizer enabled");
+        let count = |want: fn(&SanAccess) -> bool| {
+            log.with_events(|events| events.iter().filter(|e| want(&e.access)).count())
+        };
+        assert_eq!(count(|a| *a == SanAccess::TxnBegin), 2);
+        assert_eq!(count(|a| *a == SanAccess::TxnCommit), 1);
+        assert_eq!(count(|a| matches!(a, SanAccess::TxnAbort { .. })), 1);
     }
 
     #[test]
@@ -621,7 +630,7 @@ mod tests {
                 s.load(a).unwrap();
                 for _ in 0..10_000 {
                     if s.work(1).is_err() {
-                        return Some(s.last_abort().reason);
+                        return Some(s.last_abort().cause);
                     }
                 }
                 None
@@ -631,7 +640,7 @@ mod tests {
                 None
             }
         });
-        assert_eq!(results[0], Some(AbortReason::Conflict));
+        assert_eq!(results[0], Some(AbortCause::DataConflict));
     }
 
     #[test]
@@ -646,7 +655,7 @@ mod tests {
         harness::run(1, 0, cfg, 1, mem, move |s| {
             s.begin();
             s.load(x).unwrap_err();
-            assert_eq!(s.last_abort().reason, AbortReason::Spurious);
+            assert_eq!(s.last_abort().cause, AbortCause::FaultInjected);
             assert!(s.last_abort().retry_recommended);
         });
 
@@ -678,7 +687,7 @@ mod tests {
             s.load(VarId::from_index(vars.index())).unwrap();
             s.load(VarId::from_index(vars.index() + 1)).unwrap();
             s.load(VarId::from_index(vars.index() + 2)).unwrap_err();
-            assert_eq!(s.last_abort().reason, AbortReason::Capacity);
+            assert_eq!(s.last_abort().cause, AbortCause::Capacity);
         });
     }
 
@@ -691,7 +700,7 @@ mod tests {
         harness::run(1, 0, cfg, 1, mem, move |s| {
             s.begin();
             s.load(x).unwrap_err();
-            assert_eq!(s.last_abort().reason, AbortReason::Conflict);
+            assert_eq!(s.last_abort().cause, AbortCause::DataConflict);
             assert_eq!(s.last_abort().conflict_line, Some(hot));
             assert!(s.last_abort().retry_recommended);
         });
@@ -699,7 +708,7 @@ mod tests {
 
     #[test]
     fn abort_causes_classified_by_lock_line() {
-        use elision_sim::{AbortCause, SlotSeries};
+        use elision_sim::SlotSeries;
         let mut b = MemoryBuilder::new();
         let lock = b.alloc_lock_word(0);
         let data = b.alloc_isolated(0);
@@ -725,15 +734,13 @@ mod tests {
             s.begin();
             s.load(data).unwrap();
             s.load(lock).unwrap_err();
-            assert_eq!(s.last_abort().reason, AbortReason::Capacity);
+            assert_eq!(s.last_abort().cause, AbortCause::Capacity);
             assert_eq!(s.counters.causes.get(AbortCause::Capacity), 1);
             // XABORT -> explicit.
             s.begin();
             let _ = s.xabort(7, false);
             assert_eq!(s.counters.causes.get(AbortCause::Explicit), 1);
-            // The taxonomy total matches the raw abort count, and the
-            // slot series buckets every abort.
-            assert_eq!(s.counters.causes.total(), s.stats.aborts());
+            // The slot series buckets every abort.
             let slots = s.slots.take().expect("enabled");
             assert_eq!(slots.totals(), s.counters.causes);
         });
@@ -741,7 +748,6 @@ mod tests {
 
     #[test]
     fn injected_spurious_aborts_classify_as_fault_injected() {
-        use elision_sim::AbortCause;
         let (mem, x) = one_var_mem(1, 0);
         let cfg = HtmConfig::deterministic().with_faults(HtmFaults::none().with_storm(
             u64::MAX,
@@ -778,7 +784,7 @@ mod tests {
                         }
                     }
                 }
-                (commits, s.stats.aborts())
+                (commits, s.counters.causes.total())
             });
             (results, mem.read_direct(counter), makespan)
         };

@@ -58,10 +58,13 @@ pub enum SanAccess {
     /// A transaction committed (`XEND`); its publications directly
     /// precede this event in the log.
     TxnCommit,
-    /// A transaction aborted, with the telemetry-taxonomy cause.
+    /// A transaction aborted: its [`crate::AbortStatus`]'s cause and
+    /// conflict line, logged once as it unwinds.
     TxnAbort {
         /// Why the transaction aborted.
         cause: AbortCause,
+        /// The cache line the abort was attributed to, when known.
+        line: Option<u32>,
     },
     /// A lock was acquired non-speculatively (reported by the lock
     /// implementation via [`crate::Strand::note_lock_acquire`]).

@@ -10,12 +10,12 @@
 //! unwinding it (clearing conflict bitmaps and charging the abort
 //! penalty).
 
-use crate::abort::{codes, Abort, AbortStatus, TxResult, TxnStats};
+use crate::abort::{codes, Abort, AbortStatus, TxResult};
 use crate::config::HtmConfig;
 use crate::lineset::{LineSet, WriteBuf};
 use crate::memory::{HwSubscription, LineId, Memory, VarId};
 use crate::sanitize::SanAccess;
-use elision_sim::{AbortCause, ConflictLineHistogram, DetRng, OpCounters, SimHandle, SlotSeries};
+use elision_sim::{DetRng, OpCounters, SimHandle, SlotSeries};
 use std::sync::Arc;
 
 /// State of one in-flight transaction.
@@ -63,10 +63,16 @@ impl Txn {
 /// A simulated thread's handle onto shared memory and the HTM.
 ///
 /// One `Strand` per simulated thread; it owns the thread's transaction
-/// descriptor, its deterministic RNG streams and its statistics. All
+/// descriptor, its deterministic RNG streams and its counters. All
 /// simulated work — including pure compute and busy-wait iterations — must
 /// go through a `Strand` (or directly through [`SimHandle::advance`]) so
 /// logical time advances.
+///
+/// Every abort leaves one record. The strand classifies it into an
+/// [`elision_sim::AbortCause`] where it builds the [`AbortStatus`], and
+/// on unwind tallies that cause once into `counters.causes` and the slot
+/// series and appends it, with the conflict line, to the sanitizer log.
+/// Begins and commits are read from that log.
 #[derive(Debug)]
 pub struct Strand {
     mem: Arc<Memory>,
@@ -88,18 +94,12 @@ pub struct Strand {
     /// elision schemes. Separate from both the workload and HTM streams so
     /// enabling backoff never perturbs workload draws or abort injection.
     pub retry_rng: DetRng,
-    /// Transaction event statistics.
-    pub stats: TxnStats,
     /// The paper's S/A/N operation counters, recorded by elision schemes.
     pub counters: OpCounters,
     /// Optional per-time-slot series: every abort lands here by cause
     /// (complementing the aggregate histogram in `counters.causes`), and
     /// the workload records its completions into the same slots.
     pub slots: Option<SlotSeries>,
-    /// Optional histogram of conflict-abort cache lines (see
-    /// [`Strand::enable_conflict_lines`]); the dynamic side of the static
-    /// advisor's hot-line cross-validation.
-    pub conflict_lines: Option<ConflictLineHistogram>,
 }
 
 impl Strand {
@@ -125,18 +125,9 @@ impl Strand {
             htm_rng: DetRng::new(seed, 1_000_000 + tid as u64),
             rng: DetRng::new(seed, tid as u64),
             retry_rng: DetRng::new(seed, 2_000_000 + tid as u64),
-            stats: TxnStats::default(),
             counters: OpCounters::new(),
             slots: None,
-            conflict_lines: None,
         }
-    }
-
-    /// Start recording the cache line of every abort that carries a
-    /// conflict-line attribution (see [`ConflictLineHistogram`]); any
-    /// previous histogram is replaced.
-    pub fn enable_conflict_lines(&mut self) {
-        self.conflict_lines = Some(ConflictLineHistogram::new());
     }
 
     /// Append to the memory's sanitizer log, if one is attached. Never
@@ -229,7 +220,6 @@ impl Strand {
         } else {
             None
         };
-        self.stats.begins += 1;
         self.san(SanAccess::TxnBegin);
         // Reuse the scratch descriptor (its containers were cleared when
         // stashed); the first attempt of a strand's life allocates it.
@@ -402,7 +392,6 @@ impl Strand {
             self.mem.clear_writer(LineId(l), self.tid);
         }
         self.stash(txn);
-        self.stats.commits += 1;
         Ok(())
     }
 
@@ -535,38 +524,21 @@ impl Strand {
             self.mem.clear_writer(LineId(l), self.tid);
         }
         self.stash(txn);
-        self.stats.count_abort(status.reason);
-        let cause = self.classify_abort(&status);
+        let cause = status.cause;
         self.counters.causes.record(cause);
         if let Some(rec) = self.slots.as_mut() {
             rec.record_abort(self.sim.now(), cause);
         }
-        if let Some(rec) = self.conflict_lines.as_mut() {
-            if let Some(line) = status.conflict_line {
-                rec.record(line);
-            }
-        }
-        self.san(SanAccess::TxnAbort { cause });
+        self.san(SanAccess::TxnAbort { cause, line: status.conflict_line });
         self.last_abort = status;
         self.sim.advance(self.cfg.cost.txn_abort);
     }
 
-    /// Map a raw abort status onto the telemetry taxonomy. The only
-    /// refinement over [`crate::AbortReason`] is splitting conflicts by
-    /// whether the dooming access hit a cache line holding a lock word
-    /// (best-effort: a conflict with no recorded line counts as data).
-    fn classify_abort(&self, status: &AbortStatus) -> AbortCause {
-        match status.reason {
-            crate::abort::AbortReason::Conflict => match status.conflict_line {
-                Some(line) if self.mem.is_lock_line(line) => AbortCause::LockWordConflict,
-                _ => AbortCause::DataConflict,
-            },
-            crate::abort::AbortReason::Capacity => AbortCause::Capacity,
-            crate::abort::AbortReason::Explicit => AbortCause::Explicit,
-            crate::abort::AbortReason::Spurious => AbortCause::FaultInjected,
-            crate::abort::AbortReason::HleRestore => AbortCause::HleRestore,
-            crate::abort::AbortReason::DangerousInstruction => AbortCause::DangerousInstruction,
-        }
+    /// Status for a conflict at `line`, classified by whether the line
+    /// holds a lock word. The marks are fixed at freeze, so the cause is
+    /// the same wherever the status is built.
+    fn conflict_at(&self, line: u32) -> AbortStatus {
+        AbortStatus::conflict_at(line, self.mem.is_lock_line(line))
     }
 
     /// Check doom flag and spurious-abort injection; unwinds on failure.
@@ -574,7 +546,7 @@ impl Strand {
         let Some(txn) = self.txn.as_mut() else { return Ok(()) };
         if self.mem.is_doomed(self.tid, txn.epoch) {
             let status = match self.mem.doom_line(self.tid) {
-                Some(line) => AbortStatus::conflict_at(line),
+                Some(line) => self.conflict_at(line),
                 None => AbortStatus::conflict(),
             };
             self.unwind(status);
@@ -654,7 +626,7 @@ impl Strand {
             return Err(Abort);
         }
         if self.hot_line_conflict(line) {
-            self.unwind(AbortStatus::conflict_at(line.0));
+            self.unwind(self.conflict_at(line.0));
             return Err(Abort);
         }
         self.txn.as_mut().expect("in txn").read_lines.insert_at(pos, line.0);
@@ -684,7 +656,7 @@ impl Strand {
             return Err(Abort);
         }
         if self.hot_line_conflict(line) {
-            self.unwind(AbortStatus::conflict_at(line.0));
+            self.unwind(self.conflict_at(line.0));
             return Err(Abort);
         }
         self.txn.as_mut().expect("in txn").write_lines.insert_at(pos, line.0);

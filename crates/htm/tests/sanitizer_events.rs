@@ -47,7 +47,7 @@ fn aborts_and_plain_accesses_are_logged() {
         accesses,
         vec![
             SanAccess::TxnBegin,
-            SanAccess::TxnAbort { cause: AbortCause::Explicit },
+            SanAccess::TxnAbort { cause: AbortCause::Explicit, line: None },
             SanAccess::Write { var: x, value: 3, txn: false },
             SanAccess::Read { var: x, value: 3, txn: false },
             SanAccess::Write { var: x, value: 5, txn: false },
@@ -77,7 +77,60 @@ fn capacity_abort_is_logged_with_its_cause() {
         .map(|e| e.access)
         .filter(|a| matches!(a, SanAccess::TxnAbort { .. }))
         .collect();
-    assert_eq!(aborts, vec![SanAccess::TxnAbort { cause: AbortCause::Capacity }]);
+    assert_eq!(aborts, vec![SanAccess::TxnAbort { cause: AbortCause::Capacity, line: None }]);
+}
+
+#[test]
+fn conflict_record_agrees_in_status_log_and_counters() {
+    // A plain write dooms thread 0's first transaction on the lock's line
+    // and its second on a data line. The abort status, the logged abort
+    // and the cause tally must all tell the same story.
+    let mut b = MemoryBuilder::new();
+    let lock = b.alloc_lock_word(0);
+    let data = b.alloc_isolated(0);
+    b.enable_sanitizer();
+    let mem = b.freeze(2);
+    let lock_line = mem.line_of(lock).raw();
+    let data_line = mem.line_of(data).raw();
+    let (results, mem, _) = harness::run(2, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        if s.tid() == 1 {
+            s.work(200).unwrap();
+            s.store(lock, 1).unwrap();
+            s.work(2000).unwrap();
+            s.store(data, 1).unwrap();
+            return Vec::new();
+        }
+        let mut statuses = Vec::new();
+        for var in [lock, data] {
+            s.begin();
+            s.load(var).unwrap();
+            for _ in 0..10_000 {
+                if s.work(1).is_err() {
+                    break;
+                }
+            }
+            assert!(!s.in_txn(), "the plain write must doom the transaction");
+            statuses.push(s.last_abort());
+        }
+        assert_eq!(s.counters.causes.get(AbortCause::LockWordConflict), 1);
+        assert_eq!(s.counters.causes.get(AbortCause::DataConflict), 1);
+        assert_eq!(s.counters.causes.total(), 2);
+        statuses
+    });
+    let want = [(AbortCause::LockWordConflict, lock_line), (AbortCause::DataConflict, data_line)];
+    let statuses: Vec<_> = results[0].iter().map(|st| (st.cause, st.conflict_line)).collect();
+    assert_eq!(statuses, want.map(|(cause, line)| (cause, Some(line))));
+    let log = mem.san_log().expect("sanitizer enabled");
+    let logged: Vec<(usize, SanAccess)> = log
+        .snapshot()
+        .iter()
+        .filter(|e| matches!(e.access, SanAccess::TxnAbort { .. }))
+        .map(|e| (e.tid, e.access))
+        .collect();
+    assert_eq!(
+        logged,
+        want.map(|(cause, line)| (0, SanAccess::TxnAbort { cause, line: Some(line) })).to_vec()
+    );
 }
 
 #[test]

@@ -171,7 +171,8 @@ impl RawLock for ClhLock {
 mod tests {
     use super::*;
     use crate::testutil;
-    use elision_htm::{harness, AbortReason, HtmConfig, MemoryBuilder};
+    use elision_htm::{harness, HtmConfig, MemoryBuilder};
+    use elision_sim::AbortCause;
     use std::sync::Arc;
 
     #[test]
@@ -208,7 +209,7 @@ mod tests {
                 lock.elided_release(s)?;
                 Ok(())
             });
-            assert_eq!(r.unwrap_err().reason, AbortReason::HleRestore);
+            assert_eq!(r.unwrap_err().cause, AbortCause::HleRestore);
         });
     }
 

@@ -141,6 +141,7 @@ mod tests {
     use super::*;
     use crate::testutil;
     use elision_htm::{harness, HtmConfig, MemoryBuilder};
+    use elision_sim::AbortCause;
     use std::sync::Arc;
 
     #[test]
@@ -181,7 +182,8 @@ mod tests {
         });
         let st = results[1].expect("thread 1 status");
         assert!(
-            st.is_explicit(codes::QUEUE_BUSY) || st.reason == elision_htm::AbortReason::Conflict
+            st.is_explicit(codes::QUEUE_BUSY)
+                || matches!(st.cause, AbortCause::DataConflict | AbortCause::LockWordConflict)
         );
     }
 

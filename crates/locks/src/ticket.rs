@@ -157,7 +157,8 @@ impl RawLock for TicketLock {
 mod tests {
     use super::*;
     use crate::testutil;
-    use elision_htm::{harness, AbortReason, HtmConfig, MemoryBuilder};
+    use elision_htm::{harness, HtmConfig, MemoryBuilder};
+    use elision_sim::AbortCause;
     use std::sync::Arc;
 
     #[test]
@@ -190,7 +191,7 @@ mod tests {
                 lock.elided_release(s)?;
                 Ok(())
             });
-            assert_eq!(r.unwrap_err().reason, AbortReason::HleRestore);
+            assert_eq!(r.unwrap_err().cause, AbortCause::HleRestore);
         });
     }
 
@@ -252,7 +253,10 @@ mod tests {
             }
         });
         let st = results[1].expect("status");
-        assert!(st.is_explicit(codes::QUEUE_BUSY) || st.reason == AbortReason::Conflict);
+        assert!(
+            st.is_explicit(codes::QUEUE_BUSY)
+                || matches!(st.cause, AbortCause::DataConflict | AbortCause::LockWordConflict)
+        );
     }
 
     #[test]

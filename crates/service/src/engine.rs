@@ -236,6 +236,17 @@ pub fn run_service(spec: &ServiceSpec) -> ServiceResult {
         .collect();
 
     debug_assert_eq!(latency.count(), plan.total, "every planned request must complete");
+    // Conservation: each aborted attempt leaves exactly one cause.
+    assert_eq!(
+        counters.causes.total(),
+        counters.aborted,
+        "{}/{} {}x{} seed {}: abort causes must sum to aborted attempts",
+        spec.scheme,
+        spec.lock,
+        spec.shards,
+        spec.workers_per_shard,
+        spec.seed
+    );
     ServiceResult {
         requests: plan.total,
         makespan,

@@ -68,7 +68,7 @@ pub use fault::{FaultPlan, FaultStats, PreemptSpec};
 pub use rng::DetRng;
 pub use sched::{Scheduler, SimHandle};
 pub use slots::SlotSeries;
-pub use stats::{AbortCause, AttemptKind, CauseHistogram, ConflictLineHistogram, OpCounters};
+pub use stats::{AbortCause, AttemptKind, CauseHistogram, OpCounters};
 
 use std::sync::Arc;
 

@@ -13,15 +13,16 @@
 //! operation `(A + N + S) / (N + S)`. It also counts arrivals that found
 //! the lock held (the "TTAS Arrival with Lock Held" line in Figure 2).
 
-/// Why a speculative attempt aborted, as the telemetry layer classifies
-/// it (a refinement of the raw HTM abort reason).
+/// Why a speculative attempt aborted: the one classification of each
+/// abort, carried by the HTM's abort status, tallied into
+/// [`OpCounters::causes`] and logged by the sanitizer.
 ///
 /// The taxonomy separates the conflict class the paper's analysis hinges
 /// on: a *lock-word* conflict (the lemming-effect trigger — some thread
 /// wrote the lock's cache line, dooming every eliding transaction at
 /// once) versus an ordinary *data* conflict on the protected structure.
-/// The HTM layer performs the classification, since only it knows which
-/// cache lines hold lock words.
+/// The HTM layer performs the classification where it builds the abort
+/// status, since only it knows which cache lines hold lock words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortCause {
     /// A conflicting access on a data (non-lock) cache line.
@@ -126,65 +127,6 @@ impl CauseHistogram {
     /// `(cause, count)` pairs in the fixed [`AbortCause::ALL`] order.
     pub fn iter(&self) -> impl Iterator<Item = (AbortCause, u64)> + '_ {
         AbortCause::ALL.iter().map(move |&c| (c, self.get(c)))
-    }
-}
-
-/// A sparse histogram of the cache lines on which conflict aborts were
-/// attributed (`AbortStatus::conflict_line` of each unwound attempt).
-///
-/// This is the dynamic counterpart of the static advisor's predicted
-/// hot-line set: the `elision_lint` cross-validation sweep asserts that
-/// every line appearing here was predicted hot. Opt-in per strand (like
-/// the cause-slot recorder) because a `BTreeMap` per abort is too heavy
-/// for the default bench hot path — and note the attribution itself is
-/// best-effort (a concurrent doom may overwrite the line hint), which is
-/// why the map is keyed by whatever line the status carried.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ConflictLineHistogram {
-    counts: std::collections::BTreeMap<u32, u64>,
-}
-
-impl ConflictLineHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one abort attributed to `line`.
-    pub fn record(&mut self, line: u32) {
-        *self.counts.entry(line).or_insert(0) += 1;
-    }
-
-    /// The count recorded for `line`.
-    pub fn get(&self, line: u32) -> u64 {
-        self.counts.get(&line).copied().unwrap_or(0)
-    }
-
-    /// Total attributed aborts.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Add another histogram into this one.
-    pub fn merge(&mut self, other: &ConflictLineHistogram) {
-        for (&line, &n) in &other.counts {
-            *self.counts.entry(line).or_insert(0) += n;
-        }
-    }
-
-    /// `(line, count)` pairs in ascending line order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.counts.iter().map(|(&l, &n)| (l, n))
-    }
-
-    /// The distinct lines, ascending.
-    pub fn lines(&self) -> Vec<u32> {
-        self.counts.keys().copied().collect()
     }
 }
 
@@ -344,24 +286,6 @@ mod tests {
         assert_eq!(total.nonspeculative, 9);
         assert_eq!(total.causes.total(), 6);
         assert_eq!(total.total_attempts(), 18);
-    }
-
-    #[test]
-    fn conflict_line_histogram_tallies_and_merges() {
-        let mut h = ConflictLineHistogram::new();
-        assert!(h.is_empty());
-        h.record(7);
-        h.record(7);
-        h.record(3);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.get(7), 2);
-        assert_eq!(h.get(0), 0);
-        assert_eq!(h.lines(), vec![3, 7]);
-        let mut acc = ConflictLineHistogram::new();
-        acc.record(3);
-        acc.merge(&h);
-        assert_eq!(acc.get(3), 2);
-        assert_eq!(acc.iter().collect::<Vec<_>>(), vec![(3, 2), (7, 2)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::{genome, intruder, kmeans, labyrinth, ssca2, vacation, yada};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, Strand, TxnStats};
+use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, Strand};
 use elision_sim::OpCounters;
 use std::fmt;
 use std::sync::Arc;
@@ -140,10 +140,8 @@ pub struct StampRun {
     /// Simulated runtime in cycles (Figure 11's y-axis, before
     /// normalization to the Standard scheme).
     pub makespan: u64,
-    /// Summed S/A/N counters.
+    /// Summed S/A/N counters, with the abort-cause breakdown.
     pub counters: OpCounters,
-    /// Summed transaction statistics.
-    pub txn_stats: TxnStats,
 }
 
 /// Build and run one kernel under one scheme/lock combination, verifying
@@ -171,17 +169,12 @@ pub fn run_kernel(
     let (results, mem, makespan) = harness::run(threads, window, htm, params.seed, mem, {
         move |s| {
             kernel2.run_thread(s, &scheme, threads);
-            (s.counters, s.stats)
+            s.counters
         }
     });
     kernel
         .verify(&mem)
         .unwrap_or_else(|e| panic!("{kind} under {scheme_kind}/{lock}: verification failed: {e}"));
-    let mut counters = OpCounters::new();
-    let mut txn_stats = TxnStats::default();
-    for (c, t) in &results {
-        counters.merge(c);
-        txn_stats.merge(t);
-    }
-    StampRun { kernel: kind, scheme: scheme_kind, lock, threads, makespan, counters, txn_stats }
+    let counters = OpCounters::sum(&results);
+    StampRun { kernel: kind, scheme: scheme_kind, lock, threads, makespan, counters }
 }

@@ -4,6 +4,7 @@
 
 use elision_core::{LockKind, SchemeKind};
 use elision_htm::HtmConfig;
+use elision_sim::AbortCause;
 use elision_stamp::{run_kernel, KernelKind, StampParams};
 
 #[test]
@@ -37,7 +38,10 @@ fn kernels_verify_under_spurious_storm() {
             0,
             storm,
         );
-        assert!(run.txn_stats.aborts_spurious > 0, "{kind}: storm did not fire");
+        assert!(
+            run.counters.causes.get(AbortCause::FaultInjected) > 0,
+            "{kind}: storm did not fire"
+        );
     }
 }
 
@@ -57,7 +61,10 @@ fn kernels_verify_under_tight_capacity() {
             tight,
         );
         if kind == KernelKind::Labyrinth {
-            assert!(run.txn_stats.aborts_capacity > 0, "labyrinth should hit the capacity limit");
+            assert!(
+                run.counters.causes.get(AbortCause::Capacity) > 0,
+                "labyrinth should hit the capacity limit"
+            );
             assert!(
                 run.counters.frac_nonspeculative() > 0.3,
                 "capacity-bound labyrinth should mostly fall back, got {:.3}",

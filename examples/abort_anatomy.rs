@@ -1,6 +1,6 @@
 //! Anatomy of an abort storm: read the sanitizer log to watch one
-//! thread's transactions live through a lemming episode, and the
-//! abort-status register to classify what killed each attempt.
+//! thread's transactions live through a lemming episode, and each
+//! thread's abort-cause tally to see what killed its attempts.
 //!
 //! ```text
 //! cargo run --release -p elision-bench --example abort_anatomy
@@ -8,6 +8,7 @@
 
 use elision_core::{make_scheme, LockKind, SchemeConfig, SchemeKind};
 use elision_htm::{harness, HtmConfig, MemoryBuilder, SanAccess};
+use elision_sim::AbortCause;
 use elision_structures::{key_domain, OpMix, RbTree, TreeOp};
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ fn describe(access: &SanAccess) -> Option<String> {
     Some(match access {
         SanAccess::TxnBegin => "txn-begin".to_string(),
         SanAccess::TxnCommit => "txn-commit".to_string(),
-        SanAccess::TxnAbort { cause } => format!("txn-abort({})", cause.label()),
+        SanAccess::TxnAbort { cause, .. } => format!("txn-abort({})", cause.label()),
         SanAccess::LockAcquire { word } => format!("lock-acquire({})", word.index()),
         SanAccess::LockRelease { word } => format!("lock-release({})", word.index()),
         SanAccess::Marker { label, value } => format!("{label}={value}"),
@@ -68,7 +69,7 @@ fn main() {
                     TreeOp::Lookup => tree2.contains(s, key).map(|_| ()),
                 });
             }
-            s.stats
+            s.counters.causes
         });
 
     println!("--- first {SHOWN} protocol events of thread 0 (HLE over MCS) ---");
@@ -87,20 +88,13 @@ fn main() {
     println!("\nshown: {commits} commits, {aborts} aborts");
 
     println!("\n--- abort causes, all threads ---");
-    println!(
-        "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "thread", "conflict", "capacity", "explicit", "spurious", "restore"
-    );
-    for (tid, st) in results.iter().enumerate() {
-        println!(
-            "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            tid,
-            st.aborts_conflict,
-            st.aborts_capacity,
-            st.aborts_explicit,
-            st.aborts_spurious,
-            st.aborts_restore
-        );
+    for (tid, causes) in results.iter().enumerate() {
+        let nonzero: Vec<String> = AbortCause::ALL
+            .iter()
+            .filter(|&&c| causes.get(c) > 0)
+            .map(|c| format!("{}={}", c.label(), causes.get(*c)))
+            .collect();
+        println!("thread {tid}: {}", nonzero.join(" "));
     }
     println!(
         "\nReading the events: under the MCS lemming effect nearly every begin is \

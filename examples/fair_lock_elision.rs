@@ -18,7 +18,8 @@
 //! throughput comparison under elision.
 
 use elision_core::{make_lock, LockKind, Scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, AbortReason, HtmConfig, MemoryBuilder};
+use elision_htm::{harness, HtmConfig, MemoryBuilder};
+use elision_sim::AbortCause;
 use std::sync::Arc;
 
 fn main() {
@@ -63,10 +64,10 @@ fn solo_elision(kind: LockKind) -> String {
         });
         match r {
             Ok(()) => "committed speculatively (lock word restored)".to_string(),
-            Err(st) if st.reason == AbortReason::HleRestore => {
+            Err(st) if st.cause == AbortCause::HleRestore => {
                 "ABORTED: release did not restore the lock word".to_string()
             }
-            Err(st) => format!("aborted: {:?}", st.reason),
+            Err(st) => format!("aborted: {:?}", st.cause),
         }
     });
     results.pop().expect("one result")
