@@ -159,6 +159,42 @@ fn abort_record_artifacts_match_goldens() {
     assert_golden(&full.0, "ELISION_LINT.json", GOLDEN_ELISION_LINT_FULL_JSON);
 }
 
+/// The only experiments that run SCM with true nesting, a non-MCS
+/// auxiliary lock, grouped SCM and the hardened configuration: the
+/// scheme's less-travelled attempt paths.
+#[test]
+fn scheme_path_artifacts_match_goldens() {
+    let scratch = Scratch::new("scheme_paths");
+    let dir = scratch.0.to_str().expect("utf-8 scratch path");
+    repro(&[
+        "ablation_scm",
+        "ablation_grouped",
+        "chaos_stress",
+        "--quick",
+        "--seeds",
+        "1",
+        "--jobs",
+        "2",
+        "--csv",
+        dir,
+        "--metrics",
+        dir,
+    ]);
+    assert_golden(&scratch.0, "ablation_scm.json", GOLDEN_ABLATION_SCM_JSON);
+    assert_golden(&scratch.0, "ablation_scm_aux.csv", GOLDEN_ABLATION_SCM_AUX_CSV);
+    assert_golden(
+        &scratch.0,
+        "ablation_scm_subscription.csv",
+        GOLDEN_ABLATION_SCM_SUBSCRIPTION_CSV,
+    );
+    assert_golden(&scratch.0, "ablation_grouped.json", GOLDEN_ABLATION_GROUPED_JSON);
+    assert_golden(&scratch.0, "ablation_grouped.csv", GOLDEN_ABLATION_GROUPED_CSV);
+    assert_golden(&scratch.0, "chaos_stress.json", GOLDEN_CHAOS_STRESS_JSON);
+    assert_golden(&scratch.0, "chaos_full.csv", GOLDEN_CHAOS_FULL_CSV);
+    assert_golden(&scratch.0, "chaos_preempt.csv", GOLDEN_CHAOS_PREEMPT_CSV);
+    assert_golden(&scratch.0, "chaos_storm.csv", GOLDEN_CHAOS_STORM_CSV);
+}
+
 /// MODELCHECK.json from the DPOR model checker must also be unchanged.
 /// `#[ignore]`d by default (the quick sweep takes ~1 minute unoptimized);
 /// CI runs it in the model-check job via `-- --ignored`.
@@ -255,3 +291,14 @@ const GOLDEN_DIAG_ABORTS_JSON: u64 = 0x051c_9f4b_f6ab_208f;
 const GOLDEN_SANITIZE_ALL_JSON: u64 = 0xa69d_fcca_bb70_ba93;
 const GOLDEN_ELISION_LINT_QUICK_JSON: u64 = 0xd7e1_b0f8_e022_0575;
 const GOLDEN_ELISION_LINT_FULL_JSON: u64 = 0x982b_609a_f90d_754b;
+// Captured while each subscription style was still written out at every
+// attempt site of `Scheme`.
+const GOLDEN_ABLATION_SCM_JSON: u64 = 0x60e4_ed85_a0f0_aaeb;
+const GOLDEN_ABLATION_SCM_AUX_CSV: u64 = 0xd7a0_fc34_0de8_4380;
+const GOLDEN_ABLATION_SCM_SUBSCRIPTION_CSV: u64 = 0xfb08_7358_9521_ddd3;
+const GOLDEN_ABLATION_GROUPED_JSON: u64 = 0x673c_a549_77d5_c71c;
+const GOLDEN_ABLATION_GROUPED_CSV: u64 = 0x6de9_0826_0c61_a04a;
+const GOLDEN_CHAOS_STRESS_JSON: u64 = 0x2d66_b447_3a07_76aa;
+const GOLDEN_CHAOS_FULL_CSV: u64 = 0x50c3_9eae_dc05_15a1;
+const GOLDEN_CHAOS_PREEMPT_CSV: u64 = 0x4faa_674a_9274_ad0d;
+const GOLDEN_CHAOS_STORM_CSV: u64 = 0xc0ca_affe_04cd_531b;
