@@ -17,7 +17,6 @@ fn run(
 ) -> TreeBenchResult {
     let mut spec = TreeBenchSpec::new(scheme, lock, threads, size, mix);
     spec.ops_per_thread = 250;
-    spec.window = 16;
     run_tree_bench(&spec)
 }
 
@@ -151,7 +150,6 @@ fn claim_spurious_aborts_trigger_fair_lock_lemming() {
     let mut hle_spec =
         TreeBenchSpec::new(SchemeKind::Hle, LockKind::Mcs, 8, 512, OpMix::LOOKUP_ONLY);
     hle_spec.ops_per_thread = 250;
-    hle_spec.window = 16;
     hle_spec.htm = htm;
     let hle = run_tree_bench(&hle_spec);
     let mut scm_spec = hle_spec;
