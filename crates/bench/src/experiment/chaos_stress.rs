@@ -40,8 +40,9 @@ fn spec_for(
     ops: u64,
 ) -> TreeBenchSpec {
     let (plan, htm_faults) = profile.at_intensity(level, 0xC4A0_5EED);
-    // window == 0 makes the run (including the fault schedule) a pure
-    // function of the seeds, which the determinism check relies on.
+    // Tree runs use scheduler window 0, which makes the run (including
+    // the fault schedule) a pure function of the seeds, which the
+    // determinism check relies on.
     let mut spec = tree_spec(scheme, lock, threads, 64, OpMix::MODERATE, ops);
     spec.htm = HtmConfig::deterministic().with_faults(htm_faults);
     spec.scheme_cfg = SchemeConfig::hardened();

@@ -35,9 +35,6 @@ pub struct TreeBenchSpec {
     pub mix: OpMix,
     /// Operations per thread in the measured phase.
     pub ops_per_thread: u64,
-    /// Scheduler lag window. The default, 0, makes a run a pure function
-    /// of its seeds; a larger window trades that for host speed.
-    pub window: u64,
     /// HTM configuration.
     pub htm: HtmConfig,
     /// RNG seed.
@@ -68,7 +65,6 @@ impl TreeBenchSpec {
             size,
             mix,
             ops_per_thread: 1000,
-            window: 0,
             htm: HtmConfig::haswell(),
             seed: 42,
             slot_cycles: None,
@@ -214,7 +210,7 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
         let slot_cycles = spec.slot_cycles;
         harness::run_arc_faulted(
             spec.threads,
-            spec.window,
+            0,
             spec.htm,
             spec.seed,
             spec.faults,

@@ -13,7 +13,6 @@ fn fig2_pipeline_smoke() {
     for lock in [LockKind::Ttas, LockKind::Mcs] {
         let mut spec = TreeBenchSpec::new(SchemeKind::Hle, lock, 4, 32, OpMix::MODERATE);
         spec.ops_per_thread = 100;
-        spec.window = 0;
         spec.htm = HtmConfig::deterministic();
         let r = run_tree_bench(&spec);
         assert_eq!(r.counters.completed(), 400);
@@ -26,7 +25,6 @@ fn fig2_pipeline_smoke() {
 fn fig3_pipeline_slots_cover_run() {
     let mut spec = TreeBenchSpec::new(SchemeKind::Hle, LockKind::Ttas, 4, 64, OpMix::MODERATE);
     spec.ops_per_thread = 150;
-    spec.window = 0;
     spec.htm = HtmConfig::deterministic();
     let calib = run_tree_bench(&spec);
     spec.slot_cycles = Some((calib.makespan / 40).max(1));
@@ -41,7 +39,6 @@ fn fig3_pipeline_slots_cover_run() {
 fn fig9_pipeline_baseline_speedups_are_finite() {
     let mut base = TreeBenchSpec::new(SchemeKind::NoLock, LockKind::Ttas, 1, 128, OpMix::MODERATE);
     base.ops_per_thread = 200;
-    base.window = 0;
     base.htm = HtmConfig::deterministic();
     let b = run_tree_bench(&base);
     assert!(b.throughput > 0.0);
@@ -98,7 +95,6 @@ fn hashtable_pipeline_smoke() {
 fn tree_bench_is_deterministic_in_strict_mode() {
     let mut spec = TreeBenchSpec::new(SchemeKind::HleScm, LockKind::Mcs, 4, 64, OpMix::MODERATE);
     spec.ops_per_thread = 100;
-    spec.window = 0;
     spec.htm = HtmConfig::deterministic();
     let a = run_tree_bench(&spec);
     let b = run_tree_bench(&spec);
@@ -123,7 +119,6 @@ fn parallel_sweep_matches_sequential_on_real_cells() {
                 cells.push(Cell::new(format!("{i}/{}", lock.label()), 4, move || {
                     let mut spec = TreeBenchSpec::new(scheme, lock, 4, 32, OpMix::MODERATE);
                     spec.ops_per_thread = 60;
-                    spec.window = 0;
                     spec.htm = HtmConfig::deterministic();
                     let r = run_tree_bench(&spec);
                     (r.makespan, r.counters.completed())
