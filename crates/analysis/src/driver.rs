@@ -20,8 +20,8 @@
 //! any window the sanitizer log's append order is the execution order
 //! (see [`elision_htm::SanLog`]), which all three passes rely on.
 //!
-//! Note the cell runs under [`SchemeConfig::paper`] plus the sanitize
-//! flag — deliberately *without* the speculation circuit breaker: the
+//! Note the cell runs under [`SchemeConfig::paper`] — deliberately
+//! *without* the speculation circuit breaker: the
 //! breaker's lockdown path takes the main lock directly (bypassing the
 //! SCM auxiliary handshake), which is a deliberate liveness/discipline
 //! trade-off the lint pass would rightly flag.
@@ -198,9 +198,7 @@ pub fn analyze(checks: &Checks, mem: &Memory, makespan: u64) -> Vec<Finding> {
 pub fn sanitize_run(spec: &SanitizeSpec) -> SanReport {
     let mut b = MemoryBuilder::new();
     b.enable_sanitizer();
-    let mut cfg = SchemeConfig::paper();
-    cfg.sanitize = true;
-    let scheme = make_scheme(spec.scheme, spec.lock, cfg, &mut b, spec.threads);
+    let scheme = make_scheme(spec.scheme, spec.lock, SchemeConfig::paper(), &mut b, spec.threads);
     let hot = b.alloc_isolated(0);
     let targets: Vec<VarId> = (0..TARGETS).map(|_| b.alloc_isolated(0)).collect();
     let mem = Arc::new(b.freeze(spec.threads));

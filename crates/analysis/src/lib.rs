@@ -18,7 +18,7 @@
 //!
 //! This crate checks all three *post hoc* over the one event stream the
 //! lower layers produce: the [`elision_htm::SanLog`] (every memory
-//! access, transaction event, lock transition and protocol marker, in
+//! access, transaction event, lock transition and lock subscription, in
 //! global execution order — one simulated thread runs at a time).
 //! [`driver::analyze`] is the one pipeline every run goes through: it
 //! runs all three passes plus the residual conflict-bit check.

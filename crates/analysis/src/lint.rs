@@ -2,7 +2,7 @@
 //!
 //! Reads the protocol-level events of the [`SanLog`](elision_htm::SanLog)
 //! (transaction begin/commit/abort, non-speculative lock transitions,
-//! subscription markers) and skips its word-level reads and writes. The
+//! subscriptions) and skips its word-level reads and writes. The
 //! checks are the paper's "discipline" obligations:
 //!
 //! * begin/commit/abort events balance per thread
@@ -26,8 +26,8 @@ use std::collections::HashMap;
 /// Configuration for [`lint_trace`].
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
-    /// Require a subscription marker before every commit (SLR/SCM lazy
-    /// or eager subscription schemes).
+    /// Require a subscription event before every commit (every
+    /// speculative scheme, whatever its subscription style).
     pub require_subscription: bool,
     /// Enforce the SCM rule: the main lock may only be taken by a
     /// thread holding an auxiliary lock.
@@ -106,10 +106,9 @@ pub fn lint_trace(cfg: &LintConfig, events: &[SanEvent]) -> Vec<Finding> {
                 threads[tid].in_txn = false;
                 threads[tid].subscribed = false;
             }
-            SanAccess::Marker { label: "subscribe", .. } => {
+            SanAccess::Subscribe { .. } => {
                 threads[tid].subscribed = true;
             }
-            SanAccess::Marker { .. } => {}
             SanAccess::LockAcquire { word } => {
                 let word = word.index();
                 if let Some(&holder) = holders.get(&word) {
@@ -231,10 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn subscription_marker_suppresses_the_lint() {
+    fn subscription_event_suppresses_the_lint() {
         let log = vec![
             ev(0, 1, SanAccess::TxnBegin),
-            ev(0, 2, SanAccess::Marker { label: "subscribe", value: u64::from(MAIN) }),
+            ev(0, 2, SanAccess::Subscribe { word: VarId::from_index(MAIN) }),
             ev(0, 3, SanAccess::TxnCommit),
         ];
         let mut c = cfg(1);

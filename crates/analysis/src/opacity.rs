@@ -177,7 +177,7 @@ pub fn check_opacity(cfg: &OpacityConfig, initial: &[u64], events: &[SanEvent]) 
                     lock_holder = None;
                 }
             }
-            SanAccess::Read { txn: false, .. } | SanAccess::Marker { .. } => {}
+            SanAccess::Read { txn: false, .. } | SanAccess::Subscribe { .. } => {}
         }
     }
     findings

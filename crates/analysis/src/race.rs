@@ -319,7 +319,7 @@ pub fn detect_races(cfg: &RaceConfig, events: &[SanEvent]) -> Vec<Finding> {
             }
             SanAccess::LockAcquire { .. }
             | SanAccess::LockRelease { .. }
-            | SanAccess::Marker { .. } => {}
+            | SanAccess::Subscribe { .. } => {}
         }
     }
     d.findings

@@ -309,7 +309,7 @@ impl LazyFixes {
 /// free. Derived from the lock's hardware descriptor so every family
 /// gets the family-appropriate corruption.
 fn zombie_wild_store(lock: &dyn RawLock, threads: usize) -> (VarId, u64) {
-    match lock.hw_subscription().expect("every built-in lock provides a descriptor") {
+    match lock.hw_subscription() {
         HwSubscription::ValueIs { word, free } => (word, free),
         // Ticket: overwrite `next` with `owner`'s initial value (0, and
         // still 0 while the victim holds its first acquisition), making

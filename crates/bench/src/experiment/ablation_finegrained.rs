@@ -28,7 +28,7 @@ fn run_sharded(scheme_kind: SchemeKind, fine_grained: bool, threads: usize, ops:
         .map(|_| {
             let main = make_lock(LockKind::Ttas, &mut b, threads);
             Arc::new(
-                Scheme::new(scheme_kind, SchemeConfig::paper(), main, None)
+                Scheme::new(scheme_kind, SchemeConfig::paper(), main, Vec::new())
                     .expect("non-SCM scheme needs no aux"),
             )
         })

@@ -66,11 +66,7 @@ pub fn make_scheme(
     b: &mut MemoryBuilder,
     threads: usize,
 ) -> Arc<Scheme> {
-    let main = make_lock(lock, b, threads);
-    let aux = if scheme.uses_aux() { Some(make_lock(LockKind::Mcs, b, threads)) } else { None };
-    // The aux lock is supplied exactly when the scheme needs it, so
-    // construction cannot fail.
-    Arc::new(Scheme::new(scheme, cfg, main, aux).expect("aux wired by construction"))
+    make_scheme_with_aux(scheme, lock, LockKind::Mcs, cfg, b, threads)
 }
 
 /// Build the grouped-SCM extension (§8 future work): `groups` auxiliary
@@ -85,7 +81,10 @@ pub fn make_grouped_scm(
     let main = make_lock(lock, b, threads);
     let aux = (0..groups.max(1)).map(|_| make_lock(LockKind::Mcs, b, threads)).collect();
     // `groups.max(1)` guarantees at least one aux lock.
-    Arc::new(Scheme::new_grouped(cfg, main, aux).expect("at least one aux by construction"))
+    Arc::new(
+        Scheme::new(SchemeKind::GroupedScm, cfg, main, aux)
+            .expect("at least one aux by construction"),
+    )
 }
 
 /// Like [`make_scheme`] but with an explicit auxiliary lock kind (the
@@ -99,7 +98,7 @@ pub fn make_scheme_with_aux(
     threads: usize,
 ) -> Arc<Scheme> {
     let main = make_lock(lock, b, threads);
-    let aux = if scheme.uses_aux() { Some(make_lock(aux_lock, b, threads)) } else { None };
+    let aux = if scheme.uses_aux() { vec![make_lock(aux_lock, b, threads)] } else { Vec::new() };
     // The aux lock is supplied exactly when the scheme needs it, so
     // construction cannot fail.
     Arc::new(Scheme::new(scheme, cfg, main, aux).expect("aux wired by construction"))

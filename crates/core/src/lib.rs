@@ -200,11 +200,11 @@ mod tests {
         let z = b.alloc_isolated(0);
         let main = make_lock(LockKind::Ttas, &mut b, 2);
         let standard = Arc::new(
-            Scheme::new(SchemeKind::Standard, SchemeConfig::paper(), Arc::clone(&main), None)
+            Scheme::new(SchemeKind::Standard, SchemeConfig::paper(), Arc::clone(&main), Vec::new())
                 .expect("Standard needs no aux lock"),
         );
         let slr = Arc::new(
-            Scheme::new(SchemeKind::OptSlr, SchemeConfig::paper(), Arc::clone(&main), None)
+            Scheme::new(SchemeKind::OptSlr, SchemeConfig::paper(), Arc::clone(&main), Vec::new())
                 .expect("OptSlr needs no aux lock"),
         );
         let mem = b.freeze(2);
@@ -444,16 +444,13 @@ mod tests {
         let mut b = MemoryBuilder::new();
         let main = make_lock(LockKind::Ttas, &mut b, 2);
         for kind in [SchemeKind::HleScm, SchemeKind::SlrScm, SchemeKind::GroupedScm] {
-            let err = Scheme::new(kind, SchemeConfig::paper(), Arc::clone(&main), None)
+            let err = Scheme::new(kind, SchemeConfig::paper(), Arc::clone(&main), Vec::new())
                 .expect_err("SCM without aux must be rejected");
             assert_eq!(err, SchemeError::MissingAuxLock(kind));
             assert!(err.to_string().contains("auxiliary lock"), "useful message: {err}");
         }
-        let err = Scheme::new_grouped(SchemeConfig::paper(), Arc::clone(&main), Vec::new())
-            .expect_err("grouped SCM without aux must be rejected");
-        assert_eq!(err, SchemeError::NoAuxLocks);
         // Non-SCM kinds never need the aux lock.
-        assert!(Scheme::new(SchemeKind::Hle, SchemeConfig::paper(), main, None).is_ok());
+        assert!(Scheme::new(SchemeKind::Hle, SchemeConfig::paper(), main, Vec::new()).is_ok());
     }
 
     #[test]
@@ -465,15 +462,16 @@ mod tests {
         let mut cfg = SchemeConfig::hardened();
         cfg.breaker =
             Some(BreakerConfig { trip_permille: 1001, ..BreakerConfig::default_policy() });
-        let err = Scheme::new(SchemeKind::Hle, cfg, Arc::clone(&main), None)
+        let err = Scheme::new(SchemeKind::Hle, cfg, Arc::clone(&main), Vec::new())
             .expect_err("untrippable breaker threshold must be rejected");
         assert_eq!(err, SchemeError::InvalidConfig { knob: "breaker.trip_permille", value: 1001 });
         assert!(err.to_string().contains("trip_permille"), "useful message: {err}");
 
         let mut cfg = SchemeConfig::hardened();
         cfg.breaker = Some(BreakerConfig { window_attempts: 0, ..BreakerConfig::default_policy() });
-        let err = Scheme::new_grouped(cfg, Arc::clone(&main), vec![Arc::clone(&main)])
-            .expect_err("empty breaker window must be rejected");
+        let err =
+            Scheme::new(SchemeKind::GroupedScm, cfg, Arc::clone(&main), vec![Arc::clone(&main)])
+                .expect_err("empty breaker window must be rejected");
         assert_eq!(err, SchemeError::InvalidConfig { knob: "breaker.window_attempts", value: 0 });
 
         // The boundary (trip at exactly 1000 permille = only when every
@@ -481,7 +479,7 @@ mod tests {
         let mut cfg = SchemeConfig::hardened();
         cfg.breaker =
             Some(BreakerConfig { trip_permille: 1000, ..BreakerConfig::default_policy() });
-        assert!(Scheme::new(SchemeKind::Hle, cfg, Arc::clone(&main), None).is_ok());
+        assert!(Scheme::new(SchemeKind::Hle, cfg, Arc::clone(&main), Vec::new()).is_ok());
         assert_eq!(SchemeConfig::paper().validate(), Ok(()));
         assert_eq!(SchemeConfig::hardened().validate(), Ok(()));
     }

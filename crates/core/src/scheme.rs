@@ -24,8 +24,15 @@
 //! speedup normalization) and a **true-nesting** SCM variant (elide the
 //! main lock inside the RTM transaction — the design Figure 7 describes
 //! but Haswell could not run) are provided.
+//!
+//! The speculative schemes differ only in how an attempt subscribes to
+//! the main lock, and each style is written once: *elided* (HLE,
+//! HLE-retries, true-nesting SCM), *checked* at begin (SCM's Haswell
+//! workaround) or *lazy* at commit (opt SLR, SLR-SCM, in a [`LazyMode`]).
+//! The three retry loops — Figures 1, 5 and 7 — share that one attempt
+//! builder, one locked fallback and one wait for the main lock.
 
-use elision_htm::{codes, Strand, TxResult};
+use elision_htm::{codes, AbortStatus, Strand, TxResult};
 use elision_locks::{FallbackOutcome, RawLock};
 use elision_sim::{AttemptKind, DetRng};
 use std::fmt;
@@ -36,10 +43,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeError {
     /// An SCM scheme (see [`SchemeKind::uses_aux`]) was constructed
-    /// without the auxiliary serializing lock it requires.
+    /// without an auxiliary serializing lock.
     MissingAuxLock(SchemeKind),
-    /// Grouped SCM was constructed with an empty auxiliary-lock vector.
-    NoAuxLocks,
     /// A [`SchemeConfig`] knob is out of its domain (see
     /// [`SchemeConfig::validate`]).
     InvalidConfig {
@@ -56,7 +61,6 @@ impl fmt::Display for SchemeError {
             SchemeError::MissingAuxLock(kind) => {
                 write!(f, "{kind} requires an auxiliary lock")
             }
-            SchemeError::NoAuxLocks => f.write_str("grouped SCM needs at least one auxiliary lock"),
             SchemeError::InvalidConfig { knob, value } => {
                 write!(f, "scheme config: {knob} = {value} is out of range")
             }
@@ -236,15 +240,19 @@ impl LazyMode {
 }
 
 /// Scheme tuning knobs.
+///
+/// Two behaviours have no knob. SLR always applies
+/// the §7 status tuning: an abort whose status says retrying is hopeless
+/// (capacity, explicit no-retry) ends speculation at once. And every
+/// speculative attempt logs its subscription to the main lock
+/// ([`elision_htm::SanAccess::Subscribe`]) whenever the memory carries a
+/// sanitizer log; without one, the log call is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeConfig {
     /// Speculative attempts before giving up and taking the real lock
     /// (the paper uses 10 for HLE-retries, opt SLR and the SCM aux-holder
     /// budget).
     pub max_retries: u32,
-    /// SLR tuning from §7: when the abort status says the transaction is
-    /// unlikely to succeed (e.g. capacity), skip the remaining retries.
-    pub slr_status_tuning: bool,
     /// SCM extension: elide the main lock inside the RTM transaction
     /// (true HLE-in-RTM nesting) instead of the read-and-check
     /// workaround the paper had to use on Haswell.
@@ -259,30 +267,22 @@ pub struct SchemeConfig {
     pub capacity_skips_retries: bool,
     /// Speculation circuit breaker, if enabled (see [`BreakerConfig`]).
     pub breaker: Option<BreakerConfig>,
-    /// Record `subscribe` protocol markers for the sanitizer's lint pass
-    /// whenever a speculative attempt subscribes to the main lock (elided
-    /// acquisition or SLR/SCM subscription read). Off in the paper
-    /// configuration: markers cost nothing in simulated time but bloat
-    /// the sanitizer log.
-    pub sanitize: bool,
     /// How SLR-style schemes subscribe to the main lock at commit time
     /// (see [`LazyMode`]). Eager schemes ignore this knob.
     pub lazy_mode: LazyMode,
 }
 
 impl SchemeConfig {
-    /// The paper's configuration: 10 retries, SLR status tuning on,
-    /// Haswell-faithful SCM workaround, no backoff, no breaker —
-    /// byte-for-byte the behaviour every figure of the paper measures.
+    /// The paper's configuration: 10 retries, Haswell-faithful SCM
+    /// workaround, no backoff, no breaker — byte-for-byte the behaviour
+    /// every figure of the paper measures.
     pub fn paper() -> Self {
         SchemeConfig {
             max_retries: 10,
-            slr_status_tuning: true,
             scm_true_nesting: false,
             backoff: None,
             capacity_skips_retries: false,
             breaker: None,
-            sanitize: false,
             lazy_mode: LazyMode::ReadSet,
         }
     }
@@ -293,8 +293,8 @@ impl SchemeConfig {
         self
     }
 
-    /// The model-checking configuration: the paper's settings with the
-    /// sanitizer log enabled. Deliberately keeps `breaker: None` — the
+    /// The model-checking configuration, equal to [`SchemeConfig::paper`].
+    /// Deliberately keeps `breaker: None` — the
     /// circuit breaker's state lives in host atomics invisible to the
     /// explorer's per-step footprints, so enabling it would make the
     /// partial-order reduction unsound (steps could interact through
@@ -302,7 +302,7 @@ impl SchemeConfig {
     /// drives [`super::SchemeKind::ALL`], which excludes `GroupedScm` for
     /// the same reason (its aux-lock round-robin cursor is a host atomic).
     pub fn explore() -> Self {
-        SchemeConfig { sanitize: true, ..Self::paper() }
+        Self::paper()
     }
 
     /// Check every knob against its domain: the breaker's trip threshold
@@ -458,56 +458,32 @@ impl fmt::Debug for Scheme {
 }
 
 impl Scheme {
-    /// Wrap `main` in the given scheme. SCM schemes require `aux` (the
-    /// paper recommends a fair lock; see [`SchemeKind::uses_aux`]).
+    /// Wrap `main` in the given scheme. SCM schemes need at least one
+    /// auxiliary lock in `aux` (the paper recommends a fair lock; see
+    /// [`SchemeKind::uses_aux`]): classic SCM serializes on `aux[0]`, and
+    /// grouped SCM (the §8 future-work extension) on
+    /// `aux[hash(conflict line) % aux.len()]`, so conflicts on unrelated
+    /// data do not serialize with each other. Other schemes do not use
+    /// `aux`.
     ///
     /// # Errors
     ///
-    /// [`SchemeError::MissingAuxLock`] if an SCM scheme is requested
-    /// without an auxiliary lock.
+    /// [`SchemeError::MissingAuxLock`] if an SCM scheme gets an empty
+    /// `aux`, and [`SchemeError::InvalidConfig`] if `cfg` fails
+    /// [`SchemeConfig::validate`].
     pub fn new(
         kind: SchemeKind,
-        cfg: SchemeConfig,
-        main: Arc<dyn RawLock>,
-        aux: Option<Arc<dyn RawLock>>,
-    ) -> Result<Self, SchemeError> {
-        cfg.validate()?;
-        if kind.uses_aux() && aux.is_none() {
-            return Err(SchemeError::MissingAuxLock(kind));
-        }
-        let aux: Vec<_> = aux.into_iter().collect();
-        let aux_traffic = aux.iter().map(|_| AtomicU64::new(0)).collect();
-        Ok(Scheme {
-            kind,
-            cfg,
-            main,
-            aux,
-            aux_rr: AtomicU64::new(0),
-            aux_traffic,
-            breaker: BreakerState::default(),
-        })
-    }
-
-    /// Build a grouped SCM scheme with one auxiliary lock per conflict
-    /// group (the §8 future-work extension). Aborted threads serialize on
-    /// `aux[hash(conflict line) % groups]`, so conflicts on unrelated
-    /// data do not serialize with each other.
-    ///
-    /// # Errors
-    ///
-    /// [`SchemeError::NoAuxLocks`] if `aux` is empty.
-    pub fn new_grouped(
         cfg: SchemeConfig,
         main: Arc<dyn RawLock>,
         aux: Vec<Arc<dyn RawLock>>,
     ) -> Result<Self, SchemeError> {
         cfg.validate()?;
-        if aux.is_empty() {
-            return Err(SchemeError::NoAuxLocks);
+        if kind.uses_aux() && aux.is_empty() {
+            return Err(SchemeError::MissingAuxLock(kind));
         }
         let aux_traffic = aux.iter().map(|_| AtomicU64::new(0)).collect();
         Ok(Scheme {
-            kind: SchemeKind::GroupedScm,
+            kind,
             cfg,
             main,
             aux,
@@ -562,11 +538,7 @@ impl Scheme {
                 let value = body(s).expect("non-speculative body cannot abort");
                 ExecOutcome { value, nonspeculative: false, attempts: 1 }
             }
-            SchemeKind::Standard => {
-                let value = self.run_locked(s, &mut body);
-                s.counters.record(AttemptKind::NonSpeculative);
-                ExecOutcome { value, nonspeculative: true, attempts: 1 }
-            }
+            SchemeKind::Standard => self.run_locked(s, &mut body, 1),
             _ => match &self.cfg.breaker {
                 None => self.execute_speculative(s, &mut body),
                 Some(bc) => {
@@ -575,9 +547,7 @@ impl Scheme {
                         // the main lock is always safe (it dooms whatever
                         // speculation is still in flight, which is exactly
                         // the storm the breaker is shedding).
-                        let value = self.run_locked(s, &mut body);
-                        s.counters.record(AttemptKind::NonSpeculative);
-                        return ExecOutcome { value, nonspeculative: true, attempts: 1 };
+                        return self.run_locked(s, &mut body, 1);
                     }
                     let outcome = self.execute_speculative(s, &mut body);
                     let aborted = u64::from(outcome.attempts.saturating_sub(1));
@@ -598,13 +568,13 @@ impl Scheme {
         s: &mut Strand,
         body: &mut impl FnMut(&mut Strand) -> TxResult<R>,
     ) -> ExecOutcome<R> {
+        let eager = if self.cfg.scm_true_nesting { Attempt::Elided } else { Attempt::Checked };
         match self.kind {
             SchemeKind::Hle => self.execute_hle(s, body, 1),
             SchemeKind::HleRetries => self.execute_hle(s, body, self.cfg.max_retries),
-            SchemeKind::HleScm => self.execute_scm(s, body, Subscription::Eager),
+            SchemeKind::HleScm | SchemeKind::GroupedScm => self.execute_scm(s, body, eager),
             SchemeKind::OptSlr => self.execute_slr(s, body),
-            SchemeKind::SlrScm => self.execute_scm(s, body, Subscription::Lazy),
-            SchemeKind::GroupedScm => self.execute_scm(s, body, Subscription::Eager),
+            SchemeKind::SlrScm => self.execute_scm(s, body, Attempt::Lazy),
             SchemeKind::NoLock | SchemeKind::Standard => {
                 unreachable!("non-speculative kinds handled by execute")
             }
@@ -621,153 +591,169 @@ impl Scheme {
         }
     }
 
-    /// Acquire the main lock, run the body non-speculatively, release.
+    /// Figure 1's test-and-test: outside any transaction, wait until the
+    /// main lock looks free. `first_arrival` counts an operation that
+    /// found the lock held when it arrived.
+    fn wait_for_main(&self, s: &mut Strand, first_arrival: bool) {
+        if self.main.is_locked(s).expect("plain read cannot abort") {
+            if first_arrival {
+                s.counters.arrived_lock_held += 1;
+            }
+            self.main.wait_until_free(s).expect("plain spin cannot abort");
+        }
+    }
+
+    /// Acquire the main lock and complete the operation under it (see
+    /// [`Scheme::locked_tail`]).
     fn run_locked<R>(
         &self,
         s: &mut Strand,
         body: &mut impl FnMut(&mut Strand) -> TxResult<R>,
-    ) -> R {
+        attempts: u32,
+    ) -> ExecOutcome<R> {
         self.main.acquire(s).expect("non-speculative acquire cannot abort");
-        let value = body(s).expect("non-speculative body cannot abort");
-        self.main.release(s).expect("non-speculative release cannot abort");
-        value
+        self.locked_tail(s, body, attempts)
     }
 
-    /// One elided (XACQUIRE .. XRELEASE) speculative attempt.
-    fn attempt_elided<R>(
+    /// With the main lock held, run the body non-speculatively, release
+    /// the lock, and return the non-speculative outcome of an operation
+    /// that took `attempts` attempts in all.
+    fn locked_tail<R>(
         &self,
         s: &mut Strand,
         body: &mut impl FnMut(&mut Strand) -> TxResult<R>,
-    ) -> Result<R, elision_htm::AbortStatus> {
-        let main = &self.main;
-        let sanitize = self.cfg.sanitize;
-        s.attempt(|s| {
-            main.elided_acquire(s)?;
-            if sanitize {
-                s.note("subscribe", u64::from(main.lock_word().index()));
-            }
-            let v = body(s)?;
-            main.elided_release(s)?;
-            Ok(v)
-        })
+        attempts: u32,
+    ) -> ExecOutcome<R> {
+        let value = body(s).expect("non-speculative body cannot abort");
+        self.main.release(s).expect("non-speculative release cannot abort");
+        s.counters.record(AttemptKind::NonSpeculative);
+        ExecOutcome { value, nonspeculative: true, attempts }
     }
 
-    /// Plain HLE (`budget == 1`) and HLE-retries (`budget == max_retries`).
+    /// One speculative attempt, the operation's `attempts`-th, subscribed
+    /// to the main lock in `how`'s style. A commit is the operation's
+    /// speculative outcome; an abort returns its status.
+    fn attempt<R>(
+        &self,
+        s: &mut Strand,
+        body: &mut impl FnMut(&mut Strand) -> TxResult<R>,
+        how: Attempt,
+        attempts: u32,
+    ) -> Result<ExecOutcome<R>, AbortStatus> {
+        let r = s.attempt(|s| match how {
+            Attempt::Elided => {
+                self.subscribe(s, how)?;
+                let v = body(s)?;
+                self.main.elided_release(s)?;
+                Ok(v)
+            }
+            Attempt::Checked => {
+                self.subscribe(s, how)?;
+                body(s)
+            }
+            Attempt::Lazy => {
+                // Declare lazy subscription up front so the hardware
+                // dangerous-instruction screen (when configured) covers
+                // every store the body issues.
+                s.mark_lazy_subscription();
+                let v = body(s)?;
+                self.subscribe(s, how)?;
+                Ok(v)
+            }
+        });
+        match r {
+            Ok(value) => {
+                s.counters.record(AttemptKind::Speculative);
+                Ok(ExecOutcome { value, nonspeculative: false, attempts })
+            }
+            Err(status) => {
+                s.counters.record(AttemptKind::Aborted);
+                Err(status)
+            }
+        }
+    }
+
+    /// The running attempt's subscription to the main lock, in `how`'s
+    /// style (lazy attempts in the [`SchemeConfig::lazy_mode`] mode). A
+    /// lock seen held aborts the attempt with [`codes::LOCK_BUSY`]; a
+    /// subscription that holds is logged for the lock-discipline lints.
+    fn subscribe(&self, s: &mut Strand, how: Attempt) -> TxResult<()> {
+        let main = &self.main;
+        let free = match (how, self.cfg.lazy_mode) {
+            // XACQUIRE: the elided acquisition puts the lock in the read
+            // set, and aborts by itself when the lock is busy.
+            (Attempt::Elided, _) => {
+                main.elided_acquire(s)?;
+                true
+            }
+            // Put the lock in the read set and check that it is free:
+            // SCM's Haswell workaround at begin, and Figure 5 line 24 at
+            // commit. A held lock means a non-speculative peer is inside
+            // the critical section; an acquisition after the check dooms
+            // the commit.
+            (Attempt::Checked, _) | (Attempt::Lazy, LazyMode::ReadSet) => !main.is_locked(s)?,
+            // The same check as real unfixed hardware runs it: a racy
+            // sample that joins no read set. A lock acquired after the
+            // sample but before the commit goes unnoticed.
+            (Attempt::Lazy, LazyMode::Unfenced) => s.probe_subscription(&main.hw_subscription())?,
+            // The hardware fix: hand the lock-free condition to the commit
+            // itself; no software read of the lock at all.
+            (Attempt::Lazy, LazyMode::HardwareCommit) => {
+                s.hw_subscribe(main.hw_subscription());
+                true
+            }
+        };
+        if !free {
+            return Err(s.xabort(codes::LOCK_BUSY, true));
+        }
+        s.note_subscribe(main.lock_word());
+        Ok(())
+    }
+
+    /// Plain HLE (`budget == 1`) and HLE-retries (`budget == max_retries`),
+    /// Figure 1.
     fn execute_hle<R>(
         &self,
         s: &mut Strand,
         body: &mut impl FnMut(&mut Strand) -> TxResult<R>,
         budget: u32,
     ) -> ExecOutcome<R> {
-        let retries_mode = budget > 1;
         let mut attempts = 0u32;
-        let mut first_arrival = true;
         let mut hopeless = false;
         loop {
             // Figure 1's outer test-and-test loop: unfair locks (and any
             // lock under Intel's retry guideline) wait until the lock
             // looks free before issuing the XACQUIRE.
-            if !self.main.is_fair() || retries_mode {
-                let held = self.main.is_locked(s).expect("plain read cannot abort");
-                if held {
-                    if first_arrival {
-                        s.counters.arrived_lock_held += 1;
-                    }
-                    self.main.wait_until_free(s).expect("plain spin cannot abort");
-                }
+            if !self.main.is_fair() || budget > 1 {
+                self.wait_for_main(s, attempts == 0);
             }
-            first_arrival = false;
-
             attempts += 1;
-            match self.attempt_elided(s, body) {
-                Ok(value) => {
-                    s.counters.record(AttemptKind::Speculative);
-                    return ExecOutcome { value, nonspeculative: false, attempts };
-                }
-                Err(status) => {
-                    s.counters.record(AttemptKind::Aborted);
-                    // Abort-cause adaptation: a capacity (or other
-                    // no-retry) abort will fail identically on every
-                    // retry — skip straight to the fallback.
-                    if self.cfg.capacity_skips_retries && !status.retry_recommended {
-                        hopeless = true;
-                    }
-                }
+            let status = match self.attempt(s, body, Attempt::Elided, attempts) {
+                Ok(outcome) => return outcome,
+                Err(status) => status,
+            };
+            // Abort-cause adaptation: a capacity (or other no-retry) abort
+            // will fail identically on every retry — skip straight to the
+            // fallback.
+            if self.cfg.capacity_skips_retries && !status.retry_recommended {
+                hopeless = true;
             }
-
             if attempts < budget && !hopeless {
                 self.backoff_wait(s, attempts);
+                continue;
             }
-
-            if attempts >= budget || hopeless {
-                // HLE's hardware fallback: re-execute the acquisition
-                // non-transactionally. For TTAS this is a single TAS that
-                // may fail (then we loop: spin and re-elide — Figure 1);
-                // queue locks enqueue and block, serializing behind every
-                // other aborted thread (the lemming effect).
-                match self.main.fallback_acquire(s).expect("fallback cannot abort") {
-                    FallbackOutcome::Acquired => {
-                        let value = body(s).expect("non-speculative body cannot abort");
-                        self.main.release(s).expect("release cannot abort");
-                        s.counters.record(AttemptKind::NonSpeculative);
-                        attempts += 1;
-                        return ExecOutcome { value, nonspeculative: true, attempts };
-                    }
-                    FallbackOutcome::Busy => {
-                        // Lock held by another aborted thread: loop back,
-                        // wait for it to leave, then re-enter speculation.
-                    }
-                }
+            // HLE's hardware fallback: re-execute the acquisition
+            // non-transactionally. For TTAS this is a single TAS that may
+            // fail (then we loop: spin and re-elide — Figure 1); queue
+            // locks enqueue and block, serializing behind every other
+            // aborted thread (the lemming effect).
+            match self.main.fallback_acquire(s).expect("fallback cannot abort") {
+                FallbackOutcome::Acquired => return self.locked_tail(s, body, attempts + 1),
+                // Lock held by another aborted thread: loop back, wait for
+                // it to leave, then re-enter speculation.
+                FallbackOutcome::Busy => {}
             }
         }
-    }
-
-    /// The commit-time subscription step of a lazy attempt, in the mode
-    /// [`SchemeConfig::lazy_mode`] selects. Must run as the last thing
-    /// before the attempt closure returns `Ok`.
-    fn lazy_subscribe(&self, s: &mut Strand) -> TxResult<()> {
-        let main = &self.main;
-        match self.cfg.lazy_mode {
-            // Read the lock only when ready to commit; if it is held a
-            // non-speculative peer is inside the critical section and we
-            // may have seen inconsistent state — self-abort (Figure 5
-            // line 24). The read joins the read set, so a post-check
-            // acquisition dooms the commit.
-            LazyMode::ReadSet => {
-                if main.is_locked(s)? {
-                    return Err(s.xabort(codes::LOCK_BUSY, true));
-                }
-            }
-            // The same software check as real unfixed hardware runs it:
-            // a racy sample that joins no read set. A lock acquired after
-            // the sample but before the commit goes unnoticed.
-            LazyMode::Unfenced => match main.hw_subscription() {
-                Some(sub) => {
-                    if !s.probe_subscription(&sub)? {
-                        return Err(s.xabort(codes::LOCK_BUSY, true));
-                    }
-                }
-                None => {
-                    if main.is_locked(s)? {
-                        return Err(s.xabort(codes::LOCK_BUSY, true));
-                    }
-                }
-            },
-            // The hardware fix: hand the lock-free condition to the
-            // commit itself; no software read of the lock at all.
-            LazyMode::HardwareCommit => match main.hw_subscription() {
-                Some(sub) => s.hw_subscribe(sub),
-                None => {
-                    if main.is_locked(s)? {
-                        return Err(s.xabort(codes::LOCK_BUSY, true));
-                    }
-                }
-            },
-        }
-        if self.cfg.sanitize {
-            s.note("subscribe", u64::from(main.lock_word().index()));
-        }
-        Ok(())
     }
 
     /// Optimistic SLR (Figure 5): no lock access until commit time.
@@ -779,141 +765,57 @@ impl Scheme {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let r = s.attempt(|s| {
-                // Declare lazy subscription up front so the hardware
-                // dangerous-instruction screen (when configured) covers
-                // every store the body issues.
-                s.mark_lazy_subscription();
-                let v = body(s)?;
-                self.lazy_subscribe(s)?;
-                Ok(v)
-            });
-            match r {
-                Ok(value) => {
-                    s.counters.record(AttemptKind::Speculative);
-                    return ExecOutcome { value, nonspeculative: false, attempts };
-                }
-                Err(status) => {
-                    s.counters.record(AttemptKind::Aborted);
-                    let hopeless = self.cfg.slr_status_tuning && !status.retry_recommended;
-                    if attempts >= self.cfg.max_retries || hopeless {
-                        let value = self.run_locked(s, body);
-                        s.counters.record(AttemptKind::NonSpeculative);
-                        return ExecOutcome { value, nonspeculative: true, attempts: attempts + 1 };
-                    }
-                    self.backoff_wait(s, attempts);
-                }
+            let status = match self.attempt(s, body, Attempt::Lazy, attempts) {
+                Ok(outcome) => return outcome,
+                Err(status) => status,
+            };
+            // §7 status tuning: an abort whose status says the
+            // transaction is unlikely to succeed (e.g. capacity) skips the
+            // remaining retries.
+            if attempts >= self.cfg.max_retries || !status.retry_recommended {
+                return self.run_locked(s, body, attempts + 1);
             }
+            self.backoff_wait(s, attempts);
         }
     }
 
-    /// SCM (Figure 7), parameterized by when the transaction subscribes
-    /// to the main lock: eagerly at begin (HLE-SCM, opacity-preserving)
-    /// or lazily at commit (SLR-SCM).
+    /// SCM (Figure 7), parameterized by how the transaction subscribes to
+    /// the main lock: at begin (HLE-SCM, opacity-preserving, by
+    /// [`Attempt::Checked`] or, with true nesting, [`Attempt::Elided`]) or
+    /// at commit (SLR-SCM, [`Attempt::Lazy`]).
     fn execute_scm<R>(
         &self,
         s: &mut Strand,
         body: &mut impl FnMut(&mut Strand) -> TxResult<R>,
-        subscription: Subscription,
+        how: Attempt,
     ) -> ExecOutcome<R> {
-        // The group is chosen by the *first* abort's conflict location and
-        // then kept for the whole operation (at most one auxiliary lock is
-        // ever held, so groups cannot deadlock against each other).
-        //
-        // Construction ([`Scheme::new`] / [`Scheme::new_grouped`]) rejects
-        // SCM schemes without auxiliary locks, so this is unreachable in
-        // practice; degrade to plain locking rather than panic if an
-        // impossible state is ever reached.
-        let Some(mut aux) = self.aux.first() else {
-            let value = self.run_locked(s, body);
-            s.counters.record(AttemptKind::NonSpeculative);
-            return ExecOutcome { value, nonspeculative: true, attempts: 1 };
-        };
-        let mut aux_idx = 0usize;
-        let mut aux_owner = false;
+        // The auxiliary lock this operation holds. The group is chosen by
+        // the *first* abort's conflict location and then kept for the
+        // whole operation (at most one auxiliary lock is ever held, so
+        // groups cannot deadlock against each other).
+        let mut held: Option<usize> = None;
         let mut retries = 0u32;
         let mut attempts = 0u32;
         let outcome = loop {
-            // With the eager (HLE-like) subscription, speculation while
-            // the main lock is held aborts instantly; wait it out first
-            // (the paper's HLE-SCM tuning).
-            if subscription == Subscription::Eager {
-                let held = self.main.is_locked(s).expect("plain read cannot abort");
-                if held {
-                    if attempts == 0 {
-                        s.counters.arrived_lock_held += 1;
-                    }
-                    self.main.wait_until_free(s).expect("plain spin cannot abort");
-                }
+            // With a subscription at begin, speculation while the main
+            // lock is held aborts instantly; wait it out first (the
+            // paper's HLE-SCM tuning).
+            if how != Attempt::Lazy {
+                self.wait_for_main(s, attempts == 0);
             }
-
             attempts += 1;
-            let main = &self.main;
-            let true_nesting = self.cfg.scm_true_nesting;
-            let sanitize = self.cfg.sanitize;
-            let r = s.attempt(|s| match subscription {
-                Subscription::Eager => {
-                    if true_nesting {
-                        // The design Figure 7 describes: nest the HLE
-                        // acquisition inside the RTM transaction.
-                        main.elided_acquire(s)?;
-                        if sanitize {
-                            s.note("subscribe", u64::from(main.lock_word().index()));
-                        }
-                        let v = body(s)?;
-                        main.elided_release(s)?;
-                        Ok(v)
-                    } else {
-                        // Haswell workaround: put the main lock in the
-                        // read set and verify it is free.
-                        if main.is_locked(s)? {
-                            return Err(s.xabort(codes::LOCK_BUSY, true));
-                        }
-                        if sanitize {
-                            s.note("subscribe", u64::from(main.lock_word().index()));
-                        }
-                        body(s)
-                    }
-                }
-                Subscription::Lazy => {
-                    s.mark_lazy_subscription();
-                    let v = body(s)?;
-                    self.lazy_subscribe(s)?;
-                    Ok(v)
-                }
-            });
-            let status = match r {
-                Ok(value) => {
-                    s.counters.record(AttemptKind::Speculative);
-                    break ExecOutcome { value, nonspeculative: false, attempts };
-                }
-                Err(status) => {
-                    s.counters.record(AttemptKind::Aborted);
-                    status
-                }
+            let status = match self.attempt(s, body, how, attempts) {
+                Ok(outcome) => break outcome,
+                Err(status) => status,
             };
 
             // Serializing path: group conflicting threads behind the
             // auxiliary lock; the holder rejoins the speculative run.
-            if !aux_owner {
-                if self.kind == SchemeKind::GroupedScm && self.aux.len() > 1 {
-                    let group = match status.conflict_line {
-                        Some(l) => {
-                            (l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize % self.aux.len()
-                        }
-                        // Capacity and explicit aborts carry no conflict
-                        // line; spread them round-robin so they do not all
-                        // dog-pile on aux[0].
-                        None => {
-                            self.aux_rr.fetch_add(1, Ordering::Relaxed) as usize % self.aux.len()
-                        }
-                    };
-                    aux = &self.aux[group];
-                    aux_idx = group;
-                }
-                self.aux_traffic[aux_idx].fetch_add(1, Ordering::Relaxed);
-                aux.acquire(s).expect("aux acquire cannot abort");
-                aux_owner = true;
+            if held.is_none() {
+                let group = self.aux_group(&status);
+                self.aux_traffic[group].fetch_add(1, Ordering::Relaxed);
+                self.aux[group].acquire(s).expect("aux acquire cannot abort");
+                held = Some(group);
             } else {
                 retries += 1;
             }
@@ -926,21 +828,44 @@ impl Scheme {
                 // The auxiliary-lock holder gives up: it is the only
                 // thread that may acquire the main lock, so this cannot
                 // deadlock and guarantees progress (paper §6).
-                let value = self.run_locked(s, body);
-                s.counters.record(AttemptKind::NonSpeculative);
-                break ExecOutcome { value, nonspeculative: true, attempts: attempts + 1 };
+                break self.run_locked(s, body, attempts + 1);
             }
             self.backoff_wait(s, attempts);
         };
-        if aux_owner {
-            aux.release(s).expect("aux release cannot abort");
+        if let Some(group) = held {
+            self.aux[group].release(s).expect("aux release cannot abort");
         }
         outcome
     }
+
+    /// The auxiliary lock an SCM operation serializes on after its first
+    /// abort: `aux[0]`, except under grouped SCM with several locks, where
+    /// the abort's conflict line picks the group.
+    fn aux_group(&self, status: &AbortStatus) -> usize {
+        let groups = self.aux.len();
+        if self.kind != SchemeKind::GroupedScm || groups == 1 {
+            return 0;
+        }
+        match status.conflict_line {
+            Some(l) => (l as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize % groups,
+            // Capacity and explicit aborts carry no conflict line; spread
+            // them round-robin so they do not all dog-pile on aux[0].
+            None => self.aux_rr.fetch_add(1, Ordering::Relaxed) as usize % groups,
+        }
+    }
 }
 
+/// How a speculative attempt subscribes to the main lock — the one thing
+/// the paper's algorithms vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Subscription {
-    Eager,
+enum Attempt {
+    /// Elide the main lock's acquisition (`XACQUIRE` .. `XRELEASE`):
+    /// HLE and HLE-retries (Figure 1), and SCM with true nesting.
+    Elided,
+    /// Read the main lock at begin and abort if it is held: SCM's
+    /// Haswell workaround (Figure 7).
+    Checked,
+    /// Subscribe at commit, in the [`SchemeConfig::lazy_mode`] mode: opt
+    /// SLR (Figure 5) and SLR-SCM.
     Lazy,
 }

@@ -93,16 +93,16 @@ fn scm_budget_counts_only_aux_holder_retries() {
 
 #[test]
 fn slr_status_tuning_skips_hopeless_retries() {
-    // Capacity aborts clear the retry hint: with tuning on, opt SLR gives
-    // up after the first abort; with tuning off it burns the full budget.
-    fn attempts(tuning: bool) -> u32 {
+    // Capacity aborts clear the retry hint, so opt SLR gives up after the
+    // first one; spurious aborts keep it, so opt SLR burns its full
+    // 10-attempt budget on them.
+    fn attempts(htm: HtmConfig) -> u32 {
         let mut b = MemoryBuilder::new().words_per_line(1);
         let vars = b.alloc_array(16, 0);
         b.pad_to_line();
-        let cfg = SchemeConfig { slr_status_tuning: tuning, ..SchemeConfig::paper() };
-        let scheme = make_scheme(SchemeKind::OptSlr, LockKind::Ttas, cfg, &mut b, 1);
+        let scheme =
+            make_scheme(SchemeKind::OptSlr, LockKind::Ttas, SchemeConfig::paper(), &mut b, 1);
         let mem = b.freeze(1);
-        let htm = HtmConfig::deterministic().with_capacity(64, 4);
         let (mut out, ..) = harness::run(1, 0, htm, 1, mem, move |s| {
             let o = scheme.execute(s, |s| {
                 for k in 0..8 {
@@ -114,8 +114,10 @@ fn slr_status_tuning_skips_hopeless_retries() {
         });
         out.pop().expect("one result")
     }
-    assert_eq!(attempts(true), 2, "tuned: first capacity abort ends speculation");
-    assert_eq!(attempts(false), 11, "untuned: full 10-attempt budget");
+    let capacity = HtmConfig::deterministic().with_capacity(64, 4);
+    assert_eq!(attempts(capacity), 2, "first capacity abort ends speculation");
+    let spurious = HtmConfig::deterministic().with_spurious(0.0, 1.0);
+    assert_eq!(attempts(spurious), 11, "retryable aborts use the full budget");
 }
 
 #[test]
@@ -132,7 +134,7 @@ fn scm_releases_aux_lock_on_both_paths() {
                 SchemeKind::HleScm,
                 SchemeConfig::paper(),
                 Arc::clone(&main),
-                Some(Arc::clone(&aux)),
+                vec![Arc::clone(&aux)],
             )
             .expect("aux supplied"),
         );

@@ -77,13 +77,13 @@ pub enum SanAccess {
         /// The lock's primary word.
         word: VarId,
     },
-    /// A protocol marker (e.g. the elision schemes' `subscribe` marker
-    /// recorded when a transaction subscribes to the main lock).
-    Marker {
-        /// Marker label.
-        label: &'static str,
-        /// Marker value (typically a lock word index).
-        value: u64,
+    /// A speculative attempt subscribed to a lock (reported by the
+    /// elision schemes via [`crate::Strand::note_subscribe`]): it elided
+    /// the acquisition, found the lock free at begin, or passed its
+    /// commit-time subscription step.
+    Subscribe {
+        /// The lock's primary word.
+        word: VarId,
     },
 }
 

@@ -152,10 +152,11 @@ impl Strand {
         self.san(SanAccess::LockRelease { word });
     }
 
-    /// Record a protocol marker (e.g. the elision schemes' `subscribe`
-    /// marker) into the sanitizer log.
-    pub fn note(&mut self, label: &'static str, value: u64) {
-        self.san(SanAccess::Marker { label, value });
+    /// Record that the running attempt subscribed to the lock whose
+    /// primary word is `word` (called by the elision schemes once the
+    /// subscription holds).
+    pub fn note_subscribe(&mut self, word: VarId) {
+        self.san(SanAccess::Subscribe { word });
     }
 
     /// The simulated thread id.

@@ -1,6 +1,6 @@
 //! Tests of the sanitizer event log wired through the HTM layer.
 
-use elision_htm::{harness, HtmConfig, MemoryBuilder, SanAccess, VarId};
+use elision_htm::{harness, HtmConfig, MemoryBuilder, SanAccess, SanEvent, VarId};
 use elision_sim::AbortCause;
 
 #[test]
@@ -161,4 +161,44 @@ fn doomed_transactions_publish_nothing() {
         .snapshot()
         .iter()
         .any(|e| e.access == SanAccess::Write { var: x, value: 5, txn: false }));
+}
+
+/// A subscription is logged as one typed event between its transaction's
+/// begin and commit, with the lock word, thread and clock, when the
+/// memory carries a log; without one the call does nothing. Either way it
+/// costs no simulated time.
+#[test]
+fn subscription_is_logged_as_a_typed_event() {
+    /// One transaction that subscribes to `lock` if asked: its log, if
+    /// any, and the thread's clock at the end.
+    fn run(lock: VarId, sanitize: bool, subscribe: bool) -> (Option<Vec<SanEvent>>, u64) {
+        let mut b = MemoryBuilder::new();
+        assert_eq!(b.alloc_isolated(0), lock);
+        if sanitize {
+            b.enable_sanitizer();
+        }
+        let mem = b.freeze(1);
+        let (mut ends, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+            s.begin();
+            if subscribe {
+                s.note_subscribe(lock);
+            }
+            s.commit().unwrap();
+            s.now()
+        });
+        (mem.san_log().map(|log| log.snapshot()), ends.pop().expect("one thread"))
+    }
+    let lock = MemoryBuilder::new().alloc_isolated(0);
+    let (log, end) = run(lock, true, true);
+    let log = log.expect("sanitizer enabled");
+    let accesses: Vec<SanAccess> = log.iter().map(|e| e.access).collect();
+    assert_eq!(
+        accesses,
+        vec![SanAccess::TxnBegin, SanAccess::Subscribe { word: lock }, SanAccess::TxnCommit]
+    );
+    assert_eq!((log[1].tid, log[1].time), (0, log[0].time));
+    assert_eq!(run(lock, true, false).1, end, "logging a subscription advanced the clock");
+    let (unlogged, unlogged_end) = run(lock, false, true);
+    assert!(unlogged.is_none());
+    assert_eq!(unlogged_end, end);
 }

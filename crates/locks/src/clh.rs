@@ -145,13 +145,13 @@ impl RawLock for ClhLock {
         self.tail
     }
 
-    fn hw_subscription(&self) -> Option<HwSubscription> {
+    fn hw_subscription(&self) -> HwSubscription {
         // Free ⇔ the node the tail points at is unlocked.
-        Some(HwSubscription::IndirectValueIs {
+        HwSubscription::IndirectValueIs {
             ptr: self.tail,
             table: self.node_locked.clone(),
             free: UNLOCKED,
-        })
+        }
     }
 
     fn name(&self) -> &'static str {

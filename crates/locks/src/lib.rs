@@ -122,12 +122,10 @@ pub trait RawLock: Send + Sync {
     /// A descriptor the hardware commit-time subscription extension
     /// (arXiv 1407.6968) can evaluate atomically with commit: "this lock
     /// is free" expressed over raw words, with no software read involved.
-    /// `None` means the lock's free condition is not expressible in the
-    /// descriptor forms the simulated hardware supports, and schemes must
-    /// fall back to software subscription.
-    fn hw_subscription(&self) -> Option<HwSubscription> {
-        None
-    }
+    /// Every lock has one, and it must agree with [`RawLock::is_locked`]:
+    /// [`elision_htm::Memory::subscription_free`] of it is `true` exactly
+    /// when the lock is not held.
+    fn hw_subscription(&self) -> HwSubscription;
 
     /// A short human-readable name ("TTAS", "MCS", ...).
     fn name(&self) -> &'static str;

@@ -123,8 +123,8 @@ impl RawLock for McsLock {
         self.tail
     }
 
-    fn hw_subscription(&self) -> Option<HwSubscription> {
-        Some(HwSubscription::ValueIs { word: self.tail, free: NIL })
+    fn hw_subscription(&self) -> HwSubscription {
+        HwSubscription::ValueIs { word: self.tail, free: NIL }
     }
 
     fn name(&self) -> &'static str {

@@ -135,9 +135,9 @@ impl RawLock for TicketLock {
         self.next
     }
 
-    fn hw_subscription(&self) -> Option<HwSubscription> {
+    fn hw_subscription(&self) -> HwSubscription {
         // Free ⇔ no outstanding tickets: next == owner.
-        Some(HwSubscription::WordsEqual { a: self.next, b: self.owner })
+        HwSubscription::WordsEqual { a: self.next, b: self.owner }
     }
 
     fn name(&self) -> &'static str {

@@ -82,8 +82,8 @@ impl RawLock for TtasLock {
         self.word
     }
 
-    fn hw_subscription(&self) -> Option<HwSubscription> {
-        Some(HwSubscription::ValueIs { word: self.word, free: FREE })
+    fn hw_subscription(&self) -> HwSubscription {
+        HwSubscription::ValueIs { word: self.word, free: FREE }
     }
 
     fn wait_until_free(&self, s: &mut Strand) -> TxResult<()> {

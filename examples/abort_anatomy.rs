@@ -26,7 +26,7 @@ fn describe(access: &SanAccess) -> Option<String> {
         SanAccess::TxnAbort { cause, .. } => format!("txn-abort({})", cause.label()),
         SanAccess::LockAcquire { word } => format!("lock-acquire({})", word.index()),
         SanAccess::LockRelease { word } => format!("lock-release({})", word.index()),
-        SanAccess::Marker { label, value } => format!("{label}={value}"),
+        SanAccess::Subscribe { word } => format!("subscribe({})", word.index()),
         SanAccess::Read { .. } | SanAccess::Write { .. } => return None,
     })
 }

@@ -82,7 +82,7 @@ fn disjoint_throughput(kind: LockKind, scheme_kind: SchemeKind) -> f64 {
     let slots: Vec<_> = (0..threads).map(|_| b.alloc_isolated(0)).collect();
     let main = make_lock(kind, &mut b, threads);
     let scheme = Arc::new(
-        Scheme::new(scheme_kind, SchemeConfig::paper(), main, None)
+        Scheme::new(scheme_kind, SchemeConfig::paper(), main, Vec::new())
             .expect("non-SCM scheme needs no aux"),
     );
     let mem = b.freeze(threads);
