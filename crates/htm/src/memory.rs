@@ -12,9 +12,21 @@
 //! frozen; the word *set* is immutable during a run while the word
 //! *values* are updated through `Strand` accesses. Dynamic structures
 //! (tree nodes, queue links) manage free-lists over pre-allocated regions.
+//!
+//! # The baton orders all simulated state
+//!
+//! Only the simulated thread holding the scheduler's baton runs, so the
+//! baton orders all simulated state: a handoff stores the baton and its
+//! receiver loads it, both `SeqCst`, a release/acquire edge from one
+//! holder to the next. Fibers share one host thread, and reads after a
+//! run are ordered by `join`. Everything else, the scheduler's clocks and
+//! the memory's words, line bitmaps, dooms, doom lines and epochs, is
+//! `Relaxed`, and a read-modify-write is a plain load and store. Only the
+//! baton, the poison flag and the handoff's two fences keep `SeqCst`.
 
 use crate::sanitize::SanLog;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Identifies one 64-bit word of simulated shared memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,8 +107,9 @@ pub enum HwSubscription {
     IndirectValueIs {
         /// The pointer word (e.g. the CLH tail, holding a node index).
         ptr: VarId,
-        /// Node-index-to-word translation table.
-        table: Vec<VarId>,
+        /// Node-index-to-word translation table, shared with the lock so
+        /// that handing out the descriptor allocates nothing.
+        table: Arc<[VarId]>,
         /// The value of the resolved word meaning "unlocked".
         free: u64,
     },
@@ -315,6 +328,12 @@ pub struct Memory {
 
 pub(crate) const REASON_CONFLICT: u64 = 1;
 
+/// Read-modify-write `word` as a plain load and store: only the baton
+/// holder touches simulated state, so no peer can interleave.
+fn update(word: &AtomicU64, f: impl FnOnce(u64) -> u64) {
+    word.store(f(word.load(Ordering::Relaxed)), Ordering::Relaxed);
+}
+
 impl Memory {
     /// Number of words.
     pub fn words(&self) -> usize {
@@ -356,47 +375,47 @@ impl Memory {
     /// validation and post-run assertions only — never call this from a
     /// simulated thread during a run.
     pub fn read_direct(&self, var: VarId) -> u64 {
-        self.words[var.0 as usize].load(Ordering::SeqCst)
+        self.words[var.0 as usize].load(Ordering::Relaxed)
     }
 
     /// Write a word without any simulation bookkeeping (see
     /// [`Memory::read_direct`] for the usage restriction).
     pub fn write_direct(&self, var: VarId, value: u64) {
-        self.words[var.0 as usize].store(value, Ordering::SeqCst);
+        self.words[var.0 as usize].store(value, Ordering::Relaxed);
     }
 
     // ---- conflict-engine internals (crate-visible for Strand) ----
 
     pub(crate) fn raw_load(&self, var: VarId) -> u64 {
-        self.words[var.0 as usize].load(Ordering::SeqCst)
+        self.words[var.0 as usize].load(Ordering::Relaxed)
     }
 
     pub(crate) fn raw_store(&self, var: VarId, value: u64) {
-        self.words[var.0 as usize].store(value, Ordering::SeqCst);
+        self.words[var.0 as usize].store(value, Ordering::Relaxed);
     }
 
     pub(crate) fn set_reader(&self, line: LineId, tid: usize) {
-        self.lines[line.0 as usize].readers.fetch_or(1 << tid, Ordering::SeqCst);
+        update(&self.lines[line.0 as usize].readers, |r| r | 1 << tid);
     }
 
     pub(crate) fn set_writer(&self, line: LineId, tid: usize) {
-        self.lines[line.0 as usize].writers.fetch_or(1 << tid, Ordering::SeqCst);
+        update(&self.lines[line.0 as usize].writers, |w| w | 1 << tid);
     }
 
     pub(crate) fn clear_reader(&self, line: LineId, tid: usize) {
-        self.lines[line.0 as usize].readers.fetch_and(!(1 << tid), Ordering::SeqCst);
+        update(&self.lines[line.0 as usize].readers, |r| r & !(1 << tid));
     }
 
     pub(crate) fn clear_writer(&self, line: LineId, tid: usize) {
-        self.lines[line.0 as usize].writers.fetch_and(!(1 << tid), Ordering::SeqCst);
+        update(&self.lines[line.0 as usize].writers, |w| w & !(1 << tid));
     }
 
     pub(crate) fn readers_of(&self, line: LineId) -> u64 {
-        self.lines[line.0 as usize].readers.load(Ordering::SeqCst)
+        self.lines[line.0 as usize].readers.load(Ordering::Relaxed)
     }
 
     pub(crate) fn writers_of(&self, line: LineId) -> u64 {
-        self.lines[line.0 as usize].writers.load(Ordering::SeqCst)
+        self.lines[line.0 as usize].writers.load(Ordering::Relaxed)
     }
 
     /// Doom every thread in `bitmap` except `except` (requestor wins),
@@ -417,36 +436,36 @@ impl Memory {
     /// is best-effort (a concurrent doom may overwrite it) — like the
     /// abort-address hints real hardware could provide.
     pub(crate) fn doom_thread(&self, victim: usize, line: LineId) {
-        let e = self.epochs[victim].load(Ordering::SeqCst);
+        let e = self.epochs[victim].load(Ordering::Relaxed);
         if e & 1 == 1 {
-            self.doom_lines[victim].store(line.0 as u64, Ordering::SeqCst);
-            self.dooms[victim].store((e << 8) | REASON_CONFLICT, Ordering::SeqCst);
+            self.doom_lines[victim].store(line.0 as u64, Ordering::Relaxed);
+            self.dooms[victim].store((e << 8) | REASON_CONFLICT, Ordering::Relaxed);
         }
     }
 
     /// The best-effort conflict location recorded with `tid`'s doom.
     pub(crate) fn doom_line(&self, tid: usize) -> Option<u32> {
-        let v = self.doom_lines[tid].load(Ordering::SeqCst);
+        let v = self.doom_lines[tid].load(Ordering::Relaxed);
         u32::try_from(v).ok()
     }
 
     pub(crate) fn begin_epoch(&self, tid: usize) -> u64 {
         // 0 -> 1, 2 -> 3, ...: the new odd value marks "in transaction".
-        let e = self.epochs[tid].load(Ordering::SeqCst) + 1;
+        let e = self.epochs[tid].load(Ordering::Relaxed) + 1;
         debug_assert!(e & 1 == 1, "begin inside a transaction");
-        self.epochs[tid].store(e, Ordering::SeqCst);
+        self.epochs[tid].store(e, Ordering::Relaxed);
         e
     }
 
     pub(crate) fn end_epoch(&self, tid: usize) {
-        let e = self.epochs[tid].load(Ordering::SeqCst) + 1;
+        let e = self.epochs[tid].load(Ordering::Relaxed) + 1;
         debug_assert!(e & 1 == 0, "end outside a transaction");
-        self.epochs[tid].store(e, Ordering::SeqCst);
+        self.epochs[tid].store(e, Ordering::Relaxed);
     }
 
     /// Whether `tid`'s transaction at `epoch` has been doomed by a peer.
     pub(crate) fn is_doomed(&self, tid: usize, epoch: u64) -> bool {
-        self.dooms[tid].load(Ordering::SeqCst) >> 8 == epoch
+        self.dooms[tid].load(Ordering::Relaxed) >> 8 == epoch
     }
 
     /// Evaluate a hardware subscription descriptor against committed
@@ -471,19 +490,17 @@ impl Memory {
     /// The cache lines a subscription descriptor's evaluation reads —
     /// the commit step's extra footprint for the model checker (the
     /// hardware check makes commit order-dependent on lock-word writes).
-    pub fn subscription_lines(&self, sub: &HwSubscription) -> Vec<LineId> {
-        match sub {
-            HwSubscription::ValueIs { word, .. } => vec![self.line_of(*word)],
-            HwSubscription::WordsEqual { a, b } => vec![self.line_of(*a), self.line_of(*b)],
+    /// At most two lines, yielded without allocating.
+    pub fn subscription_lines(&self, sub: &HwSubscription) -> impl Iterator<Item = LineId> {
+        let (first, second) = match sub {
+            HwSubscription::ValueIs { word, .. } => (*word, None),
+            HwSubscription::WordsEqual { a, b } => (*a, Some(*b)),
             HwSubscription::IndirectValueIs { ptr, table, .. } => {
-                let mut lines = vec![self.line_of(*ptr)];
                 let idx = self.raw_load(*ptr);
-                if let Some(word) = usize::try_from(idx).ok().and_then(|i| table.get(i)) {
-                    lines.push(self.line_of(*word));
-                }
-                lines
+                (*ptr, usize::try_from(idx).ok().and_then(|i| table.get(i)).copied())
             }
-        }
+        };
+        [Some(self.line_of(first)), second.map(|w| self.line_of(w))].into_iter().flatten()
     }
 
     /// The sanitizer event log, if [`MemoryBuilder::enable_sanitizer`]
@@ -502,7 +519,7 @@ impl Memory {
             .iter()
             .enumerate()
             .filter(|(_, l)| {
-                l.readers.load(Ordering::SeqCst) != 0 || l.writers.load(Ordering::SeqCst) != 0
+                l.readers.load(Ordering::Relaxed) != 0 || l.writers.load(Ordering::Relaxed) != 0
             })
             .map(|(i, _)| LineId(i as u32))
             .collect()
@@ -688,12 +705,12 @@ mod tests {
         m.write_direct(a, 4);
         assert!(!m.subscription_free(&eq));
 
-        let ind = HwSubscription::IndirectValueIs { ptr, table: vec![n0, n1], free: 0 };
+        let ind = HwSubscription::IndirectValueIs { ptr, table: Arc::from([n0, n1]), free: 0 };
         assert!(m.subscription_free(&ind), "node 1 is unlocked");
         m.write_direct(ptr, 0);
         assert!(!m.subscription_free(&ind), "node 0 is locked");
         m.write_direct(ptr, 99);
         assert!(!m.subscription_free(&ind), "garbage pointer is never free");
-        assert_eq!(m.subscription_lines(&ind).len(), 1, "garbage resolves no second line");
+        assert_eq!(m.subscription_lines(&ind).count(), 1, "garbage resolves no second line");
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::{FallbackOutcome, RawLock, TXN_SPIN_BUDGET};
 use elision_htm::{codes, HwSubscription, MemoryBuilder, Strand, TxResult, VarId};
+use std::sync::Arc;
 
 const LOCKED: u64 = 1;
 const UNLOCKED: u64 = 0;
@@ -20,8 +21,9 @@ const UNLOCKED: u64 = 0;
 #[derive(Debug)]
 pub struct ClhLock {
     tail: VarId,
-    /// `locked` flag of each node (indices `0..=threads`).
-    node_locked: Vec<VarId>,
+    /// `locked` flag of each node (indices `0..=threads`), shared with
+    /// every [`HwSubscription`] the lock hands out.
+    node_locked: Arc<[VarId]>,
     /// Per-thread: which node the thread currently owns.
     my_node: Vec<VarId>,
     /// Per-thread: predecessor node saved between acquire and release.
@@ -42,7 +44,8 @@ impl ClhLock {
 
     fn with_adaptation(b: &mut MemoryBuilder, threads: usize, adapted: bool) -> Self {
         // Node `threads` is the initial tail node, unlocked.
-        let node_locked: Vec<VarId> = (0..=threads).map(|_| b.alloc_lock_word(UNLOCKED)).collect();
+        let node_locked: Arc<[VarId]> =
+            (0..=threads).map(|_| b.alloc_lock_word(UNLOCKED)).collect();
         ClhLock {
             tail: b.alloc_lock_word(threads as u64),
             node_locked,
@@ -149,7 +152,7 @@ impl RawLock for ClhLock {
         // Free ⇔ the node the tail points at is unlocked.
         HwSubscription::IndirectValueIs {
             ptr: self.tail,
-            table: self.node_locked.clone(),
+            table: Arc::clone(&self.node_locked),
             free: UNLOCKED,
         }
     }

@@ -426,6 +426,12 @@ impl Fibers {
         }
     }
 
+    /// The running fiber; `None` while the host runs.
+    pub(crate) fn current(&self) -> Option<usize> {
+        self.shared.check_owner();
+        self.shared.current.get()
+    }
+
     /// Whether the running fiber must not switch: a peer panicked, or this
     /// fiber is itself unwinding. A fiber that is unwinding finishes its
     /// unwind without passing the turn, so no other fiber ever runs while

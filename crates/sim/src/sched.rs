@@ -61,6 +61,17 @@
 //! Only the baton holder writes the clocks and the baton, so a decision
 //! never races with a peer.
 //!
+//! # The baton orders all simulated state
+//!
+//! Only the simulated thread holding the scheduler's baton runs, so the
+//! baton orders all simulated state: a handoff stores the baton and its
+//! receiver loads it, both `SeqCst`, a release/acquire edge from one
+//! holder to the next. Fibers share one host thread, and reads after a
+//! run are ordered by `join`. Everything else, the scheduler's clocks and
+//! the memory's words, line bitmaps, dooms, doom lines and epochs, is
+//! `Relaxed`, and a read-modify-write is a plain load and store. Only the
+//! baton, the poison flag and the handoff's two fences keep `SeqCst`.
+//!
 //! # Panics
 //!
 //! A simulated thread that panics holds the baton and keeps it while it
@@ -220,7 +231,7 @@ impl Scheduler {
 
     /// Read thread `id`'s clock (`u64::MAX` once finished).
     pub fn time_of(&self, id: usize) -> u64 {
-        self.times[id].0.load(Ordering::SeqCst)
+        self.times[id].0.load(Ordering::Relaxed)
     }
 
     /// The one decision function. Thread `id`, which holds the baton, has
@@ -234,7 +245,7 @@ impl Scheduler {
         // The other live thread with the smallest `(clock, id)`.
         let (mut min, mut min_id) = (DONE, id);
         for (t, clock) in self.times.iter().enumerate() {
-            let v = clock.0.load(Ordering::SeqCst);
+            let v = clock.0.load(Ordering::Relaxed);
             if t != id && v < min {
                 min = v;
                 min_id = t;
@@ -251,6 +262,17 @@ impl Scheduler {
                 mine <= min.saturating_add(self.window)
             };
         Some(if keep { id } else { min_id })
+    }
+
+    /// The simulated thread that holds the baton: the running fiber, or
+    /// the OS thread that `turn` names (`None` before the start).
+    fn holder(&self) -> Option<usize> {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if let Some(fibers) = &self.fibers {
+            return fibers.current();
+        }
+        let t = self.turn.load(Ordering::SeqCst);
+        (t != NOBODY).then_some(t)
     }
 
     /// The one handoff: pass the baton from the running thread `from` to
@@ -304,14 +326,19 @@ impl Scheduler {
     }
 
     fn advance(&self, id: usize, cost: u64) {
+        // The relaxed clocks and memory rely on this. A poisoned peer may
+        // still run its drops while it unwinds.
+        debug_assert!(
+            std::thread::panicking() || self.holder() == Some(id),
+            "simulated thread {id} advanced without the baton"
+        );
+        let clock = &self.times[id].0;
+        let now = clock.load(Ordering::Relaxed);
         let cost = match self.faults.get(id) {
-            Some(f) => {
-                let now = self.times[id].0.load(Ordering::SeqCst);
-                cost + f.lock().extra_cycles(now, cost)
-            }
+            Some(f) => cost + f.lock().extra_cycles(now, cost),
             None => cost,
         };
-        self.times[id].0.fetch_add(cost, Ordering::SeqCst);
+        clock.store(now + cost, Ordering::Relaxed);
         // Single-thread fast path: alone in a free run, a thread always
         // keeps the baton (fill phases and single-thread baselines take
         // this branch on every advance).
@@ -328,7 +355,7 @@ impl Scheduler {
     /// Mark `id` finished and return the thread that runs next (`None`:
     /// every thread has finished).
     pub(crate) fn finish(&self, id: usize) -> Option<usize> {
-        self.times[id].0.store(DONE, Ordering::SeqCst);
+        self.times[id].0.store(DONE, Ordering::Relaxed);
         self.next(id, true)
     }
 }
@@ -425,7 +452,7 @@ mod tests {
     fn at_clocks(window: u64, clocks: &[u64]) -> Scheduler {
         let s = Scheduler::new(clocks.len(), window);
         for (t, &c) in clocks.iter().enumerate() {
-            s.times[t].0.store(c, Ordering::SeqCst);
+            s.times[t].0.store(c, Ordering::Relaxed);
         }
         s
     }
@@ -435,10 +462,10 @@ mod tests {
         let s = at_clocks(0, &[0, 0, 5]);
         assert_eq!(s.finish(0), Some(1), "the baton goes to the smallest live peer");
         assert_eq!(s.time_of(0), u64::MAX, "finished threads report DONE");
-        s.times[1].0.store(9, Ordering::SeqCst);
+        s.times[1].0.store(9, Ordering::Relaxed);
         assert_eq!(s.next(1, false), Some(2), "finished thread 0 is not the minimum");
         assert_eq!(s.finish(1), Some(2));
-        s.times[2].0.store(1_000, Ordering::SeqCst);
+        s.times[2].0.store(1_000, Ordering::Relaxed);
         assert_eq!(s.next(2, false), Some(2), "a thread alone keeps the baton");
     }
 
@@ -446,7 +473,7 @@ mod tests {
     fn runnable_respects_window() {
         let s = at_clocks(8, &[8, 0]);
         assert_eq!(s.next(0, false), Some(0), "8 <= 0 + 8 keeps the baton");
-        s.times[0].0.store(9, Ordering::SeqCst);
+        s.times[0].0.store(9, Ordering::Relaxed);
         assert_eq!(s.next(0, false), Some(1), "9 > 0 + 8 hands it on");
         let s = at_clocks(8, &[20, 3, 3, 1]);
         assert_eq!(s.next(0, false), Some(3), "the baton goes to the smallest clock");
@@ -461,6 +488,15 @@ mod tests {
         assert_eq!(s.next(0, false), Some(1));
     }
 
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "simulated thread 1 advanced without the baton")]
+    fn advancing_without_the_baton_panics() {
+        let s = Arc::new(Scheduler::new(2, 0));
+        s.release_start();
+        SimHandle::new(s, 1).advance(1);
+    }
+
     #[test]
     fn all_done_yields_none() {
         let s = at_clocks(0, &[0, 0]);
@@ -472,7 +508,7 @@ mod tests {
     fn next_hands_the_baton_to_the_minimum() {
         let s = at_clocks(0, &[10, 0, 4]);
         assert_eq!(s.next(0, false), Some(1));
-        s.times[1].0.store(7, Ordering::SeqCst);
+        s.times[1].0.store(7, Ordering::Relaxed);
         assert_eq!(s.next(0, false), Some(2));
         assert_eq!(s.next(2, false), Some(2), "the minimum keeps the baton");
     }
