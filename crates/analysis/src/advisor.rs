@@ -2,7 +2,7 @@
 //! advice from solo dry-runs, with *no* interleaving exploration.
 //!
 //! [`advise`] builds one structure under a concrete
-//! [`elision_htm::PlacementConfig`], dry-runs a small battery of
+//! [`elision_htm::PlacementConfig`] ([`place`]), dry-runs a small battery of
 //! operation instances per operation class ([`crate::footprint`]),
 //! projects the footprints onto the placement's [`LayoutMap`]
 //! ([`crate::layout`]), and emits [`Finding`]s under the sanitizer's
@@ -10,8 +10,8 @@
 //!
 //! - [`LintId::FalseSharing`] — operations that share no variable yet
 //!   conflict on a line (arXiv 1504.04640's placement-induced aborts);
-//! - [`LintId::CapacityRisk`] — a footprint within the configured margin
-//!   of the HTM's read/write line budgets;
+//! - [`LintId::CapacityRisk`] — a footprint within 20% of the HTM's
+//!   read/write line budgets;
 //! - [`LintId::LockWordCoResidency`] — data co-resident with a lock
 //!   word, so every elided section self-aborts on its own lock line;
 //! - [`LintId::LazyDangerousInstruction`] — a lazily-subscribed scheme
@@ -24,14 +24,35 @@
 //! [`elision_htm::SanAccess::TxnAbort`] in the run's sanitizer log.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use elision_core::{make_scheme, LockKind, SchemeConfig, SchemeKind};
+use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
 use elision_htm::{HtmConfig, LayoutMap, MemoryBuilder, PlacementConfig, Placer, VarRole};
-use elision_structures::{HashTable, RbTree, SimQueue, SortedList, StructureKind};
+use elision_structures::{
+    HashTable, OpAction, RbTree, SimQueue, SortedList, Structure, StructureKind,
+};
 
-use crate::footprint::{dry_run, OpFootprint, OpSpec};
+use crate::footprint::{dry_run, OpFn, OpFootprint, OpSpec};
 use crate::layout::{false_sharing_lines, interference_graph, Interference};
 use crate::{AccessSite, Finding, LintId};
+
+/// The main-lock family every cell is laid out with.
+const LOCK: LockKind = LockKind::Ttas;
+
+/// Keys (queue values) present before the battery runs: `0, 2, 4, ...`.
+pub const PREFILL: usize = 24;
+
+/// Node (queue slot) capacity: the prefill plus slack for the battery's
+/// inserts.
+const CAPACITY: usize = PREFILL + 8;
+
+/// Hash-table buckets: half the prefill, so chains stay short but
+/// collisions exist.
+const BUCKETS: usize = PREFILL / 2;
+
+/// Flag a footprint whose line count reaches this fraction (permille) of
+/// a capacity budget.
+const CAPACITY_MARGIN_PERMILLE: usize = 800;
 
 /// Everything [`advise`] needs to analyze one structure × placement ×
 /// scheme cell.
@@ -45,60 +66,48 @@ pub struct AdvisorSpec {
     /// into the layout; lazy schemes enable the dangerous-instruction
     /// lint).
     pub scheme: SchemeKind,
-    /// The main-lock implementation (affects lock-word count/placement).
-    pub lock: LockKind,
     /// The HTM whose capacity budgets the footprints are linted against.
     pub htm: HtmConfig,
     /// Thread count the structure is sized for (free-list partitions,
     /// lock slots). The dry-run itself is always single-threaded.
     pub threads: usize,
-    /// Keys/values present before the battery runs.
-    pub prefill: usize,
-    /// Dry-run seed (footprints are deterministic; this only seeds the
-    /// strand RNG, which a solo deterministic run never draws from).
-    pub seed: u64,
-    /// Flag a footprint whose line count reaches this fraction (permille)
-    /// of a capacity budget. Default 800 (80%).
-    pub capacity_margin_permille: u32,
-    /// Restrict the battery to read-only operation classes.
-    pub read_only: bool,
 }
 
 impl AdvisorSpec {
-    /// A spec with the default lock (TTAS), Haswell HTM budgets, 4
-    /// threads, a small prefill, margin 800‰, and a full battery.
+    /// A spec with Haswell HTM budgets and 4 threads.
     pub fn new(structure: StructureKind, placement: PlacementConfig, scheme: SchemeKind) -> Self {
-        AdvisorSpec {
-            structure,
-            placement,
-            scheme,
-            lock: LockKind::Ttas,
-            htm: HtmConfig::haswell(),
-            threads: 4,
-            prefill: 24,
-            seed: 0x5EED_AD01,
-            capacity_margin_permille: 800,
-            read_only: false,
-        }
+        AdvisorSpec { structure, placement, scheme, htm: HtmConfig::haswell(), threads: 4 }
     }
 
     /// Stable cell label: `structure/placement/scheme`.
     pub fn label(&self) -> String {
         format!("{}/{}/{}", self.structure.label(), self.placement.label(), self.scheme.label())
     }
+}
 
-    /// Record-arena capacity the profiled structure is built with:
-    /// `prefill` plus slack for the battery's inserts. A dynamic probe
-    /// that wants the advisor's exact layout must size identically.
-    pub fn arena_capacity(&self) -> usize {
-        self.prefill + 8
-    }
-
-    /// Bucket count for the hash-table cell (half the prefill, so
-    /// chains stay short but collisions exist).
-    pub fn n_buckets(&self) -> usize {
-        (self.prefill / 2).max(4)
-    }
+/// Lay out `spec`'s scheme and structure under its placement policy,
+/// sized for `spec.threads`, with the sanitizer enabled. Returns the
+/// unfrozen memory, its layout map, the scheme and the structure (whose
+/// `init` is still to run). The advisor's dry-run starts here, and so
+/// does any dynamic run meant to see the layout the advice is about.
+pub fn place(spec: &AdvisorSpec) -> (MemoryBuilder, LayoutMap, Arc<Scheme>, Structure) {
+    let mut b = MemoryBuilder::new();
+    b.enable_sanitizer();
+    let mut p = Placer::new(b, spec.placement);
+    let threads = spec.threads;
+    // Lock words first: co-resident placement packs them against the
+    // structure the same way a careless allocator would.
+    let scheme = make_scheme(spec.scheme, LOCK, SchemeConfig::paper(), p.builder_mut(), threads);
+    let structure = match spec.structure {
+        StructureKind::HashTable => {
+            Structure::HashTable(HashTable::new_placed(&mut p, BUCKETS, CAPACITY, threads))
+        }
+        StructureKind::List => Structure::List(SortedList::new_placed(&mut p, CAPACITY, threads)),
+        StructureKind::Queue => Structure::Queue(SimQueue::new_placed(&mut p, CAPACITY)),
+        StructureKind::RbTree => Structure::RbTree(RbTree::new_placed(&mut p, CAPACITY, threads)),
+    };
+    let (b, layout) = p.finish();
+    (b, layout, scheme, structure)
 }
 
 /// The advisor's verdict for one cell.
@@ -136,172 +145,74 @@ fn site(var: Option<u32>, line: Option<u32>) -> AccessSite {
     AccessSite { tid: 0, var, line, time: 0, seq: 0 }
 }
 
-/// Battery + layout for one structure under one placement. Returns the
-/// layout, the footprints, and the battery's write-capable class names.
-fn profile(spec: &AdvisorSpec) -> (LayoutMap, Vec<OpFootprint>) {
-    let mut b = MemoryBuilder::new();
-    b.enable_sanitizer();
-    let mut p = Placer::new(b, spec.placement);
-    // Lock words first: co-resident placement packs them against the
-    // structure the same way a careless allocator would.
-    let _scheme =
-        make_scheme(spec.scheme, spec.lock, SchemeConfig::paper(), p.builder_mut(), spec.threads);
-    let n = spec.prefill;
-    let cap = spec.arena_capacity();
-    // Present keys are even; battery misses/inserts use odd keys.
-    let hit = move |i: usize| 2 * (i % n.max(1)) as u64;
+/// The dry-run battery: a prefill of the [`PREFILL`] present (even)
+/// keys, three instances of the structure's read class, then three each
+/// of its two write classes, interleaved. Inserts use absent (odd) keys.
+fn battery(structure: &Structure) -> (OpFn, Vec<OpSpec>) {
+    let hit = |i: usize| 2 * i as u64;
     let miss = |i: usize| (2 * i + 1) as u64;
-    // The three battery probes per class are spread across the prefilled
+    // The three instances per class are spread across the prefilled
     // keyspace (first, middle, last) so worst-case walks — the
     // footprints capacity linting must see — are represented instead of
     // only near-head early exits.
-    let spread = move |i: usize| i * n.saturating_sub(1) / 2;
-    let probe_hit = move |i: usize| hit(spread(i));
-    let probe_miss = move |i: usize| miss(spread(i));
-    let mut ops: Vec<OpSpec> = Vec::new();
-    let prefill: crate::footprint::OpFn;
-    // Free-list chaining happens via direct writes after freeze, before
-    // the strand runs (queue needs none).
-    let init: Box<dyn Fn(&elision_htm::Memory)>;
-    match spec.structure {
-        StructureKind::RbTree => {
-            let t = RbTree::new_placed(&mut p, cap, spec.threads);
-            let ti = t.clone();
-            init = Box::new(move |m| ti.init(m));
-            let tp = t.clone();
-            prefill = Box::new(move |s| {
-                for i in 0..n {
-                    tp.insert(s, hit(i))?;
-                }
-                Ok(())
-            });
-            for i in 0..3 {
-                let t2 = t.clone();
-                ops.push(OpSpec::new(
-                    "contains",
-                    format!("contains({})", probe_hit(i)),
-                    move |s| t2.contains(s, probe_hit(i)).map(|_| ()),
-                ));
+    let spread = |i: usize| i * (PREFILL - 1) / 2;
+    let op = |class: &str, label: String, action: OpAction| {
+        let st = structure.clone();
+        OpSpec::new(class, label, move |s| st.apply(s, action).map(|_| ()))
+    };
+    let mut ops = Vec::new();
+    for i in 0..3 {
+        let h = hit(spread(i));
+        ops.push(match structure {
+            Structure::HashTable(_) => op("get", format!("get({h})"), OpAction::MapGet(h)),
+            Structure::Queue(q) => {
+                let q = q.clone();
+                OpSpec::new("len", "len()", move |s| q.len(s).map(|_| ()))
             }
-            if !spec.read_only {
-                for i in 0..3 {
-                    let t2 = t.clone();
-                    ops.push(OpSpec::new(
-                        "insert",
-                        format!("insert({})", probe_miss(i)),
-                        move |s| t2.insert(s, probe_miss(i)).map(|_| ()),
-                    ));
-                    let t2 = t.clone();
-                    ops.push(OpSpec::new(
-                        "remove",
-                        format!("remove({})", probe_hit(i)),
-                        move |s| t2.remove(s, probe_hit(i)).map(|_| ()),
-                    ));
-                }
-            }
-        }
-        StructureKind::List => {
-            let l = SortedList::new_placed(&mut p, cap, spec.threads);
-            let li = l.clone();
-            init = Box::new(move |m| li.init(m));
-            let lp = l.clone();
-            prefill = Box::new(move |s| {
-                for i in 0..n {
-                    lp.insert(s, hit(i))?;
-                }
-                Ok(())
-            });
-            for i in 0..3 {
-                let l2 = l.clone();
-                ops.push(OpSpec::new(
-                    "contains",
-                    format!("contains({})", probe_hit(i)),
-                    move |s| l2.contains(s, probe_hit(i)).map(|_| ()),
-                ));
-            }
-            if !spec.read_only {
-                for i in 0..3 {
-                    let l2 = l.clone();
-                    ops.push(OpSpec::new(
-                        "insert",
-                        format!("insert({})", probe_miss(i)),
-                        move |s| l2.insert(s, probe_miss(i)).map(|_| ()),
-                    ));
-                    let l2 = l.clone();
-                    ops.push(OpSpec::new(
-                        "remove",
-                        format!("remove({})", probe_hit(i)),
-                        move |s| l2.remove(s, probe_hit(i)).map(|_| ()),
-                    ));
-                }
-            }
-        }
-        StructureKind::HashTable => {
-            let buckets = spec.n_buckets();
-            let h = HashTable::new_placed(&mut p, buckets, cap, spec.threads);
-            let hi = h.clone();
-            init = Box::new(move |m| hi.init(m));
-            let hp = h.clone();
-            prefill = Box::new(move |s| {
-                for i in 0..n {
-                    hp.put(s, hit(i), hit(i) + 1)?;
-                }
-                Ok(())
-            });
-            for i in 0..3 {
-                let h2 = h.clone();
-                ops.push(OpSpec::new("get", format!("get({})", probe_hit(i)), move |s| {
-                    h2.get(s, probe_hit(i)).map(|_| ())
-                }));
-            }
-            if !spec.read_only {
-                for i in 0..3 {
-                    let h2 = h.clone();
-                    ops.push(OpSpec::new("put", format!("put({})", probe_miss(i)), move |s| {
-                        h2.put(s, probe_miss(i), 7).map(|_| ())
-                    }));
-                    let h2 = h.clone();
-                    ops.push(OpSpec::new(
-                        "remove",
-                        format!("remove({})", probe_hit(i)),
-                        move |s| h2.remove(s, probe_hit(i)).map(|_| ()),
-                    ));
-                }
-            }
-        }
-        StructureKind::Queue => {
-            let q = SimQueue::new_placed(&mut p, cap);
-            init = Box::new(|_| {});
-            let qp = q.clone();
-            prefill = Box::new(move |s| {
-                for i in 0..n {
-                    qp.push(s, hit(i))?;
-                }
-                Ok(())
-            });
-            for _ in 0..3 {
-                let q2 = q.clone();
-                ops.push(OpSpec::new("len", "len()", move |s| q2.len(s).map(|_| ())));
-            }
-            if !spec.read_only {
-                for i in 0..3 {
-                    let q2 = q.clone();
-                    ops.push(OpSpec::new("push", format!("push#{i}"), move |s| {
-                        q2.push(s, 9).map(|_| ())
-                    }));
-                    let q2 = q.clone();
-                    ops.push(OpSpec::new("pop", format!("pop#{i}"), move |s| {
-                        q2.pop(s).map(|_| ())
-                    }));
-                }
-            }
-        }
+            _ => op("contains", format!("contains({h})"), OpAction::SetContains(h)),
+        });
     }
-    let (b, layout) = p.finish();
+    for i in 0..3 {
+        let (h, m) = (hit(spread(i)), miss(spread(i)));
+        ops.extend(match structure {
+            Structure::HashTable(_) => [
+                op("put", format!("put({m})"), OpAction::MapPut(m, 7)),
+                op("remove", format!("remove({h})"), OpAction::MapRemove(h)),
+            ],
+            Structure::Queue(_) => [
+                op("push", format!("push#{i}"), OpAction::Push(9)),
+                op("pop", format!("pop#{i}"), OpAction::Pop),
+            ],
+            _ => [
+                op("insert", format!("insert({m})"), OpAction::SetInsert(m)),
+                op("remove", format!("remove({h})"), OpAction::SetRemove(h)),
+            ],
+        });
+    }
+    let fill: Vec<OpAction> = (0..PREFILL)
+        .map(|i| match structure {
+            Structure::HashTable(_) => OpAction::MapPut(hit(i), hit(i) + 1),
+            Structure::Queue(_) => OpAction::Push(hit(i)),
+            _ => OpAction::SetInsert(hit(i)),
+        })
+        .collect();
+    let st = structure.clone();
+    let prefill: OpFn = Box::new(move |s| {
+        for &action in &fill {
+            st.apply(s, action)?;
+        }
+        Ok(())
+    });
+    (prefill, ops)
+}
+
+/// The layout and battery footprints of one cell.
+fn profile(spec: &AdvisorSpec) -> (LayoutMap, Vec<OpFootprint>) {
+    let (b, layout, _scheme, structure) = place(spec);
     let mem = b.freeze(1);
-    init(&mem);
-    let footprints = dry_run(mem, spec.seed, prefill, ops);
-    (layout, footprints)
+    structure.init(&mem);
+    let (prefill, ops) = battery(&structure);
+    (layout, dry_run(mem, prefill, ops))
 }
 
 fn lint_false_sharing(
@@ -344,7 +255,7 @@ fn lint_capacity(
     // Every elided section also reads the main lock's line (eager
     // subscription up front, lazy at commit): one extra read line.
     let overhead = usize::from(speculative);
-    let margin = spec.capacity_margin_permille as usize;
+    let margin = CAPACITY_MARGIN_PERMILLE;
     for fp in fps {
         let reads = fp.read_lines(layout).len() + overhead;
         let writes = fp.write_lines(layout).len();
@@ -571,15 +482,6 @@ mod tests {
         s.htm = HtmConfig::deterministic().with_capacity(8, 8);
         let report = advise(&s);
         assert!(report.lints().contains(&LintId::CapacityRisk), "{:?}", report.findings);
-    }
-
-    #[test]
-    fn read_only_battery_has_no_writes() {
-        let mut s = spec(StructureKind::HashTable, PlacementConfig::padded(), SchemeKind::OptSlr);
-        s.read_only = true;
-        let report = advise(&s);
-        assert!(report.footprints.iter().all(|f| f.writes.is_empty()));
-        assert!(!report.lints().contains(&LintId::LazyDangerousInstruction));
     }
 
     #[test]

@@ -69,11 +69,11 @@ use crate::driver::{analyze, Checks};
 use crate::linearize::check_linearizable;
 use crate::{Finding, LintId};
 use elision_core::{make_scheme, LockKind, Scheme, SchemeConfig, SchemeKind};
-use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder, Strand};
+use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder};
 use elision_sim::Schedule;
 use elision_structures::{
-    HashTable, HistoryRecorder, OpAction, OpRecord, OpResponse, RbTree, SeqModel, SimQueue,
-    SortedList, StructureKind,
+    HashTable, HistoryRecorder, OpAction, OpRecord, RbTree, SeqModel, SimQueue, SortedList,
+    Structure, StructureKind,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -638,16 +638,22 @@ pub struct CellReport {
     pub findings: Vec<ExploreFinding>,
 }
 
+impl From<(ExploreStats, Vec<ExploreFinding>)> for CellReport {
+    /// The explorer's statistics and minimized findings as one report.
+    fn from((stats, findings): (ExploreStats, Vec<ExploreFinding>)) -> Self {
+        CellReport {
+            executions: stats.executions,
+            runs: stats.runs,
+            fallback_runs: stats.fallback_runs,
+            truncated: stats.truncated,
+            findings,
+        }
+    }
+}
+
 /// Capacity of the queue structure cell (both the simulated queue and
 /// its sequential reference model).
 const QUEUE_CAP: usize = 8;
-
-enum CellStructure {
-    Map(HashTable),
-    Set(SortedList),
-    Tree(RbTree),
-    Fifo(SimQueue),
-}
 
 /// The deterministic action thread `tid` performs in its section `k`.
 /// Key ranges deliberately overlap across threads so histories contend.
@@ -671,50 +677,6 @@ fn action_for(kind: StructureKind, tid: usize, k: usize) -> OpAction {
                 OpAction::Pop
             }
         }
-    }
-}
-
-fn apply_action(
-    scheme: &Scheme,
-    st: &CellStructure,
-    s: &mut Strand,
-    action: OpAction,
-) -> OpResponse {
-    match (st, action) {
-        (CellStructure::Map(h), OpAction::MapGet(k)) => {
-            OpResponse::Value(scheme.execute(s, |s| h.get(s, k)).value)
-        }
-        (CellStructure::Map(h), OpAction::MapPut(k, v)) => {
-            OpResponse::Value(scheme.execute(s, |s| h.put(s, k, v)).value)
-        }
-        (CellStructure::Map(h), OpAction::MapRemove(k)) => {
-            OpResponse::Value(scheme.execute(s, |s| h.remove(s, k)).value)
-        }
-        (CellStructure::Set(l), OpAction::SetInsert(k)) => {
-            OpResponse::Flag(scheme.execute(s, |s| l.insert(s, k)).value)
-        }
-        (CellStructure::Set(l), OpAction::SetContains(k)) => {
-            OpResponse::Flag(scheme.execute(s, |s| l.contains(s, k)).value)
-        }
-        (CellStructure::Set(l), OpAction::SetRemove(k)) => {
-            OpResponse::Flag(scheme.execute(s, |s| l.remove(s, k)).value)
-        }
-        (CellStructure::Tree(t), OpAction::SetInsert(k)) => {
-            OpResponse::Flag(scheme.execute(s, |s| t.insert(s, k)).value)
-        }
-        (CellStructure::Tree(t), OpAction::SetContains(k)) => {
-            OpResponse::Flag(scheme.execute(s, |s| t.contains(s, k)).value)
-        }
-        (CellStructure::Tree(t), OpAction::SetRemove(k)) => {
-            OpResponse::Flag(scheme.execute(s, |s| t.remove(s, k)).value)
-        }
-        (CellStructure::Fifo(q), OpAction::Push(v)) => {
-            OpResponse::Flag(scheme.execute(s, |s| q.push(s, v)).value)
-        }
-        (CellStructure::Fifo(q), OpAction::Pop) => {
-            OpResponse::Value(scheme.execute(s, |s| q.pop(s)).value)
-        }
-        (_, a) => unreachable!("action {a} does not fit this cell's structure"),
     }
 }
 
@@ -743,18 +705,15 @@ fn run_cell_once<'a>(
     b.enable_sanitizer();
     let scheme = make_scheme(spec.scheme, spec.lock, SchemeConfig::explore(), &mut b, spec.threads);
     let structure = match spec.structure {
-        StructureKind::HashTable => CellStructure::Map(HashTable::new(&mut b, 4, 64, spec.threads)),
-        StructureKind::List => CellStructure::Set(SortedList::new(&mut b, 64, spec.threads)),
-        StructureKind::RbTree => CellStructure::Tree(RbTree::new(&mut b, 64, spec.threads)),
-        StructureKind::Queue => CellStructure::Fifo(SimQueue::new(&mut b, QUEUE_CAP)),
+        StructureKind::HashTable => {
+            Structure::HashTable(HashTable::new(&mut b, 4, 64, spec.threads))
+        }
+        StructureKind::List => Structure::List(SortedList::new(&mut b, 64, spec.threads)),
+        StructureKind::RbTree => Structure::RbTree(RbTree::new(&mut b, 64, spec.threads)),
+        StructureKind::Queue => Structure::Queue(SimQueue::new(&mut b, QUEUE_CAP)),
     };
     let mem = Arc::new(b.freeze(spec.threads));
-    match &structure {
-        CellStructure::Map(h) => h.init(&mem),
-        CellStructure::Set(l) => l.init(&mem),
-        CellStructure::Tree(t) => t.init(&mem),
-        CellStructure::Fifo(_) => {}
-    }
+    structure.init(&mem);
     let structure = Arc::new(structure);
 
     let (steps, outs, makespan) = {
@@ -773,7 +732,7 @@ fn run_cell_once<'a>(
                 for k in 0..sections {
                     let action = action_for(kind, s.tid(), k);
                     let invoked = s.sim().steps_taken();
-                    let response = apply_action(&scheme, &structure, s, action);
+                    let response = scheme.execute(s, |s| structure.apply(s, action)).value;
                     let responded = s.sim().steps_taken();
                     rec.record(action, response, invoked, responded);
                 }
@@ -804,14 +763,7 @@ impl Analyze for CellRun<'_> {
 /// truncated when a bound cuts it short), run every new execution through
 /// the full analysis pipeline, and minimize whatever fails.
 pub fn explore_cell(spec: &ExploreSpec) -> CellReport {
-    let (stats, findings) = explore_and_minimize(&spec.bounds, |ov| run_cell_once(spec, ov));
-    CellReport {
-        executions: stats.executions,
-        runs: stats.runs,
-        fallback_runs: stats.fallback_runs,
-        truncated: stats.truncated,
-        findings,
-    }
+    explore_and_minimize(&spec.bounds, |ov| run_cell_once(spec, ov)).into()
 }
 
 #[cfg(test)]

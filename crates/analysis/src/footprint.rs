@@ -81,10 +81,14 @@ impl OpFootprint {
     }
 }
 
+/// Seed of the dry-run strand's RNG, which a solo deterministic run
+/// never draws from.
+const DRY_RUN_SEED: u64 = 0x5EED_AD01;
+
 /// The deterministic HTM configuration every dry-run uses: zero spurious
 /// aborts and a line budget far above any structure operation, so the
 /// only way an attempt can abort is a bug in the battery itself.
-pub fn dry_run_config() -> HtmConfig {
+fn dry_run_config() -> HtmConfig {
     HtmConfig::deterministic().with_capacity(4096, 4096)
 }
 
@@ -103,12 +107,12 @@ pub fn dry_run_config() -> HtmConfig {
 /// Panics if the sanitizer is not attached, if any attempt aborts (the
 /// dry-run configuration makes that impossible for a correct battery),
 /// or if the log's transaction spans do not line up with `ops`.
-pub fn dry_run(mem: Memory, seed: u64, prefill: OpFn, ops: Vec<OpSpec>) -> Vec<OpFootprint> {
+pub fn dry_run(mem: Memory, prefill: OpFn, ops: Vec<OpSpec>) -> Vec<OpFootprint> {
     let names: Vec<(String, String)> =
         ops.iter().map(|o| (o.class.clone(), o.label.clone())).collect();
     let ops = Arc::new(ops);
     let prefill = Arc::new(prefill);
-    let (_, mem, _) = harness::run(1, 0, dry_run_config(), seed, mem, move |s| {
+    let (_, mem, _) = harness::run(1, 0, dry_run_config(), DRY_RUN_SEED, mem, move |s| {
         prefill(s).expect("non-transactional prefill cannot abort");
         for op in ops.iter() {
             if let Err(status) = s.attempt(|st| (op.run)(st)) {
@@ -174,7 +178,6 @@ mod tests {
         // that may leak into a footprint.
         let fps = dry_run(
             mem,
-            7,
             Box::new(move |s| {
                 s.load(x)?;
                 s.store(y, 9)

@@ -47,7 +47,7 @@ use crate::metrics::{Json, MetricsReport};
 use crate::report::Table;
 use crate::sweep::{Cell, Sweep, TimingLog};
 use crate::TreeBenchSpec;
-use elision_analysis::explore::{CellReport, ExploreFinding, ExploreStats};
+use elision_analysis::explore::{CellReport, ExploreFinding};
 use elision_analysis::{AccessSite, Finding, LintId};
 use elision_core::{LockKind, SchemeKind};
 use elision_htm::HtmFaults;
@@ -191,17 +191,6 @@ pub(crate) fn scheme_table(first: &str, schemes: &[SchemeKind]) -> Table {
     let mut headers = vec![first];
     headers.extend(schemes.iter().map(|s| s.label()));
     Table::new(&headers)
-}
-
-/// The explorer's statistics and minimized findings as one cell report.
-pub(crate) fn cell_report((stats, findings): (ExploreStats, Vec<ExploreFinding>)) -> CellReport {
-    CellReport {
-        executions: stats.executions,
-        runs: stats.runs,
-        fallback_runs: stats.fallback_runs,
-        truncated: stats.truncated,
-        findings,
-    }
 }
 
 /// A finding as JSON: lint, message and witnessing accesses.

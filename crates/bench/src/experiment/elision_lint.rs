@@ -13,10 +13,10 @@
 //! - **capacity** cells lint the sorted list against a deliberately tiny
 //!   HTM line budget (flagged) and the default budget (clean), each
 //!   cross-checked against a dynamic run's capacity-abort count.
-//! - **xval** cells rebuild the advisor's exact layout, run a real
-//!   multi-threaded workload over it under the sanitizer, tally the
-//!   conflict lines of the aborts it logs in the measured phase, and
-//!   assert that (a) every dynamic conflict abort lands on an
+//! - **xval** cells run a real multi-threaded workload under the
+//!   sanitizer over the layout the advisor profiled (both build it with
+//!   [`elision_analysis::advisor::place`]), tally the conflict lines of
+//!   the aborts it logs in the measured phase, and assert that (a) every dynamic conflict abort lands on an
 //!   advisor-predicted hot line and (b) the abort-cause mix agrees
 //!   with the static verdict: a padded bucket-disjoint hash workload
 //!   aborts zero times, the same workload packed aborts on placement
@@ -32,14 +32,12 @@ use super::{finding_json, Run};
 use crate::metrics::{cause_histogram_json, Json, SCHEMA_VERSION};
 use crate::report::Table;
 use crate::sweep::Cell;
-use elision_analysis::advisor::{advise, AdvisorReport, AdvisorSpec};
+use elision_analysis::advisor::{advise, place, AdvisorReport, AdvisorSpec, PREFILL};
 use elision_analysis::LintId;
-use elision_core::{make_scheme, SchemeConfig, SchemeKind};
-use elision_htm::{
-    harness, Memory, MemoryBuilder, PlacementConfig, PlacementPolicy, Placer, SanAccess, Strand,
-};
+use elision_core::SchemeKind;
+use elision_htm::{harness, PlacementConfig, PlacementPolicy, SanAccess, Strand};
 use elision_sim::{AbortCause, DetRng, OpCounters};
-use elision_structures::{HashTable, SimQueue, SortedList, StructureKind};
+use elision_structures::{Structure, StructureKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -53,8 +51,7 @@ const ALL_LAYOUT_LINTS: [LintId; 4] = [
 
 /// Operations per simulated thread in a dynamic probe.
 const PROBE_ITERS: usize = 240;
-/// Seed for probe workload RNGs (the advisor dry-run seed is fixed in
-/// [`AdvisorSpec`]).
+/// Seed for probe workload RNGs.
 const PROBE_SEED: u64 = 0xE11D;
 
 /// What a cell's dynamic probe must show to agree with the advisor.
@@ -112,23 +109,16 @@ fn measured<F: FnMut(&mut Strand, usize)>(
     (s.counters, start)
 }
 
-/// Rebuild the advisor's exact layout (same allocation order and sizing
-/// as its dry-run) and run a real multi-threaded workload over it.
-fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> Probe {
+/// Run a real multi-threaded workload over the layout the advisor
+/// profiled ([`place`]).
+fn run_probe(spec: &AdvisorSpec) -> Probe {
     let threads = spec.threads;
-    let mut b = MemoryBuilder::new();
-    b.enable_sanitizer();
-    let mut p = Placer::new(b, spec.placement);
-    let scheme =
-        make_scheme(spec.scheme, spec.lock, SchemeConfig::paper(), p.builder_mut(), threads);
-    let cap = spec.arena_capacity();
-    let (results, mem): (Vec<(OpCounters, u64)>, Arc<Memory>) = match spec.structure {
-        StructureKind::HashTable => {
-            let table = HashTable::new_placed(&mut p, spec.n_buckets(), cap, threads);
-            let (b, layout) = p.finish();
-            check_layout(&layout, report);
-            let mem = Arc::new(b.freeze(threads));
-            table.init(&mem);
+    let (b, _, scheme, structure) = place(spec);
+    let mem = Arc::new(b.freeze(threads));
+    structure.init(&mem);
+    let run = Arc::clone(&mem);
+    let (results, _): (Vec<(OpCounters, u64)>, _) = match structure {
+        Structure::HashTable(table) => {
             // Bucket-disjoint key sets: thread t only ever touches keys
             // hashing into its own half of the bucket array, so under a
             // padded layout the threads' footprints are fully disjoint
@@ -145,8 +135,7 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> Probe {
                 k += 1;
             }
             let keys = Arc::new(keys);
-            let run = Arc::clone(&mem);
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
+            harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
                 let mine = &keys[s.tid()];
                 // Prefill own keys (allocates from this thread's
                 // free-list pool, interleaving node indices across
@@ -163,33 +152,19 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> Probe {
                         scheme.execute(s, |s| table.get(s, key).map(|_| ()));
                     }
                 })
-            });
-            (results, mem)
+            })
         }
-        StructureKind::Queue => {
-            let q = SimQueue::new_placed(&mut p, cap);
-            let (b, layout) = p.finish();
-            check_layout(&layout, report);
-            let mem = Arc::new(b.freeze(threads));
-            let run = Arc::clone(&mem);
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
-                measured(s, PROBE_ITERS, |s, i| {
-                    if i % 2 == 0 {
-                        scheme.execute(s, |s| q.push(s, i as u64).map(|_| ()));
-                    } else {
-                        scheme.execute(s, |s| q.pop(s).map(|_| ()));
-                    }
-                })
-            });
-            (results, mem)
-        }
-        StructureKind::List => {
-            let list = SortedList::new_placed(&mut p, cap, threads);
-            let (b, layout) = p.finish();
-            check_layout(&layout, report);
-            let mem = Arc::new(b.freeze(threads));
-            list.init(&mem);
-            let n = spec.prefill as u64;
+        Structure::Queue(q) => harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
+            measured(s, PROBE_ITERS, |s, i| {
+                if i % 2 == 0 {
+                    scheme.execute(s, |s| q.push(s, i as u64).map(|_| ()));
+                } else {
+                    scheme.execute(s, |s| q.pop(s).map(|_| ()));
+                }
+            })
+        }),
+        Structure::List(list) => {
+            let n = PREFILL as u64;
             // Quiescent single-thread prefill, as the advisor does.
             harness::run_arc(
                 1,
@@ -206,17 +181,15 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> Probe {
                     }
                 },
             );
-            let run = Arc::clone(&mem);
-            let (results, _) = harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
+            harness::run_arc(threads, 0, spec.htm, PROBE_SEED, run, move |s| {
                 let mut rng = DetRng::new(PROBE_SEED + s.tid() as u64, 0x13);
                 measured(s, PROBE_ITERS, |s, _| {
                     let key = 2 * rng.below(n);
                     scheme.execute(s, |s| list.contains(s, key).map(|_| ()));
                 })
-            });
-            (results, mem)
+            })
         }
-        StructureKind::RbTree => unimplemented!("no rbtree probe cell in the sweep"),
+        Structure::RbTree(_) => unimplemented!("no rbtree probe cell in the sweep"),
     };
     let counters = OpCounters::sum(results.iter().map(|(c, _)| c));
     // A thread's prefill aborts are logged before its measured phase
@@ -233,22 +206,6 @@ fn run_probe(spec: &AdvisorSpec, report: &AdvisorReport) -> Probe {
         }
     });
     (counters, lines)
-}
-
-/// The probe's layout must be the advisor's layout, word for word — this
-/// catches sizing drift between [`advise`] and [`run_probe`].
-fn check_layout(probe: &elision_htm::LayoutMap, report: &AdvisorReport) {
-    assert_eq!(probe.words(), report.layout.words(), "probe/advisor layout width drifted");
-    assert_eq!(
-        probe.lock_lines(),
-        report.layout.lock_lines(),
-        "probe/advisor lock placement drifted"
-    );
-    assert_eq!(
-        probe.regions().len(),
-        report.layout.regions().len(),
-        "probe/advisor region count drifted"
-    );
 }
 
 fn lint_labels(lints: &[LintId]) -> Json {
@@ -492,7 +449,7 @@ pub(super) fn run(run: &mut Run) {
             let sim = if probe == ProbeCheck::None { 1 } else { spec.threads };
             Cell::new(c.key.clone(), sim, move || {
                 let report = advise(&spec);
-                let probe = (probe != ProbeCheck::None).then(|| run_probe(&spec, &report));
+                let probe = (probe != ProbeCheck::None).then(|| run_probe(&spec));
                 CellOut { report, probe }
             })
         })

@@ -36,7 +36,7 @@
 //! [`LintId::ZombieCommit`]: LintId::ZombieCommit
 //! [`LintId::CommitWhileLockHeld`]: LintId::CommitWhileLockHeld
 
-use super::{assert_counterexamples, assert_replays_fell_back, cell_report, cell_report_json, Run};
+use super::{assert_counterexamples, assert_replays_fell_back, cell_report_json, Run};
 use crate::metrics::{Json, SCHEMA_VERSION};
 use crate::report::Table;
 use crate::sweep::Cell;
@@ -98,14 +98,15 @@ impl UnsafeClass {
 
     fn run(self, lock: LockKind, fixes: LazyFixes) -> CellReport {
         let bounds = Bounds::lazy_safety();
-        cell_report(match self {
+        match self {
             UnsafeClass::Zombie => {
                 explore_and_minimize(&bounds, |ov| lazy_zombie_explore(lock, fixes, ov))
             }
             UnsafeClass::SubscriptionRace => {
                 explore_and_minimize(&bounds, |ov| lazy_race_explore(lock, fixes, ov))
             }
-        })
+        }
+        .into()
     }
 }
 

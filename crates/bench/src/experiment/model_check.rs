@@ -16,7 +16,7 @@
 //! `--jobs` values (host timing goes to `TIMING_model_check.json`,
 //! which the determinism gates exclude).
 
-use super::{assert_counterexamples, assert_replays_fell_back, cell_report, cell_report_json, Run};
+use super::{assert_counterexamples, assert_replays_fell_back, cell_report_json, Run};
 use crate::metrics::{Json, SCHEMA_VERSION};
 use crate::report::Table;
 use crate::sweep::Cell;
@@ -83,7 +83,7 @@ pub(super) fn run(run: &mut Run) {
         // budget.
         keys.push((name.to_string(), true, expected));
         cells.push(Cell::new(name, 2, move || {
-            cell_report(explore_and_minimize(&Bounds::quick(), runner))
+            CellReport::from(explore_and_minimize(&Bounds::quick(), runner))
         }));
     }
 

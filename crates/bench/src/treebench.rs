@@ -9,9 +9,11 @@
 //! measured. Throughput is operations per thousand simulated cycles.
 
 use elision_core::{make_scheme, SchemeConfig, SchemeKind, Watchdog};
-use elision_htm::{harness, HtmConfig, MemoryBuilder, Strand, TxResult};
+use elision_htm::{harness, HtmConfig, MemoryBuilder};
 use elision_sim::{FaultPlan, FaultStats, OpCounters, SlotSeries};
-use elision_structures::{key_domain, HashTable, OpMix, RbTree, StructureKind, TreeOp};
+use elision_structures::{
+    key_domain, HashTable, OpAction, OpMix, OpResponse, RbTree, Structure, StructureKind, TreeOp,
+};
 use std::sync::Arc;
 
 pub use elision_core::LockKind;
@@ -122,33 +124,17 @@ fn merge_slots(acc: &mut Option<SlotSeries>, other: Option<SlotSeries>) {
     }
 }
 
-/// The measured structure, built per [`TreeBenchSpec::structure`].
-#[derive(Clone)]
-enum Structure {
-    Tree(RbTree),
-    Table(HashTable),
-}
-
-impl Structure {
-    /// Insert `key` during the fill phase; whether it was new.
-    fn fill(&self, s: &mut Strand, key: u64) -> bool {
-        let fresh = match self {
-            Structure::Tree(t) => t.insert(s, key),
-            Structure::Table(h) => h.put(s, key, key).map(|old| old.is_none()),
-        };
-        fresh.expect("fill runs without transactions")
-    }
-
-    /// One measured operation.
-    fn apply(&self, s: &mut Strand, op: TreeOp, key: u64) -> TxResult<()> {
-        match (self, op) {
-            (Structure::Tree(t), TreeOp::Insert) => t.insert(s, key).map(|_| ()),
-            (Structure::Tree(t), TreeOp::Delete) => t.remove(s, key).map(|_| ()),
-            (Structure::Tree(t), TreeOp::Lookup) => t.contains(s, key).map(|_| ()),
-            (Structure::Table(h), TreeOp::Insert) => h.put(s, key, key).map(|_| ()),
-            (Structure::Table(h), TreeOp::Delete) => h.remove(s, key).map(|_| ()),
-            (Structure::Table(h), TreeOp::Lookup) => h.get(s, key).map(|_| ()),
-        }
+/// The [`OpAction`] `op` on `key` stands for on `structure`: the hash
+/// table's insert, delete and lookup are put (the key as its value),
+/// remove and get.
+fn op_action(structure: StructureKind, op: TreeOp, key: u64) -> OpAction {
+    match (structure, op) {
+        (StructureKind::HashTable, TreeOp::Insert) => OpAction::MapPut(key, key),
+        (StructureKind::HashTable, TreeOp::Delete) => OpAction::MapRemove(key),
+        (StructureKind::HashTable, TreeOp::Lookup) => OpAction::MapGet(key),
+        (_, TreeOp::Insert) => OpAction::SetInsert(key),
+        (_, TreeOp::Delete) => OpAction::SetRemove(key),
+        (_, TreeOp::Lookup) => OpAction::SetContains(key),
     }
 }
 
@@ -164,21 +150,19 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
     let structure = match spec.structure {
         StructureKind::RbTree => {
             let capacity = domain as usize + spec.threads * 4 + 16;
-            Structure::Tree(RbTree::new(&mut b, capacity, spec.threads))
+            Structure::RbTree(RbTree::new(&mut b, capacity, spec.threads))
         }
         StructureKind::HashTable => {
             let capacity = domain as usize + 16;
             let buckets = (spec.size / 2).max(16);
-            Structure::Table(HashTable::new(&mut b, buckets, capacity, spec.threads))
+            Structure::HashTable(HashTable::new(&mut b, buckets, capacity, spec.threads))
         }
         kind => panic!("the benchmark driver measures the tree or the hash table, not {kind}"),
     };
     let scheme = make_scheme(spec.scheme, spec.lock, spec.scheme_cfg, &mut b, spec.threads);
     let mem = Arc::new(b.freeze(spec.threads));
-    match &structure {
-        Structure::Tree(t) => t.init(&mem),
-        Structure::Table(h) => h.init(&mem),
-    }
+    structure.init(&mem);
+    let kind = spec.structure;
 
     // Fill phase: single simulated thread, throwaway timing.
     {
@@ -189,7 +173,10 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
             let mut filled = 0usize;
             while filled < size {
                 let key = s.rng.below(domain);
-                if structure.fill(s, key) {
+                let response = structure.apply(s, op_action(kind, TreeOp::Insert, key));
+                // A new key: the tree says so, the table had no value.
+                let fresh = response.expect("fill runs without transactions");
+                if matches!(fresh, OpResponse::Flag(true) | OpResponse::Value(None)) {
                     filled += 1;
                 }
             }
@@ -198,8 +185,9 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
     // The single-threaded fill drained the allocator pools unevenly;
     // rebalance so measured threads allocate conflict-free.
     match &structure {
-        Structure::Tree(t) => t.rebalance_freelists(&mem),
-        Structure::Table(h) => h.rebalance_freelists(&mem),
+        Structure::RbTree(t) => t.rebalance_freelists(&mem),
+        Structure::HashTable(h) => h.rebalance_freelists(&mem),
+        _ => unreachable!("only the tree and the hash table are built"),
     }
 
     // Measured phase.
@@ -222,9 +210,9 @@ pub fn run_tree_bench(spec: &TreeBenchSpec) -> TreeBenchResult {
                     // Draw the operation before entering the critical section
                     // so speculative retries replay the same operation.
                     let op = mix.draw(&mut s.rng);
-                    let key = s.rng.below(domain);
+                    let action = op_action(kind, op, s.rng.below(domain));
                     let started = s.now();
-                    let out = scheme.execute(s, |s| structure.apply(s, op, key));
+                    let out = scheme.execute(s, |s| structure.apply(s, action));
                     let now = s.now();
                     watchdog.record(out.attempts, now.saturating_sub(started));
                     if let Some(rec) = s.slots.as_mut() {

@@ -2,6 +2,7 @@
 //! benchmark; its transactions are always short, "zooming in" on the
 //! short-transaction end of the red-black-tree workload spectrum).
 
+use crate::pool::NodePool;
 use elision_htm::{Memory, MemoryBuilder, Placer, RecordArena, Strand, TxResult, VarId, VarRole};
 
 const KEY: u32 = 0;
@@ -19,11 +20,10 @@ pub struct HashTable {
     /// controlled under [`HashTable::new_placed`]).
     buckets: RecordArena,
     n_buckets: usize,
-    /// Per-thread free-list heads.
-    free: Vec<VarId>,
+    /// Free nodes, chained through `NEXT`.
+    pool: NodePool,
     /// The node arena.
     arena: RecordArena,
-    cap: usize,
 }
 
 impl HashTable {
@@ -40,14 +40,9 @@ impl HashTable {
         b.pad_to_line();
         let base = b.len() as u32;
         b.alloc_array(capacity * STRIDE as usize, 0);
-        let free: Vec<VarId> = (0..threads).map(|_| b.alloc_isolated(NONE)).collect();
-        HashTable {
-            buckets,
-            n_buckets,
-            free,
-            arena: RecordArena::contiguous(base, STRIDE),
-            cap: capacity,
-        }
+        let arena = RecordArena::contiguous(base, STRIDE);
+        let pool = NodePool::new(b, "hash", arena.clone(), NEXT, capacity, threads);
+        HashTable { buckets, n_buckets, pool, arena }
     }
 
     /// Like [`HashTable::new`], but every allocation goes through `p`'s
@@ -63,23 +58,13 @@ impl HashTable {
         assert!(n_buckets > 0 && capacity > 0 && threads > 0);
         let buckets = p.records("hash.bucket", VarRole::Data, n_buckets, 1, NONE);
         let arena = p.records("hash.node", VarRole::Data, capacity, STRIDE, 0);
-        let free_arena = p.records("hash.free", VarRole::Meta, threads, 1, NONE);
-        let free = (0..threads as u64).map(|t| free_arena.word(t, 0)).collect();
-        HashTable { buckets, n_buckets, free, arena, cap: capacity }
+        let pool = NodePool::new_placed(p, "hash", arena.clone(), NEXT, capacity, threads);
+        HashTable { buckets, n_buckets, pool, arena }
     }
 
     /// Chain the free lists; call once after freezing, before use.
     pub fn init(&self, mem: &Memory) {
-        let threads = self.free.len();
-        let mut heads = vec![NONE; threads];
-        for n in (0..self.cap as u64).rev() {
-            let pool = (n as usize) % threads;
-            mem.write_direct(self.field(n, NEXT), heads[pool]);
-            heads[pool] = n;
-        }
-        for (t, &h) in heads.iter().enumerate() {
-            mem.write_direct(self.free[t], h);
-        }
+        self.pool.init(mem);
     }
 
     /// Number of buckets.
@@ -103,53 +88,18 @@ impl HashTable {
     }
 
     fn alloc_node(&self, s: &mut Strand, key: u64, value: u64) -> TxResult<u64> {
-        let me = s.tid() % self.free.len();
-        let pools = self.free.len();
-        for k in 0..pools {
-            let pool = self.free[(me + k) % pools];
-            let head = s.load(pool)?;
-            if head == NONE {
-                continue;
-            }
-            let next = s.load(self.field(head, NEXT))?;
-            s.store(pool, next)?;
-            s.store(self.field(head, KEY), key)?;
-            s.store(self.field(head, VALUE), value)?;
-            s.store(self.field(head, NEXT), NONE)?;
-            return Ok(head);
-        }
-        panic!("hash-table arena exhausted (capacity {})", self.cap);
-    }
-
-    fn free_node(&self, s: &mut Strand, node: u64) -> TxResult<()> {
-        let pool = self.free[s.tid() % self.free.len()];
-        let head = s.load(pool)?;
-        s.store(self.field(node, NEXT), head)?;
-        s.store(pool, node)
+        let node = self.pool.alloc(s)?;
+        s.store(self.field(node, KEY), key)?;
+        s.store(self.field(node, VALUE), value)?;
+        s.store(self.field(node, NEXT), NONE)?;
+        Ok(node)
     }
 
     /// Redistribute free nodes evenly across the per-thread pools via
     /// direct writes (see `RbTree::rebalance_freelists`). Quiescent use
     /// only.
     pub fn rebalance_freelists(&self, mem: &Memory) {
-        let threads = self.free.len();
-        let mut nodes = Vec::new();
-        for &pool in &self.free {
-            let mut n = mem.read_direct(pool);
-            while n != NONE {
-                nodes.push(n);
-                n = mem.read_direct(self.field(n, NEXT));
-            }
-        }
-        let mut heads = vec![NONE; threads];
-        for (i, &n) in nodes.iter().enumerate() {
-            let pool = i % threads;
-            mem.write_direct(self.field(n, NEXT), heads[pool]);
-            heads[pool] = n;
-        }
-        for (t, &h) in heads.iter().enumerate() {
-            mem.write_direct(self.free[t], h);
-        }
+        self.pool.rebalance(mem);
     }
 
     /// Look up `key`.
@@ -227,7 +177,7 @@ impl HashTable {
                     s.store(self.field(prev, NEXT), next)?;
                 }
                 let val = s.load(self.field(n, VALUE))?;
-                self.free_node(s, n)?;
+                self.pool.free(s, n)?;
                 return Ok(Some(val));
             }
             prev = n;

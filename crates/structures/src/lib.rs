@@ -34,8 +34,10 @@
 mod hashtable;
 pub mod history;
 mod list;
+mod pool;
 mod queue;
 mod rbtree;
+mod structure;
 mod workload;
 
 pub use hashtable::HashTable;
@@ -43,6 +45,7 @@ pub use history::{HistoryRecorder, OpAction, OpRecord, OpResponse, SeqModel, Str
 pub use list::SortedList;
 pub use queue::SimQueue;
 pub use rbtree::RbTree;
+pub use structure::Structure;
 pub use workload::{key_domain, OpMix, TreeOp};
 
 #[cfg(test)]

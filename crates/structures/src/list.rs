@@ -3,6 +3,7 @@
 //! elision schemes (every writer conflicts with every reader that passed
 //! the same prefix).
 
+use crate::pool::NodePool;
 use elision_htm::{Memory, MemoryBuilder, Placer, RecordArena, Strand, TxResult, VarId, VarRole};
 
 const KEY: u32 = 0;
@@ -15,9 +16,9 @@ const NONE: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct SortedList {
     head: VarId,
-    free: Vec<VarId>,
+    /// Free nodes, chained through `NEXT`.
+    pool: NodePool,
     arena: RecordArena,
-    cap: usize,
 }
 
 impl SortedList {
@@ -33,8 +34,9 @@ impl SortedList {
         b.pad_to_line();
         let base = b.len() as u32;
         b.alloc_array(capacity * STRIDE as usize, 0);
-        let free: Vec<VarId> = (0..threads).map(|_| b.alloc_isolated(NONE)).collect();
-        SortedList { head, free, arena: RecordArena::contiguous(base, STRIDE), cap: capacity }
+        let arena = RecordArena::contiguous(base, STRIDE);
+        let pool = NodePool::new(b, "list", arena.clone(), NEXT, capacity, threads);
+        SortedList { head, pool, arena }
     }
 
     /// Like [`SortedList::new`], but allocated through `p`'s placement
@@ -49,23 +51,13 @@ impl SortedList {
         assert!(capacity > 0 && threads > 0);
         let head = p.meta("list.head", NONE);
         let arena = p.records("list.node", VarRole::Data, capacity, STRIDE, 0);
-        let free_arena = p.records("list.free", VarRole::Meta, threads, 1, NONE);
-        let free = (0..threads as u64).map(|t| free_arena.word(t, 0)).collect();
-        SortedList { head, free, arena, cap: capacity }
+        let pool = NodePool::new_placed(p, "list", arena.clone(), NEXT, capacity, threads);
+        SortedList { head, pool, arena }
     }
 
     /// Chain the free lists; call once after freezing, before use.
     pub fn init(&self, mem: &Memory) {
-        let threads = self.free.len();
-        let mut heads = vec![NONE; threads];
-        for n in (0..self.cap as u64).rev() {
-            let pool = (n as usize) % threads;
-            mem.write_direct(self.field(n, NEXT), heads[pool]);
-            heads[pool] = n;
-        }
-        for (t, &h) in heads.iter().enumerate() {
-            mem.write_direct(self.free[t], h);
-        }
+        self.pool.init(mem);
     }
 
     fn field(&self, node: u64, f: u32) -> VarId {
@@ -73,28 +65,10 @@ impl SortedList {
     }
 
     fn alloc_node(&self, s: &mut Strand, key: u64) -> TxResult<u64> {
-        let me = s.tid() % self.free.len();
-        let pools = self.free.len();
-        for k in 0..pools {
-            let pool = self.free[(me + k) % pools];
-            let head = s.load(pool)?;
-            if head == NONE {
-                continue;
-            }
-            let next = s.load(self.field(head, NEXT))?;
-            s.store(pool, next)?;
-            s.store(self.field(head, KEY), key)?;
-            s.store(self.field(head, NEXT), NONE)?;
-            return Ok(head);
-        }
-        panic!("sorted-list arena exhausted (capacity {})", self.cap);
-    }
-
-    fn free_node(&self, s: &mut Strand, node: u64) -> TxResult<()> {
-        let pool = self.free[s.tid() % self.free.len()];
-        let head = s.load(pool)?;
-        s.store(self.field(node, NEXT), head)?;
-        s.store(pool, node)
+        let node = self.pool.alloc(s)?;
+        s.store(self.field(node, KEY), key)?;
+        s.store(self.field(node, NEXT), NONE)?;
+        Ok(node)
     }
 
     /// Whether `key` is present.
@@ -163,7 +137,7 @@ impl SortedList {
                 } else {
                     s.store(self.field(prev, NEXT), next)?;
                 }
-                self.free_node(s, n)?;
+                self.pool.free(s, n)?;
                 return Ok(true);
             }
             if k > key {

@@ -7,14 +7,10 @@
 //! node visit is a costed, conflict-tracked access — a critical section
 //! traversing the tree has exactly the read/write-set footprint the paper
 //! reasons about (larger trees → longer critical sections → lower
-//! conflict probability, §4).
-//!
-//! Nodes are recycled through *per-thread free lists* (with stealing on
-//! exhaustion), mirroring the thread-cached allocator (jemalloc) the
-//! paper runs under — a single shared free list would serialize all
-//! speculative inserts on the allocator and mask the effects being
-//! measured.
+//! conflict probability, §4). Nodes are recycled through the shared
+//! per-thread [`NodePool`].
 
+use crate::pool::NodePool;
 use elision_htm::{Memory, MemoryBuilder, Placer, RecordArena, Strand, TxResult, VarId, VarRole};
 
 const KEY: u32 = 0;
@@ -33,8 +29,8 @@ const RED: u64 = 1;
 pub struct RbTree {
     /// Var holding the root node index (or the sentinel).
     root: VarId,
-    /// Per-thread free-list heads.
-    free: Vec<VarId>,
+    /// Free nodes, chained through `LEFT`.
+    pool: NodePool,
     /// The node arena (contiguous for [`RbTree::new`]; placement-policy
     /// controlled for [`RbTree::new_placed`]).
     arena: RecordArena,
@@ -58,17 +54,9 @@ impl RbTree {
         // capacity nodes + 1 sentinel.
         b.alloc_array((capacity + 1) * STRIDE as usize, 0);
         let root = b.alloc_isolated(capacity as u64);
-        let free: Vec<VarId> = (0..threads).map(|_| b.alloc_isolated(u64::MAX)).collect();
         let arena = RecordArena::contiguous(base, STRIDE);
-        let tree = RbTree { root, free, arena, cap: capacity, nil: capacity as u64 };
-        // Build the initial free lists directly (pre-run setup):
-        // round-robin nodes across the per-thread pools, chained via LEFT.
-        // We cannot use a Strand yet, so thread the lists through the
-        // builder-initialized values by writing after freeze — instead we
-        // record the chain in the node KEY/LEFT initial values here.
-        // MemoryBuilder has no post-alloc writes, so the chain is encoded
-        // by `init_freelists` after freezing.
-        tree
+        let pool = NodePool::new(b, "rbtree", arena.clone(), LEFT, capacity, threads);
+        RbTree { root, pool, arena, cap: capacity, nil: capacity as u64 }
     }
 
     /// Like [`RbTree::new`], but every allocation goes through `p`'s
@@ -85,25 +73,15 @@ impl RbTree {
         assert!(capacity > 0 && threads > 0);
         let arena = p.records("rbtree.node", VarRole::Data, capacity + 1, STRIDE, 0);
         let root = p.meta("rbtree.root", capacity as u64);
-        let free_arena = p.records("rbtree.free", VarRole::Meta, threads, 1, u64::MAX);
-        let free = (0..threads as u64).map(|t| free_arena.word(t, 0)).collect();
-        RbTree { root, free, arena, cap: capacity, nil: capacity as u64 }
+        let pool = NodePool::new_placed(p, "rbtree", arena.clone(), LEFT, capacity, threads);
+        RbTree { root, pool, arena, cap: capacity, nil: capacity as u64 }
     }
 
     /// Finish setup after the memory is frozen: chain the free lists and
     /// paint the sentinel black. Must be called exactly once, before any
     /// simulated thread touches the tree.
     pub fn init(&self, mem: &Memory) {
-        let threads = self.free.len();
-        let mut heads = vec![u64::MAX; threads];
-        for n in (0..self.cap as u64).rev() {
-            let pool = (n as usize) % threads;
-            mem.write_direct(self.field(n, LEFT), heads[pool]);
-            heads[pool] = n;
-        }
-        for (t, &h) in heads.iter().enumerate() {
-            mem.write_direct(self.free[t], h);
-        }
+        self.pool.init(mem);
         mem.write_direct(self.root, self.nil);
         mem.write_direct(self.field(self.nil, COLOR), BLACK);
     }
@@ -136,31 +114,13 @@ impl RbTree {
     // ------------------------------------------------------------------
 
     fn alloc_node(&self, s: &mut Strand, key: u64) -> TxResult<u64> {
-        let me = s.tid() % self.free.len();
-        let pools = self.free.len();
-        for k in 0..pools {
-            let pool = self.free[(me + k) % pools];
-            let head = s.load(pool)?;
-            if head == u64::MAX {
-                continue; // empty pool: steal from the next one
-            }
-            let next = self.get(s, head, LEFT)?;
-            s.store(pool, next)?;
-            self.set(s, head, KEY, key)?;
-            self.set(s, head, LEFT, self.nil)?;
-            self.set(s, head, RIGHT, self.nil)?;
-            self.set(s, head, PARENT, self.nil)?;
-            self.set(s, head, COLOR, RED)?;
-            return Ok(head);
-        }
-        panic!("red-black tree arena exhausted (capacity {})", self.cap);
-    }
-
-    fn free_node(&self, s: &mut Strand, node: u64) -> TxResult<()> {
-        let pool = self.free[s.tid() % self.free.len()];
-        let head = s.load(pool)?;
-        self.set(s, node, LEFT, head)?;
-        s.store(pool, node)
+        let node = self.pool.alloc(s)?;
+        self.set(s, node, KEY, key)?;
+        self.set(s, node, LEFT, self.nil)?;
+        self.set(s, node, RIGHT, self.nil)?;
+        self.set(s, node, PARENT, self.nil)?;
+        self.set(s, node, COLOR, RED)?;
+        Ok(node)
     }
 
     /// Redistribute all free nodes evenly across the per-thread pools via
@@ -169,24 +129,7 @@ impl RbTree {
     /// would otherwise force runtime threads onto the conflict-prone
     /// steal path).
     pub fn rebalance_freelists(&self, mem: &Memory) {
-        let threads = self.free.len();
-        let mut nodes = Vec::new();
-        for &pool in &self.free {
-            let mut n = mem.read_direct(pool);
-            while n != u64::MAX {
-                nodes.push(n);
-                n = mem.read_direct(self.field(n, LEFT));
-            }
-        }
-        let mut heads = vec![u64::MAX; threads];
-        for (i, &n) in nodes.iter().enumerate() {
-            let pool = i % threads;
-            mem.write_direct(self.field(n, LEFT), heads[pool]);
-            heads[pool] = n;
-        }
-        for (t, &h) in heads.iter().enumerate() {
-            mem.write_direct(self.free[t], h);
-        }
+        self.pool.rebalance(mem);
     }
 
     // ------------------------------------------------------------------
@@ -386,7 +329,7 @@ impl RbTree {
                 self.set(s, y, COLOR, zc)?;
             }
         }
-        self.free_node(s, z)?;
+        self.pool.free(s, z)?;
         if y_color == BLACK {
             self.delete_fixup(s, x, x_parent)?;
         }

@@ -1,106 +1,95 @@
-//! Property-based tests: the transactional structures against
-//! std-library models, under arbitrary operation sequences.
+//! Property-based tests: the transactional structures against their
+//! sequential reference models, under arbitrary operation sequences.
 
-use elision_htm::{harness, HtmConfig, MemoryBuilder};
-use elision_structures::{HashTable, RbTree, SortedList};
+use elision_htm::{harness, HtmConfig, Memory, MemoryBuilder};
+use elision_structures::{
+    HashTable, OpAction, OpResponse, RbTree, SeqModel, SimQueue, SortedList, Structure,
+    StructureKind,
+};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
 
-#[derive(Debug, Clone, Copy)]
-enum SetOp {
-    Insert(u64),
-    Remove(u64),
-    Contains(u64),
+/// Keys are drawn from `0..KEYS`, few enough that operations collide.
+const KEYS: u64 = 32;
+/// Node capacity of every linked structure: room for every key.
+const CAPACITY: usize = 40;
+/// Queue capacity, small enough that random pushes overflow it.
+const QUEUE_CAP: usize = 4;
+
+/// Random `(key, value, choice)` triples, turned into actions by [`action`].
+fn ops(keys: u64, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u64, u64, u8)>> {
+    prop::collection::vec((0..keys, 0u64..1000, 0u8..3), len)
 }
 
-fn set_op() -> impl Strategy<Value = SetOp> {
-    prop_oneof![
-        (0u64..64).prop_map(SetOp::Insert),
-        (0u64..64).prop_map(SetOp::Remove),
-        (0u64..64).prop_map(SetOp::Contains),
-    ]
+/// The action a `(key, value, choice)` triple stands for on `kind`. The
+/// queue pushes twice as often as it pops, so it fills up.
+fn action(kind: StructureKind, (k, v, choice): (u64, u64, u8)) -> OpAction {
+    match (kind, choice) {
+        (StructureKind::HashTable, 0) => OpAction::MapPut(k, v),
+        (StructureKind::HashTable, 1) => OpAction::MapRemove(k),
+        (StructureKind::HashTable, _) => OpAction::MapGet(k),
+        (StructureKind::Queue, 0 | 1) => OpAction::Push(v),
+        (StructureKind::Queue, _) => OpAction::Pop,
+        (_, 0) => OpAction::SetInsert(k),
+        (_, 1) => OpAction::SetRemove(k),
+        (_, _) => OpAction::SetContains(k),
+    }
+}
+
+fn build(kind: StructureKind, b: &mut MemoryBuilder, buckets: usize) -> Structure {
+    match kind {
+        StructureKind::HashTable => Structure::HashTable(HashTable::new(b, buckets, CAPACITY, 1)),
+        StructureKind::List => Structure::List(SortedList::new(b, CAPACITY, 1)),
+        StructureKind::Queue => Structure::Queue(SimQueue::new(b, QUEUE_CAP)),
+        StructureKind::RbTree => Structure::RbTree(RbTree::new(b, CAPACITY, 1)),
+    }
+}
+
+/// The structure holds what the model holds, and a tree keeps every
+/// red-black invariant.
+fn check_contents(st: &Structure, model: &SeqModel, mem: &Memory) -> Result<(), TestCaseError> {
+    match (st, model) {
+        (Structure::HashTable(h), SeqModel::Map(m)) => {
+            prop_assert_eq!(h.collect(mem), m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>());
+        }
+        (Structure::List(l), SeqModel::Set(m)) => {
+            prop_assert_eq!(l.collect(mem), m.iter().copied().collect::<Vec<_>>());
+        }
+        (Structure::RbTree(t), SeqModel::Set(m)) => {
+            prop_assert_eq!(t.collect(mem), m.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(t.validate(mem).map_err(TestCaseError::fail)?, m.len());
+        }
+        (Structure::Queue(q), SeqModel::Fifo { items, .. }) => {
+            prop_assert_eq!(q.len_direct(mem), items.len() as u64);
+        }
+        (st, model) => unreachable!("{} has no model {model:?}", st.kind()),
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The red-black tree behaves exactly like `BTreeSet` and keeps every
-    /// red-black invariant after every prefix of any operation sequence.
+    /// Every structure answers every operation as its sequential
+    /// reference model (the linearizability oracle's) does, and ends
+    /// holding what the model holds.
     #[test]
-    fn rbtree_equals_btreeset(ops in prop::collection::vec(set_op(), 1..120)) {
-        let mut b = MemoryBuilder::new();
-        let tree = RbTree::new(&mut b, 80, 1);
-        let mem = b.freeze(1);
-        tree.init(&mem);
-        let t = tree.clone();
-        let ops2 = ops.clone();
-        let (results, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
-            let mut model = BTreeSet::new();
-            for op in &ops2 {
-                match *op {
-                    SetOp::Insert(k) => assert_eq!(t.insert(s, k).unwrap(), model.insert(k)),
-                    SetOp::Remove(k) => assert_eq!(t.remove(s, k).unwrap(), model.remove(&k)),
-                    SetOp::Contains(k) => {
-                        assert_eq!(t.contains(s, k).unwrap(), model.contains(&k))
-                    }
-                }
-            }
-            model.into_iter().collect::<Vec<_>>()
-        });
-        prop_assert_eq!(&tree.collect(&mem), &results[0]);
-        let n = tree.validate(&mem).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(n, results[0].len());
-    }
-
-    /// The hash table behaves exactly like `HashMap`.
-    #[test]
-    fn hashtable_equals_hashmap(
-        ops in prop::collection::vec((0u64..48, 0u64..1000, 0u8..3), 1..120),
-        buckets in 1usize..24,
-    ) {
-        let mut b = MemoryBuilder::new();
-        let table = HashTable::new(&mut b, buckets, 64, 1);
-        let mem = b.freeze(1);
-        table.init(&mem);
-        let t = table.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
-            let mut model: HashMap<u64, u64> = HashMap::new();
-            for &(k, v, kind) in &ops {
-                match kind {
-                    0 => assert_eq!(t.put(s, k, v).unwrap(), model.insert(k, v)),
-                    1 => assert_eq!(t.remove(s, k).unwrap(), model.remove(&k)),
-                    _ => assert_eq!(t.get(s, k).unwrap(), model.get(&k).copied()),
-                }
-            }
-            let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
-            expected.sort_unstable();
-            assert_eq!(t.collect(s.memory()), expected);
-        });
-    }
-
-    /// The sorted list stays sorted, unique and model-equal.
-    #[test]
-    fn sorted_list_equals_btreeset(ops in prop::collection::vec(set_op(), 1..80)) {
-        let mut b = MemoryBuilder::new();
-        let list = SortedList::new(&mut b, 72, 1);
-        let mem = b.freeze(1);
-        list.init(&mem);
-        let l = list.clone();
-        harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
-            let mut model = BTreeSet::new();
-            for op in &ops {
-                match *op {
-                    SetOp::Insert(k) => assert_eq!(l.insert(s, k).unwrap(), model.insert(k)),
-                    SetOp::Remove(k) => assert_eq!(l.remove(s, k).unwrap(), model.remove(&k)),
-                    SetOp::Contains(k) => {
-                        assert_eq!(l.contains(s, k).unwrap(), model.contains(&k))
-                    }
-                }
-            }
-            let got = l.collect(s.memory());
-            let expected: Vec<u64> = model.into_iter().collect();
-            assert_eq!(got, expected);
-        });
+    fn structures_match_seq_model(ops in ops(KEYS, 1..120), buckets in 1usize..24) {
+        for kind in StructureKind::ALL {
+            let actions: Vec<OpAction> = ops.iter().map(|&op| action(kind, op)).collect();
+            let mut b = MemoryBuilder::new();
+            let st = build(kind, &mut b, buckets);
+            let mem = b.freeze(1);
+            st.init(&mem);
+            let (run_st, run_actions) = (st.clone(), actions.clone());
+            let (results, mem, _) =
+                harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+                    run_actions.iter().map(|&a| run_st.apply(s, a).unwrap()).collect::<Vec<_>>()
+                });
+            let mut model = SeqModel::for_kind(kind, QUEUE_CAP);
+            let want: Vec<OpResponse> = actions.iter().map(|&a| model.apply(a)).collect();
+            prop_assert_eq!(&results[0], &want, "{}", kind);
+            check_contents(&st, &model, &mem)?;
+        }
     }
 
     /// Aborted structure operations leave no trace: run a random op
@@ -109,7 +98,7 @@ proptest! {
     #[test]
     fn aborted_tree_ops_roll_back(
         warm in prop::collection::vec(0u64..64, 0..30),
-        ops in prop::collection::vec(set_op(), 1..40),
+        ops in ops(64, 1..40),
     ) {
         let mut b = MemoryBuilder::new();
         let tree = RbTree::new(&mut b, 128, 1);
@@ -122,13 +111,10 @@ proptest! {
                 t.insert(s, k).unwrap();
             }
             let before = t.collect(s.memory());
+            let st = Structure::RbTree(t.clone());
             s.begin();
-            for op in &ops {
-                match *op {
-                    SetOp::Insert(k) => { t.insert(s, k).unwrap(); }
-                    SetOp::Remove(k) => { t.remove(s, k).unwrap(); }
-                    SetOp::Contains(k) => { t.contains(s, k).unwrap(); }
-                }
+            for &op in &ops {
+                st.apply(s, action(StructureKind::RbTree, op)).unwrap();
             }
             let _ = s.xabort(9, false);
             assert_eq!(t.collect(s.memory()), before, "abort leaked structure changes");
