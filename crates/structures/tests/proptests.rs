@@ -66,30 +66,58 @@ fn check_contents(st: &Structure, model: &SeqModel, mem: &Memory) -> Result<(), 
     Ok(())
 }
 
+/// Applies `ops` to a fresh `kind` through `Structure::apply` and to its
+/// sequential reference model (the linearizability oracle's) through
+/// `SeqModel::apply`: every response must match, and the structure must
+/// end holding what the model holds.
+fn matches_seq_model(
+    kind: StructureKind,
+    ops: &[(u64, u64, u8)],
+    buckets: usize,
+) -> Result<(), TestCaseError> {
+    let actions: Vec<OpAction> = ops.iter().map(|&op| action(kind, op)).collect();
+    let mut b = MemoryBuilder::new();
+    let st = build(kind, &mut b, buckets);
+    let mem = b.freeze(1);
+    st.init(&mem);
+    let (run_st, run_actions) = (st.clone(), actions.clone());
+    let (results, mem, _) = harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
+        run_actions.iter().map(|&a| run_st.apply(s, a).unwrap()).collect::<Vec<_>>()
+    });
+    let mut model = SeqModel::for_kind(kind, QUEUE_CAP);
+    let want: Vec<OpResponse> = actions.iter().map(|&a| model.apply(a)).collect();
+    prop_assert_eq!(&results[0], &want, "{}", kind);
+    check_contents(&st, &model, &mem)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every structure answers every operation as its sequential
-    /// reference model (the linearizability oracle's) does, and ends
-    /// holding what the model holds.
+    /// The red-black tree answers like its `BTreeSet` model and keeps
+    /// every red-black invariant.
     #[test]
-    fn structures_match_seq_model(ops in ops(KEYS, 1..120), buckets in 1usize..24) {
-        for kind in StructureKind::ALL {
-            let actions: Vec<OpAction> = ops.iter().map(|&op| action(kind, op)).collect();
-            let mut b = MemoryBuilder::new();
-            let st = build(kind, &mut b, buckets);
-            let mem = b.freeze(1);
-            st.init(&mem);
-            let (run_st, run_actions) = (st.clone(), actions.clone());
-            let (results, mem, _) =
-                harness::run(1, 0, HtmConfig::deterministic(), 1, mem, move |s| {
-                    run_actions.iter().map(|&a| run_st.apply(s, a).unwrap()).collect::<Vec<_>>()
-                });
-            let mut model = SeqModel::for_kind(kind, QUEUE_CAP);
-            let want: Vec<OpResponse> = actions.iter().map(|&a| model.apply(a)).collect();
-            prop_assert_eq!(&results[0], &want, "{}", kind);
-            check_contents(&st, &model, &mem)?;
-        }
+    fn rbtree_equals_btreeset(ops in ops(KEYS, 1..120)) {
+        matches_seq_model(StructureKind::RbTree, &ops, 1)?;
+    }
+
+    /// The hash table answers like its map model, for any bucket count.
+    #[test]
+    fn hashtable_equals_hashmap(ops in ops(KEYS, 1..120), buckets in 1usize..24) {
+        matches_seq_model(StructureKind::HashTable, &ops, buckets)?;
+    }
+
+    /// The sorted list stays sorted, unique and equal to its `BTreeSet`
+    /// model.
+    #[test]
+    fn sorted_list_equals_btreeset(ops in ops(KEYS, 1..120)) {
+        matches_seq_model(StructureKind::List, &ops, 1)?;
+    }
+
+    /// The bounded queue answers like its FIFO model, refusing pushes
+    /// once full.
+    #[test]
+    fn queue_equals_seq_model(ops in ops(KEYS, 1..120)) {
+        matches_seq_model(StructureKind::Queue, &ops, 1)?;
     }
 
     /// Aborted structure operations leave no trace: run a random op
